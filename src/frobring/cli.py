@@ -32,7 +32,7 @@ import sys
 import time
 from typing import Any
 
-from .znmod import DEFAULT_CAP, EnumerationCapError
+from .znmod import DEFAULT_CAP
 from .finring import (
     FiniteRing,
     RingValidationError,
@@ -75,10 +75,14 @@ def _load_json(path: str) -> Any:
         raise CliError(2, f"{path} is not valid JSON: {exc}")
 
 
+def _is_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)  # JSON true is not 1
+
+
 def _element(e) -> tuple:
-    if isinstance(e, int):
+    if _is_int(e):
         return (e,)
-    if isinstance(e, list) and all(isinstance(c, int) for c in e):
+    if isinstance(e, list) and all(_is_int(c) for c in e):
         return tuple(e)
     raise CliError(2, f"bad element {e!r}: expected an int or a list of ints")
 
@@ -333,7 +337,7 @@ def cmd_skew_build(args) -> int:
             args.json,
         )
         return 1
-    except (RingValidationError, ValueError) as exc:
+    except ValueError as exc:
         _emit({"command": "skew build", "error": str(exc)}, args.json)
         return 1
     ring = quotient.as_finite_ring()
@@ -505,8 +509,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (RingValidationError, NotTwoSidedError, DegenerateFormError,
-            EnumerationCapError) as exc:
+    except ValueError as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)

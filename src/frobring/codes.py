@@ -25,17 +25,20 @@ the coefficient-of-identity pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterable, Sequence
 
-from .znmod import DEFAULT_CAP, Element, _check_cap
-from .finring import FiniteRing, left_ideals
+from .znmod import DEFAULT_CAP, Element, _check_cap, additive_closure, annihilated
+from .finring import FiniteRing, _close_under_sums, left_ideals
 from .frobenius import (
     AmbientForm,
     DegenerateFormError,
     FrobeniusFunctional,
     Vector,
     _as_form,
+    _oriented,
+    orthogonal,
 )
 from .skewpoly import InternalConsistencyError, SkewQuotient
 
@@ -85,23 +88,12 @@ class LinearCode:
         for g in gens:
             if len(g) != m:
                 raise ValueError(f"generator {g!r} does not have length {m}")
-        if side == "left":
-            seeds = [_scale_left(alphabet, a, g) for g in gens for a in alphabet.elements()]
-        elif side == "right":
-            seeds = [_scale_right(alphabet, g, a) for g in gens for a in alphabet.elements()]
+        if side == "additive":
+            seeds = gens
         else:
-            seeds = list(gens)
-        zero = (alphabet.zero,) * m
-        closed = {zero}
-        grew = True
-        while grew:
-            grew = False
-            for s in seeds:
-                for v in list(closed):
-                    w = _vadd(alphabet, v, s)
-                    if w not in closed:
-                        closed.add(w)
-                        grew = True
+            S = _scalars(alphabet, side)
+            seeds = [_scale_left(S, a, g) for g in gens for a in S.elements()]
+        closed = additive_closure(seeds, partial(_vadd, alphabet), (alphabet.zero,) * m)
         return cls(alphabet, m, side, tuple(gens), closed)
 
     def _validate(self):
@@ -114,16 +106,12 @@ class LinearCode:
             for w in words:
                 if _vadd(A, v, w) not in words:
                     raise ValueError(f"code not closed under addition at {v!r} + {w!r}")
-        if self.side == "left":
-            for a in A.elements():
+        if self.side != "additive":
+            S = _scalars(A, self.side)
+            for a in S.elements():
                 for v in words:
-                    if _scale_left(A, a, v) not in words:
-                        raise ValueError(f"code not closed under left scalar {a!r}")
-        elif self.side == "right":
-            for a in A.elements():
-                for v in words:
-                    if _scale_right(A, v, a) not in words:
-                        raise ValueError(f"code not closed under right scalar {a!r}")
+                    if _scale_left(S, a, v) not in words:
+                        raise ValueError(f"code not closed under {self.side} scalar {a!r}")
 
     @property
     def cardinality(self) -> int:
@@ -170,8 +158,10 @@ def _scale_left(A: FiniteRing, a: Element, v: Vector) -> Vector:
     return tuple(A.mul(a, c) for c in v)
 
 
-def _scale_right(A: FiniteRing, v: Vector, a: Element) -> Vector:
-    return tuple(A.mul(c, a) for c in v)
+def _scalars(A: FiniteRing, side: str) -> FiniteRing:
+    """The ring acting on the left for a code of the given module side:
+    A itself for left codes, its opposite for right codes."""
+    return A.opposite() if side == "right" else A
 
 
 # -- weight enumerators ----------------------------------------------------
@@ -240,14 +230,8 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
-    A = code.alphabet
-    zero = A.zero
-    words = sorted(code.codewords)
-    if orth_side == "right":
-        out = [y for y in form.vectors() if all(form.pairing(c, y) == zero for c in words)]
-    else:
-        out = [x for x in form.vectors() if all(form.pairing(x, c) == zero for c in words)]
-    return LinearCode(A, code.m, orth_side, (), out)
+    words = orthogonal(form, sorted(code.codewords), orth_side)
+    return LinearCode(code.alphabet, code.m, orth_side, (), words)
 
 
 def identity_form(A: FiniteRing, m: int, cap: int = DEFAULT_CAP) -> AmbientForm:
@@ -350,34 +334,16 @@ def submodule_codes(
     if side not in _SIDES:
         raise ValueError(f"bad code side {side!r}")
     _check_cap(A.cardinality**m, cap, "ambient module")
-    elems = A.elements()
     vectors = list(identity_form(A, m, cap).vectors())
     zero = (A.zero,) * m
+    add = partial(_vadd, A)
     cyclic: set[frozenset[Vector]] = {frozenset({zero})}
-    for v in vectors:
-        if side == "left":
-            cyclic.add(frozenset(_scale_left(A, a, v) for a in elems))
-        elif side == "right":
-            cyclic.add(frozenset(_scale_right(A, v, a) for a in elems))
-        else:
-            orbit = {zero}
-            w = v
-            while w != zero:
-                orbit.add(w)
-                w = _vadd(A, w, v)
-            cyclic.add(frozenset(orbit))
-    family = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        fresh = []
-        for I in frontier:
-            for J in list(family):
-                s = frozenset(_vadd(A, i, j) for i in I for j in J)
-                if s not in family:
-                    family.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    ordered = sorted(family, key=lambda s: (len(s), sorted(s)))
+    if side == "additive":
+        cyclic |= {additive_closure([v], add, zero) for v in vectors}
+    else:
+        S = _scalars(A, side)
+        cyclic |= {frozenset(_scale_left(S, a, v) for a in S.elements()) for v in vectors}
+    ordered = _close_under_sums(cyclic, add)
     return [LinearCode(A, m, side, (), words) for words in ordered]
 
 
@@ -450,13 +416,9 @@ def skew_cyclic_dual_report(
             out = base.add(out, base.mul(a, b))
         return out
 
-    e_dual = frozenset(f for f in vectors if all(euclid(f, g) == zero for g in V))
+    e_dual = annihilated(vectors, V, euclid, zero)
     reversed_V = [quotient.reversal(v) for v in sorted(V)]
-    r_orth = frozenset(
-        g
-        for g in vectors
-        if all(eps.evaluate(quotient.mul(g, t)[0]) == 0 for t in reversed_V)
-    )
+    r_orth = annihilated(vectors, reversed_V, lambda g, t: eps.evaluate(quotient.mul(g, t)[0]))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
         dual_is_skew_cyclic=is_skew_cyclic(e_dual, quotient),
@@ -516,8 +478,8 @@ def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgeb
     def algebra_pairing(a: Element, b: Element) -> int:
         return sum(a[t] * b[inv[t]] for t in range(R.rank)) % n
 
-    e_dual = frozenset(b for b in elems if all(euclid(a, b) == 0 for a in S))
-    r_orth = frozenset(b for b in elems if all(algebra_pairing(a, b) == 0 for a in S))
+    e_dual = annihilated(elems, S, _oriented(euclid, "right"))
+    r_orth = annihilated(elems, S, _oriented(algebra_pairing, "right"))
     inverted = frozenset(
         tuple(b[inv[s]] for s in range(R.rank)) for b in r_orth
     )

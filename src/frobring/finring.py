@@ -14,12 +14,15 @@ for rings of a few hundred elements: units by two-sided inverse search,
 the Jacobson radical by quasi-regularity (x is in the radical iff 1 - a*x
 is a unit for every a), socles as annihilators of the radical, and the
 Frobenius test by looking for a single socle generator on each side.
-Rings cache these computations; treat constructed rings as immutable.
+Right-handed notions are the left-handed ones of the opposite ring, which
+every ring builds once on demand (FiniteRing.opposite).  Rings cache these
+computations; treat constructed rings as immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -28,6 +31,7 @@ from .znmod import (
     Element,
     EnumerationCapError,
     ModuleShape,
+    annihilated,
     enumerate_module,
 )
 
@@ -110,6 +114,7 @@ class FiniteRing:
         self._units: frozenset[Element] | None = None
         self._radical: Ideal | None = None
         self._socles: dict[str, Ideal] = {}
+        self._opposite: FiniteRing | None = None
         if check:
             failures = table_validation_report(self)
             for check_name, ok, witness in failures:
@@ -215,16 +220,30 @@ class FiniteRing:
             raise ValueError(f"bad socle side {side!r}")
         if side not in self._socles:
             rad = self.jacobson_radical().elements
-            if side == "right":
-                soc = frozenset(
-                    x for x in self.elements() if all(self.mul(x, j) == self.zero for j in rad)
-                )
-            else:
-                soc = frozenset(
-                    x for x in self.elements() if all(self.mul(j, x) == self.zero for j in rad)
-                )
+            ring = self if side == "right" else self.opposite()
+            soc = annihilated(self.elements(), rad, ring.mul, self.zero)
             self._socles[side] = Ideal(side, soc)
         return self._socles[side]
+
+    def opposite(self) -> "FiniteRing":
+        """The same module with a * b computed as b * a, built once through
+        the validating constructor on the transposed basis table.  Its
+        left-handed notions are the right-handed ones of this ring."""
+        if self._opposite is None:
+            k = self.rank
+            cayley = None if self.cayley is None else tuple(zip(*self.cayley))
+            op = FiniteRing(
+                self.shape,
+                [[self.mul_table[j][i] for j in range(k)] for i in range(k)],
+                self.one,
+                label=f"{self.label}^op" if self.label else None,
+                cayley=cayley,
+                cap=self.cap,
+            )
+            op._elements = self._elements
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     # -- conveniences ------------------------------------------------------
 
@@ -256,33 +275,22 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     report: list[tuple[str, bool, object]] = []
 
     witness = None
-    for i in range(k):
-        for j in range(k):
-            e = ring.mul_table[i][j]
-            for l in range(k):
-                if (orders[i] * e[l]) % orders[l] or (orders[j] * e[l]) % orders[l]:
-                    witness = (i, j, l)
-                    break
-            if witness:
-                break
-        if witness:
+    for i, j, l in product(range(k), repeat=3):
+        e = ring.mul_table[i][j]
+        if (orders[i] * e[l]) % orders[l] or (orders[j] * e[l]) % orders[l]:
+            witness = (i, j, l)
             break
     report.append(("bilinear-well-defined", witness is None, witness))
     if witness is not None:
         return report
 
     witness = None
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                left = ring.mul(ring.mul_table[i][j], ring.basis(l))
-                right = ring.mul(ring.basis(i), ring.mul_table[j][l])
-                if left != right:
-                    witness = (i, j, l)
-                    break
-            if witness:
-                break
-        if witness:
+    basis = [ring.basis(i) for i in range(k)]
+    for i, j, l in product(range(k), repeat=3):
+        left = ring.mul(ring.mul_table[i][j], basis[l])
+        right = ring.mul(basis[i], ring.mul_table[j][l])
+        if left != right:
+            witness = (i, j, l)
             break
     report.append(("associativity", witness is None, witness))
 
@@ -380,16 +388,14 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None,
     for p in range(t):
         for q in range(t):
             for i in range(k0):
-                for r in range(t):
-                    for s in range(t):
-                        if q != r:
-                            continue
-                        for j in range(k0):
-                            prod_ij = base.mul_table[i][j]
-                            entry = [0] * k
-                            for l in range(k0):
-                                entry[flat(p, s, l)] = prod_ij[l]
-                            table[flat(p, q, i)][flat(r, s, j)] = tuple(entry)
+                # E_pq E_rs vanishes unless r = q, where it is E_ps
+                for s in range(t):
+                    for j in range(k0):
+                        prod_ij = base.mul_table[i][j]
+                        entry = [0] * k
+                        for l in range(k0):
+                            entry[flat(p, s, l)] = prod_ij[l]
+                        table[flat(p, q, i)][flat(q, s, j)] = tuple(entry)
     one = [0] * k
     for p in range(t):
         for i in range(k0):
@@ -452,11 +458,7 @@ def is_left_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
 
 
 def is_right_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
-    return (
-        ring.zero in elems
-        and all(ring.add(a, b) in elems for a in elems for b in elems)
-        and all(ring.mul(a, r) in elems for r in ring.elements() for a in elems)
-    )
+    return is_left_ideal(ring.opposite(), elems)
 
 
 def cyclic_left_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
@@ -469,11 +471,8 @@ def cyclic_left_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
 
 
 def cyclic_right_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
-    out = set()
-    elems = ring.elements()
-    for a in elems:
-        out.add(frozenset(ring.mul(a, r) for r in elems))
-    return out
+    """The principal right ideals a*R: principal left ideals of R^op."""
+    return cyclic_left_ideals(ring.opposite())
 
 
 def _close_under_sums(seeds: set[frozenset[Element]], add) -> list[frozenset[Element]]:
@@ -503,8 +502,8 @@ def left_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 def right_ideals(ring: FiniteRing) -> list[Ideal]:
-    sets = _close_under_sums(cyclic_right_ideals(ring), ring.add)
-    return [Ideal("right", s) for s in sets]
+    """Every right ideal: the left ideals of the opposite ring."""
+    return [Ideal("right", ideal.elements) for ideal in left_ideals(ring.opposite())]
 
 
 # -- the socle Frobenius test ---------------------------------------------
@@ -523,21 +522,11 @@ def is_frobenius_socle(ring: FiniteRing) -> SocleCertificate:
     quotient_size = ring.cardinality // len(rad)
     right_soc = ring.socle("right")
     left_soc = ring.socle("left")
-    elems = ring.elements()
-
-    right_witness = None
+    right_witness = left_witness = None
     if len(right_soc) == quotient_size:
-        for s in sorted(right_soc.elements):
-            if frozenset(ring.mul(s, r) for r in elems) == right_soc.elements:
-                right_witness = s
-                break
-    left_witness = None
+        right_witness = _right_generator(ring, right_soc.elements)
     if len(left_soc) == quotient_size:
-        for s in sorted(left_soc.elements):
-            if frozenset(ring.mul(r, s) for r in elems) == left_soc.elements:
-                left_witness = s
-                break
-
+        left_witness = _right_generator(ring.opposite(), left_soc.elements)
     return SocleCertificate(
         is_frobenius=right_witness is not None and left_witness is not None,
         radical_size=len(rad),
@@ -546,3 +535,12 @@ def is_frobenius_socle(ring: FiniteRing) -> SocleCertificate:
         right_witness=right_witness,
         left_witness=left_witness,
     )
+
+
+def _right_generator(ring: FiniteRing, socle: frozenset[Element]) -> Element | None:
+    """First s, in sorted order, with s * R equal to the socle."""
+    elems = ring.elements()
+    for s in sorted(socle):
+        if frozenset(ring.mul(s, r) for r in elems) == socle:
+            return s
+    return None

@@ -15,6 +15,9 @@ Side conventions, fixed once here and used everywhere:
   usual usage: right nondegenerate means the *first*-slot kernel
   {a : <a, -> = 0} is trivial, left nondegenerate means the second-slot
   kernel is trivial.
+* every orthogonal, kernel and annihilator is znmod.annihilated with the
+  pairing oriented so the candidate sits in its first slot; right-handed
+  annihilators in a ring are the left-handed ones of the opposite ring.
 
 Ambient forms <x, y> = sum_i,j x_i Q_ij y_j on A^m are the coding-theory
 face of the same machinery; their kernels are computed by exhaustive
@@ -31,6 +34,7 @@ from .znmod import (
     DEFAULT_CAP,
     Element,
     ZnLinearForm,
+    annihilated,
     enumerate_forms,
     _check_cap,
 )
@@ -71,14 +75,22 @@ def pairing_from_gram(ring: FiniteRing, gram: Sequence[Sequence[int]]) -> Callab
     return pairing
 
 
+def _oriented(pairing: Callable, side: str) -> Callable:
+    """The pairing with the candidate in the named slot: 'left' keeps
+    pairing(x, s), 'right' reads it as pairing(s, x)."""
+    if side == "left":
+        return pairing
+    if side == "right":
+        return lambda x, s: pairing(s, x)
+    raise ValueError(f"bad side {side!r}")
+
+
 def pairing_kernel(ring: FiniteRing, pairing: Callable, slot: str) -> frozenset[Element]:
     """Kernel of a Z_n-valued pairing on R x R in the named slot."""
+    if slot not in ("first", "second"):
+        raise ValueError(f"bad slot {slot!r}")
     elems = ring.elements()
-    if slot == "first":
-        return frozenset(a for a in elems if all(pairing(a, b) == 0 for b in elems))
-    if slot == "second":
-        return frozenset(b for b in elems if all(pairing(a, b) == 0 for a in elems))
-    raise ValueError(f"bad slot {slot!r}")
+    return annihilated(elems, elems, _oriented(pairing, "left" if slot == "first" else "right"))
 
 
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
@@ -99,14 +111,10 @@ def associativity_violation(ring: FiniteRing, pairing: Callable):
     Only valid for Z_n-bilinear pairings, where checking basis triples
     suffices.  Returns None when the pairing is associative.
     """
-    for i in range(ring.rank):
-        ei = ring.basis(i)
-        for j in range(ring.rank):
-            ej = ring.basis(j)
-            for l in range(ring.rank):
-                el = ring.basis(l)
-                if pairing(ring.mul(ei, ej), el) != pairing(ei, ring.mul(ej, el)):
-                    return (i, j, l)
+    for i, j, l in product(range(ring.rank), repeat=3):
+        ei, ej, el = ring.basis(i), ring.basis(j), ring.basis(l)
+        if pairing(ring.mul(ei, ej), el) != pairing(ei, ring.mul(ej, el)):
+            return (i, j, l)
     return None
 
 
@@ -124,12 +132,10 @@ class FrobeniusFunctional:
         self.form = form
         if check:
             pairing = pairing_of_functional(ring, form)
-            first = pairing_kernel(ring, pairing, "first")
-            if first != frozenset({ring.zero}):
-                raise DegenerateFormError("right", sorted(first - {ring.zero})[0])
-            second = pairing_kernel(ring, pairing, "second")
-            if second != frozenset({ring.zero}):
-                raise DegenerateFormError("left", sorted(second - {ring.zero})[0])
+            for slot, side in (("first", "right"), ("second", "left")):
+                kernel = pairing_kernel(ring, pairing, slot)
+                if kernel != frozenset({ring.zero}):
+                    raise DegenerateFormError(side, sorted(kernel - {ring.zero})[0])
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -225,13 +231,12 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
     elems = ring.elements()
     all_weights = {f.weights for f in enumerate_forms(ring.shape, ring.cap)}
 
-    def translate_weights(b: Element, on_left: bool) -> tuple[int, ...]:
-        if on_left:
-            return tuple(form.evaluate(ring.mul(b, ring.basis(j))) for j in range(ring.rank))
-        return tuple(form.evaluate(ring.mul(ring.basis(j), b)) for j in range(ring.rank))
+    def translate_weights(R: FiniteRing, b: Element) -> tuple[int, ...]:
+        """Weights of eps(b * -) on R; on the opposite ring, of eps(- * b)."""
+        return tuple(form.evaluate(R.mul(b, R.basis(j))) for j in range(R.rank))
 
-    first_images = [translate_weights(b, True) for b in elems]
-    second_images = [translate_weights(b, False) for b in elems]
+    first_images = [translate_weights(ring, b) for b in elems]
+    second_images = [translate_weights(ring.opposite(), b) for b in elems]
     pairing = pairing_of_functional(ring, form)
     return GeneratorEquivalenceReport(
         right_orbit_full=set(first_images) == all_weights,
@@ -247,20 +252,12 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
 
 def left_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
     """{a : a * s = 0 for all s in the subset}; always a left ideal."""
-    subset = list(subset)
-    ann = frozenset(
-        a for a in ring.elements() if all(ring.mul(a, s) == ring.zero for s in subset)
-    )
-    return Ideal("left", ann)
+    return Ideal("left", annihilated(ring.elements(), subset, ring.mul, ring.zero))
 
 
 def right_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
     """{a : s * a = 0 for all s in the subset}; always a right ideal."""
-    subset = list(subset)
-    ann = frozenset(
-        a for a in ring.elements() if all(ring.mul(s, a) == ring.zero for s in subset)
-    )
-    return Ideal("right", ann)
+    return Ideal("right", left_annihilator(ring.opposite(), subset).elements)
 
 
 def functional_left_orthogonal(
@@ -268,22 +265,14 @@ def functional_left_orthogonal(
 ) -> frozenset[Element]:
     """{a : eps(a * s) = 0 for all s}.  For a Frobenius eps and a right
     ideal this coincides with the left annihilator."""
-    form = _as_form(functional)
-    subset = list(subset)
-    return frozenset(
-        a for a in ring.elements() if all(form.evaluate(ring.mul(a, s)) == 0 for s in subset)
-    )
+    return annihilated(ring.elements(), subset, pairing_of_functional(ring, functional))
 
 
 def functional_right_orthogonal(
     ring: FiniteRing, functional, subset: Iterable[Element]
 ) -> frozenset[Element]:
     """{b : eps(s * b) = 0 for all s}."""
-    form = _as_form(functional)
-    subset = list(subset)
-    return frozenset(
-        b for b in ring.elements() if all(form.evaluate(ring.mul(s, b)) == 0 for s in subset)
-    )
+    return functional_left_orthogonal(ring.opposite(), functional, subset)
 
 
 # -- ambient forms on A^m --------------------------------------------------
@@ -339,20 +328,13 @@ class AmbientForm:
     def left_kernel(self) -> frozenset[Vector]:
         """First-slot kernel {x : <x, y> = 0 for all y}, by full search."""
         if self._left_kernel is None:
-            vecs = list(self.vectors())
-            zero = self.ring.zero
-            self._left_kernel = frozenset(
-                x for x in vecs if all(self.pairing(x, y) == zero for y in vecs)
-            )
+            self._left_kernel = orthogonal(self, self.vectors(), "left")
         return self._left_kernel
 
     def right_kernel(self) -> frozenset[Vector]:
+        """Second-slot kernel {y : <x, y> = 0 for all x}, by full search."""
         if self._right_kernel is None:
-            vecs = list(self.vectors())
-            zero = self.ring.zero
-            self._right_kernel = frozenset(
-                y for y in vecs if all(self.pairing(x, y) == zero for x in vecs)
-            )
+            self._right_kernel = orthogonal(self, self.vectors(), "right")
         return self._right_kernel
 
     def is_nondegenerate(self, side: str = "both") -> bool:
@@ -376,17 +358,8 @@ def orthogonal(
     side='left' gives {x : <x, s> = 0 for all s}, side='right' gives
     {y : <s, y> = 0 for all s}.
     """
-    subset = list(subset)
-    zero = form.ring.zero
-    if side == "left":
-        return frozenset(
-            x for x in form.vectors() if all(form.pairing(x, s) == zero for s in subset)
-        )
-    if side == "right":
-        return frozenset(
-            y for y in form.vectors() if all(form.pairing(s, y) == zero for s in subset)
-        )
-    raise ValueError(f"bad side {side!r}")
+    pairing = _oriented(form.pairing, side)
+    return annihilated(form.vectors(), subset, pairing, form.ring.zero)
 
 
 def functional_orthogonal(
@@ -398,17 +371,5 @@ def functional_orthogonal(
     ring-valued orthogonal on submodules of the matching side.
     """
     eps = _as_form(functional)
-    subset = list(subset)
-    if side == "left":
-        return frozenset(
-            x
-            for x in form.vectors()
-            if all(eps.evaluate(form.pairing(x, s)) == 0 for s in subset)
-        )
-    if side == "right":
-        return frozenset(
-            y
-            for y in form.vectors()
-            if all(eps.evaluate(form.pairing(s, y)) == 0 for s in subset)
-        )
-    raise ValueError(f"bad side {side!r}")
+    pairing = _oriented(form.pairing, side)
+    return annihilated(form.vectors(), subset, lambda x, s: eps.evaluate(pairing(x, s)))

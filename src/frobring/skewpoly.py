@@ -49,7 +49,7 @@ class NotTwoSidedError(ValueError):
 
 
 class UnsupportedModulusError(ValueError):
-    """Operation requires the modulus x^m - 1 with aut^m = id."""
+    """The operation is not defined, or not exact, for this modulus."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -307,11 +307,17 @@ class SkewQuotient:
 
             (gh)_0 = g_0 h_0 - sum_{i=1}^{m-1} g_{m-i} aut^{m-i}(h_i) f_0
 
-        Exact whenever reducing degrees above m cannot feed back into the
-        constant term, in particular for m <= 2 and for f = x^m - c.  The
-        cross-check against mul() in the tests runs on such moduli.
+        Reducing a term of degree D > m writes into degrees D - m + j for
+        the nonzero f_j, and lands on degree m (whence on the constant
+        term) exactly when j = 2m - D, so 2 <= j <= m - 1.  The formula is
+        therefore exact when f_j = 0 for every 2 <= j <= m - 1 (always for
+        m <= 2); other moduli raise UnsupportedModulusError.
         """
         base, aut = self.base, self.aut
+        if any(c != base.zero for c in self.modulus[2:self.m]):
+            raise UnsupportedModulusError(
+                "constant-term closed form needs f_j = 0 for 2 <= j <= m - 1"
+            )
         out = base.mul(g[0], h[0])
         f0 = self.modulus[0]
         for i in range(1, self.m):

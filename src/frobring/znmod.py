@@ -145,20 +145,43 @@ def enumerate_forms(shape: ModuleShape, cap: int = DEFAULT_CAP) -> Iterator[ZnLi
         yield ZnLinearForm(shape, tuple(j * s for j, s in zip(js, steps)))
 
 
-def span(gens: Iterable[Element], shape: ModuleShape) -> frozenset[Element]:
-    """Additive subgroup generated by gens, as a frozenset."""
-    gens = [shape.reduce(g) for g in gens]
-    closed = {shape.zero}
-    grew = True
-    while grew:
-        grew = False
-        for g in gens:
-            for a in list(closed):
-                s = shape.add(a, g)
+def additive_closure(seeds: Iterable, add: Callable, zero) -> frozenset:
+    """Every finite sum of seeds (zero included): the one additive closure.
+
+    Each element found is added to every seed exactly once, so the cost is
+    |closure| * |seeds| additions; it serves elements of a module and
+    vectors of A^m alike.
+    """
+    seeds = list(seeds)
+    closed = {zero}
+    frontier = [zero]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in seeds:
+                s = add(a, g)
                 if s not in closed:
                     closed.add(s)
-                    grew = True
+                    fresh.append(s)
+        frontier = fresh
     return frozenset(closed)
+
+
+def annihilated(candidates: Iterable, against: Iterable, pairing: Callable,
+                zero=0) -> frozenset:
+    """Every candidate x with pairing(x, s) == zero for every s in against.
+
+    The one orthogonality scan: kernels, annihilators, orthogonals and
+    duals are this filter with the pairing oriented so that the candidate
+    sits in its first slot.
+    """
+    against = list(against)
+    return frozenset(x for x in candidates if all(pairing(x, s) == zero for s in against))
+
+
+def span(gens: Iterable[Element], shape: ModuleShape) -> frozenset[Element]:
+    """Additive subgroup generated by gens, as a frozenset."""
+    return additive_closure((shape.reduce(g) for g in gens), shape.add, shape.zero)
 
 
 def kernel_elements(
@@ -172,9 +195,5 @@ def kernel_elements(
     The pairing must return values already reduced mod n.  This is the
     brute-force ground truth used by every nondegeneracy decision.
     """
-    right = list(enumerate_module(right_shape, cap))
-    return frozenset(
-        x
-        for x in enumerate_module(left_shape, cap)
-        if all(pairing(x, y) == 0 for y in right)
-    )
+    right = enumerate_module(right_shape, cap)
+    return annihilated(enumerate_module(left_shape, cap), right, pairing)

@@ -223,6 +223,31 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     unknown = write(tmp_path, "unknown.json", {"kind": "field"})
     assert main(["ring", "validate", unknown]) == 2
     capsys.readouterr()
+    z2 = write(tmp_path, "z2.json", {"kind": "zn", "n": 2})
+    boolean = write(tmp_path, "bool.json", {"m": 1, "generators": [[True]]})
+    assert main(["code", "wenum", z2, boolean]) == 2
+    assert capsys.readouterr().err.startswith("error: bad element True")
+    # library errors exit 1 with an error line instead of a traceback
+    empty = write(tmp_path, "m0.json", {"m": 0, "generators": []})
+    nonunit = write(tmp_path, "nonunit.json", {
+        "kind": "skew_quotient", "base": {"kind": "zn", "n": 4}, "modulus": [[2], [1]]})
+    not_bijective = write(tmp_path, "not_bijective.json", {
+        "kind": "skew_quotient",
+        "base": {"kind": "table", "n": 2, "orders": [2, 2],
+                 "mul": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], "one": [1, 0]},
+        "aut_images": [[1, 0], [1, 0]],
+        "modulus": [[1, 0], [0, 0], [1, 0]],
+    })
+    for argv in (
+        ["code", "dual", z2, empty],
+        ["code", "wenum", z2, empty],
+        ["code", "macwilliams", z2, empty],
+        ["skew", "frobenius", nonunit],
+        ["skew", "sweep", nonunit],
+        ["skew", "frobenius", not_bijective],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_cap_flag_limits_enumeration(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Ring construction, table validation, radicals, socles and ideals."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,9 @@ from frobring.finring import (
     ring_zn,
     table_validation_report,
 )
-from frobring.catalog import cyclic_cayley
+from frobring.catalog import cyclic_cayley, gf4_skew_quotient
+from frobring.frobenius import right_annihilator
+from frobring.znmod import span
 
 
 def mat(ring, a, b, c, d):
@@ -320,3 +324,78 @@ def test_matrix_ring_laws(data):
 def test_every_corpus_ring_validates(corpus):
     for name, ring in corpus.items():
         assert all(ok for _, ok, _ in table_validation_report(ring)), name
+
+
+# -- the opposite ring -----------------------------------------------------
+
+NONCOMMUTATIVE = ("M2(F2)", "GF4[x;sq]/(x^2-1)")
+
+
+def test_opposite_reverses_products(corpus):
+    for name, ring in corpus.items():
+        op = ring.opposite()
+        els = ring.elements()
+        assert all(op.mul(a, b) == ring.mul(b, a) for a in els for b in els), name
+        assert op.opposite() == ring, name
+        assert op.one == ring.one and op.shape == ring.shape, name
+
+
+def test_opposite_is_a_different_ring_exactly_when_noncommutative(corpus):
+    for name, ring in corpus.items():
+        if name in NONCOMMUTATIVE:
+            assert ring.opposite() != ring, name
+        else:
+            assert ring.opposite() == ring, name
+
+
+def test_opposite_is_built_once(m2f2):
+    assert m2f2.opposite() is m2f2.opposite()
+    assert m2f2.opposite().opposite() is m2f2
+
+
+# Brute-force right-hand scans, kept as the oracle for every right-handed
+# function that is computed on the opposite ring.
+
+
+def brute_right_closed(ring, elems):
+    return all(ring.mul(a, r) in elems for a in elems for r in ring.elements())
+
+
+def brute_right_ideals(ring):
+    """Additive subgroups closed under right multiplication.  Every
+    subgroup is spanned by at most rank(R) elements."""
+    els = ring.elements()
+    subgroups = {span(gens, ring.shape)
+                 for k in range(ring.rank + 1) for gens in combinations(els, k)}
+    return {S for S in subgroups if brute_right_closed(ring, S)}
+
+
+@pytest.fixture(scope="module", params=NONCOMMUTATIVE, ids=["m2f2", "gf4_skew"])
+def noncommutative(request):
+    if request.param == "M2(F2)":
+        return ring_matrix(ring_zn(2), 2)
+    return gf4_skew_quotient().as_finite_ring()
+
+
+def test_right_ideals_match_brute_force(noncommutative):
+    ring = noncommutative
+    oracle = brute_right_ideals(ring)
+    found = right_ideals(ring)
+    assert {I.elements for I in found} == oracle
+    assert len(found) == len(oracle)
+    assert all(I.side == "right" for I in found)
+    cyclic = {frozenset(ring.mul(a, r) for r in ring.elements()) for a in ring.elements()}
+    assert cyclic_right_ideals(ring) == cyclic
+    for I in left_ideals(ring):
+        assert is_right_ideal(ring, I.elements) == (I.elements in oracle)
+
+
+def test_right_annihilator_matches_brute_force(noncommutative):
+    ring = noncommutative
+    els = ring.elements()
+    subsets = [[a] for a in els] + [sorted(S) for S in brute_right_ideals(ring)]
+    for S in subsets:
+        oracle = {a for a in els if all(ring.mul(s, a) == ring.zero for s in S)}
+        ann = right_annihilator(ring, S)
+        assert ann.elements == oracle, S
+        assert ann.side == "right"

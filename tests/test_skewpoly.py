@@ -192,25 +192,70 @@ def test_degree_one_quotient_collapses_to_base():
     assert q.as_finite_ring() == z6
 
 
-@pytest.mark.parametrize("which", ["gf4", "z4", "z2cubic"])
+def zn_quotient(n, modulus):
+    """Z_n[x] / (f) for f given by integer coefficients, lowest first."""
+    zn = ring_zn(n)
+    return SkewQuotient(zn, RingAutomorphism.identity(zn), tuple((c,) for c in modulus))
+
+
+# moduli whose only nonzero middle coefficient is f_1: no reduction step
+# feeds back into the constant term, so the closed form is exact
+ONLY_F1_MODULI = {
+    "z2-x3+x+1": (2, (1, 1, 0, 1)),
+    "z2-x4+x+1": (2, (1, 1, 0, 0, 1)),
+    "z3-x3+x+2": (3, (2, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("which", ["gf4", "z4", "z2cubic", *ONLY_F1_MODULI])
 def test_constant_term_formula_matches_product(which, q_gf4, q_z4, q_z2_cubic):
-    q = {"gf4": q_gf4, "z4": q_z4, "z2cubic": q_z2_cubic}[which]
+    if which in ONLY_F1_MODULI:
+        q = zn_quotient(*ONLY_F1_MODULI[which])
+    else:
+        q = {"gf4": q_gf4, "z4": q_z4, "z2cubic": q_z2_cubic}[which]
     for g in q.elements():
         for h in q.elements():
             assert q.constant_term_product(g, h) == q.mul(g, h)[0]
 
 
+@pytest.mark.parametrize("modulus", [(1, 0, 1, 1), (1, 0, 0, 1, 1)],
+                         ids=["z2-x3+x2+1", "z2-x4+x3+1"])
+def test_constant_term_formula_rejects_feedback_moduli(modulus):
+    # a nonzero f_j with 2 <= j <= m - 1 feeds the reduction of higher
+    # degrees back into the constant term; the closed form would be wrong
+    q = zn_quotient(2, modulus)
+    g = q.shift_generator()
+    with pytest.raises(UnsupportedModulusError):
+        q.constant_term_product(g, g)
+
+
+@given(st.sampled_from([2, 3]), st.integers(3, 4), st.data())
+def test_constant_term_formula_is_exact_or_refuses(n, m, data):
+    coeff = st.integers(0, n - 1)
+    middle = [data.draw(coeff) for _ in range(m - 1)]  # f_1 .. f_{m-1}
+    q = zn_quotient(n, (data.draw(st.integers(1, n - 1)), *middle, 1))
+    g = tuple((data.draw(coeff),) for _ in range(m))
+    h = tuple((data.draw(coeff),) for _ in range(m))
+    if any(middle[1:]):
+        with pytest.raises(UnsupportedModulusError):
+            q.constant_term_product(g, h)
+    else:
+        assert q.constant_term_product(g, h) == q.mul(g, h)[0]
+
+
 def test_constant_term_formula_limit():
-    # outside m <= 2 and f = x^m - c the shortcut can disagree with the
-    # true product: over Z_2 with f = x^3 + x^2 + 1, x^2 * x^2 has
-    # constant term 1 but the formula sees no feedback from the x^3 step
+    # outside f_j = 0 for 2 <= j <= m - 1 the shortcut would disagree with
+    # the true product: over Z_2 with f = x^3 + x^2 + 1, x^2 * x^2 has
+    # constant term 1 but the formula sees no feedback from the x^3 step,
+    # so it refuses instead of answering 0
     z2 = ring_zn(2)
     q = SkewQuotient(
         z2, RingAutomorphism.identity(z2), ((1,), (0,), (1,), (1,))
     )
     g = ((0,), (0,), (1,))
     assert q.mul(g, g)[0] == (1,)
-    assert q.constant_term_product(g, g) == (0,)
+    with pytest.raises(UnsupportedModulusError):
+        q.constant_term_product(g, g)
 
 
 def test_quotient_associativity_exhaustive(q_gf4):
