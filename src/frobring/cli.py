@@ -51,7 +51,6 @@ from .codes import (
     TransformError,
     dual,
     identity_form,
-    is_monomial,
     macwilliams_holds,
     quotient_left_ideal_codes,
     skew_cyclic_dual_report,
@@ -79,6 +78,12 @@ def _is_int(c) -> bool:
     return isinstance(c, int) and not isinstance(c, bool)  # JSON true is not 1
 
 
+def _int(v, field: str) -> int:
+    if not _is_int(v):
+        raise CliError(2, f"bad {field} {v!r}: expected an int")
+    return v
+
+
 def _element(e) -> tuple:
     if _is_int(e):
         return (e,)
@@ -93,11 +98,11 @@ def build_ring(spec: Any, cap: int) -> FiniteRing:
     kind = spec["kind"]
     try:
         if kind == "zn":
-            return ring_zn(int(spec["n"]))
+            return ring_zn(_int(spec["n"], "n"))
         if kind == "table":
             return ring_from_table(
-                int(spec["n"]),
-                [int(d) for d in spec["orders"]],
+                _int(spec["n"], "n"),
+                [_int(d, "order") for d in spec["orders"]],
                 [[_element(e) for e in row] for row in spec["mul"]],
                 _element(spec["one"]),
                 cap=cap,
@@ -106,10 +111,12 @@ def build_ring(spec: Any, cap: int) -> FiniteRing:
             factors = [build_ring(f, cap) for f in spec["factors"]]
             return ring_product(*factors)
         if kind == "matrix":
-            return ring_matrix(build_ring(spec["base"], cap), int(spec["size"]), cap=cap)
+            size = _int(spec["size"], "size")
+            return ring_matrix(build_ring(spec["base"], cap), size, cap=cap)
         if kind == "group_algebra":
             return ring_group_algebra(
-                int(spec["n"]), [[int(v) for v in row] for row in spec["cayley"]]
+                _int(spec["n"], "n"),
+                [[_int(v, "cayley entry") for v in row] for row in spec["cayley"]],
             )
         if kind == "skew_quotient":
             return build_quotient(spec, cap).as_finite_ring()
@@ -142,7 +149,7 @@ def build_code(spec: Any, ring: FiniteRing, cap: int) -> LinearCode:
     if not isinstance(spec, dict):
         raise CliError(2, "code spec must be a JSON object")
     try:
-        m = int(spec["m"])
+        m = _int(spec["m"], "m")
         gens = [[_element(e) for e in g] for g in spec["generators"]]
     except KeyError as exc:
         raise CliError(2, f"code spec is missing field {exc}")
@@ -199,21 +206,14 @@ def cmd_ring_validate(args) -> int:
     spec = _load_json(args.spec)
     try:
         ring = build_ring(spec, args.cap)
-    except RingValidationError as exc:
+    except (RingValidationError, NotTwoSidedError) as exc:
         _emit(
             {
                 "command": "ring validate",
                 "valid": False,
-                "failed_check": exc.check,
+                "failed_check": getattr(exc, "check", "two-sided-modulus"),
                 "witness": _jsonable(exc.witness),
             },
-            args.json,
-        )
-        return 1
-    except NotTwoSidedError as exc:
-        _emit(
-            {"command": "ring validate", "valid": False,
-             "failed_check": "two-sided-modulus", "witness": _jsonable(exc.witness)},
             args.json,
         )
         return 1

@@ -26,17 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
 from .znmod import DEFAULT_CAP, Element, _check_cap, additive_closure, annihilated
-from .finring import FiniteRing, _close_under_sums, left_ideals
+from .finring import (
+    FiniteRing,
+    is_left_ideal,
+    left_ideals,
+    submodule_lattice,
+    submodule_violation,
+)
 from .frobenius import (
     AmbientForm,
     DegenerateFormError,
-    FrobeniusFunctional,
     Vector,
     _as_form,
+    _degeneracy,
     _oriented,
     orthogonal,
 )
@@ -98,20 +105,18 @@ class LinearCode:
 
     def _validate(self):
         A = self.alphabet
-        words = self.codewords
         zero = (A.zero,) * self.m
-        if zero not in words:
+        bad = submodule_violation(self.codewords, partial(_vadd, A), zero,
+                                  *_action(A, self.side))
+        if bad is None:
+            return
+        kind, witness = bad
+        if kind == "zero":
             raise ValueError("code does not contain the zero word")
-        for v in words:
-            for w in words:
-                if _vadd(A, v, w) not in words:
-                    raise ValueError(f"code not closed under addition at {v!r} + {w!r}")
-        if self.side != "additive":
-            S = _scalars(A, self.side)
-            for a in S.elements():
-                for v in words:
-                    if _scale_left(S, a, v) not in words:
-                        raise ValueError(f"code not closed under {self.side} scalar {a!r}")
+        if kind == "sum":
+            v, w = witness
+            raise ValueError(f"code not closed under addition at {v!r} + {w!r}")
+        raise ValueError(f"code not closed under {self.side} scalar {witness[0]!r}")
 
     @property
     def cardinality(self) -> int:
@@ -162,6 +167,17 @@ def _scalars(A: FiniteRing, side: str) -> FiniteRing:
     """The ring acting on the left for a code of the given module side:
     A itself for left codes, its opposite for right codes."""
     return A.opposite() if side == "right" else A
+
+
+def _action(A: FiniteRing, side: str) -> tuple:
+    """(scalars, act) of a code's module side: A or its opposite acting on
+    the left, and for additive codes the prime subring Z_n * 1 of A."""
+    S = _scalars(A, side)
+    if side == "additive":
+        scalars = [A.scale(k, A.one) for k in range(A.characteristic)]
+    else:
+        scalars = S.elements()
+    return scalars, partial(_scale_left, S)
 
 
 # -- weight enumerators ----------------------------------------------------
@@ -224,9 +240,9 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     if form.ring != code.alphabet or form.m != code.m:
         raise ValueError("form and code live in different ambients")
     zero_vec = (code.alphabet.zero,) * code.m
-    for kern, side_name in ((form.left_kernel(), "right"), (form.right_kernel(), "left")):
-        if kern != frozenset({zero_vec}):
-            raise DegenerateFormError(side_name, sorted(kern - {zero_vec})[0])
+    bad = _degeneracy("both", (form.left_kernel, form.right_kernel), zero_vec)
+    if bad is not None:
+        raise DegenerateFormError(*bad)
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
@@ -256,16 +272,9 @@ def is_monomial(A: FiniteRing, matrix: Sequence[Sequence[Element]]) -> bool:
     m = len(matrix)
     if any(len(row) != m for row in matrix):
         return False
-    zero = A.zero
-    for row in matrix:
-        nonzero = [e for e in row if e != zero]
-        if len(nonzero) != 1 or not A.is_unit(nonzero[0]):
-            return False
-    for j in range(m):
-        col = [matrix[i][j] for i in range(m)]
-        if sum(1 for e in col if e != zero) != 1:
-            return False
-    return True
+    support = [[j for j, e in enumerate(row) if e != A.zero] for row in matrix]
+    return (all(len(s) == 1 and A.is_unit(row[s[0]]) for s, row in zip(support, matrix))
+            and sorted(s[0] for s in support) == list(range(m)))
 
 
 def macwilliams_transform(
@@ -334,17 +343,9 @@ def submodule_codes(
     if side not in _SIDES:
         raise ValueError(f"bad code side {side!r}")
     _check_cap(A.cardinality**m, cap, "ambient module")
-    vectors = list(identity_form(A, m, cap).vectors())
-    zero = (A.zero,) * m
-    add = partial(_vadd, A)
-    cyclic: set[frozenset[Vector]] = {frozenset({zero})}
-    if side == "additive":
-        cyclic |= {additive_closure([v], add, zero) for v in vectors}
-    else:
-        S = _scalars(A, side)
-        cyclic |= {frozenset(_scale_left(S, a, v) for a in S.elements()) for v in vectors}
-    ordered = _close_under_sums(cyclic, add)
-    return [LinearCode(A, m, side, (), words) for words in ordered]
+    vectors = product(A.elements(), repeat=m)
+    lattice = submodule_lattice(vectors, partial(_vadd, A), (A.zero,) * m, *_action(A, side))
+    return [LinearCode(A, m, side, (), words) for words in lattice]
 
 
 # -- skew-cyclic codes -----------------------------------------------------
@@ -483,10 +484,9 @@ def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgeb
     inverted = frozenset(
         tuple(b[inv[s]] for s in range(R.rank)) for b in r_orth
     )
-    left_ideal = all(R.mul(r, d) in e_dual for r in elems for d in e_dual)
     return GroupAlgebraDualReport(
         dual_matches_inverted_orthogonal=e_dual == inverted,
-        dual_is_left_ideal=left_ideal,
+        dual_is_left_ideal=is_left_ideal(R, e_dual),
         euclidean_dual=e_dual,
         inverted_right_orthogonal=inverted,
     )

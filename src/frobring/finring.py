@@ -31,6 +31,7 @@ from .znmod import (
     Element,
     EnumerationCapError,
     ModuleShape,
+    additive_closure,
     annihilated,
     enumerate_module,
 )
@@ -341,30 +342,15 @@ def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
         orders.extend(r.shape.orders)
     shape = ModuleShape(n, tuple(orders))
     k = shape.rank
-    offsets = []
-    pos = 0
-    for r in rings:
-        offsets.append(pos)
-        pos += r.rank
-
-    def embed(r_idx: int, coords: Element) -> Element:
-        out = [0] * k
-        off = offsets[r_idx]
-        for t, c in enumerate(coords):
-            out[off + t] = c
-        return tuple(out)
-
     table = [[shape.zero] * k for _ in range(k)]
-    for r_idx, r in enumerate(rings):
-        off = offsets[r_idx]
-        for i in range(r.rank):
-            for j in range(r.rank):
-                table[off + i][off + j] = embed(r_idx, r.mul_table[i][j])
-    one = [0] * k
-    for r_idx, r in enumerate(rings):
-        for t, c in enumerate(r.one):
-            one[offsets[r_idx] + t] = c
-    return FiniteRing(shape, table, tuple(one), label=label)
+    off = 0  # each factor's block of coordinates starts here
+    for r in rings:
+        pad = (0,) * off, (0,) * (k - off - r.rank)
+        for i, j in product(range(r.rank), repeat=2):
+            table[off + i][off + j] = pad[0] + r.mul_table[i][j] + pad[1]
+        off += r.rank
+    one = tuple(c for r in rings for c in r.one)
+    return FiniteRing(shape, table, one, label=label)
 
 
 def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None,
@@ -385,23 +371,14 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None,
         return (p * t + q) * k0 + i
 
     table = [[shape.zero] * k for _ in range(k)]
-    for p in range(t):
-        for q in range(t):
-            for i in range(k0):
-                # E_pq E_rs vanishes unless r = q, where it is E_ps
-                for s in range(t):
-                    for j in range(k0):
-                        prod_ij = base.mul_table[i][j]
-                        entry = [0] * k
-                        for l in range(k0):
-                            entry[flat(p, s, l)] = prod_ij[l]
-                        table[flat(p, q, i)][flat(q, s, j)] = tuple(entry)
-    one = [0] * k
-    for p in range(t):
-        for i in range(k0):
-            one[flat(p, p, i)] = base.one[i]
-    return FiniteRing(shape, table, tuple(one), label=label or f"M{t}({base.label})",
-                      cap=cap)
+    # E_pq E_rs vanishes unless r = q, where it is E_ps
+    for p, q, s in product(range(t), repeat=3):
+        pad = (0,) * flat(p, s, 0), (0,) * (k - flat(p, s, k0))
+        for i, j in product(range(k0), repeat=2):
+            table[flat(p, q, i)][flat(q, s, j)] = pad[0] + base.mul_table[i][j] + pad[1]
+    one = tuple(c for p, q in product(range(t), repeat=2)
+                for c in (base.one if p == q else base.zero))
+    return FiniteRing(shape, table, one, label=label or f"M{t}({base.label})", cap=cap)
 
 
 def ring_group_algebra(
@@ -431,11 +408,9 @@ def ring_group_algebra(
             break
     if identity is None:
         raise RingValidationError("group-identity", None, "no two-sided identity")
-    for a in range(g):
-        for b in range(g):
-            for c in range(g):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    raise RingValidationError("group-associativity", (a, b, c))
+    for a, b, c in product(range(g), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            raise RingValidationError("group-associativity", (a, b, c))
 
     shape = ModuleShape(n, (n,) * g)
     table = [
@@ -449,25 +424,61 @@ def ring_group_algebra(
 # -- ideal machinery -------------------------------------------------------
 
 
+def submodule_violation(elems, add, zero, scalars, act):
+    """First witness that elems is not a submodule, or None when it is one.
+
+    The one submodule test: ('zero', zero) when zero is missing, then
+    ('sum', (a, b)) for a + b outside, then ('scalar', (r, a)) for
+    act(r, a) outside, with r running over scalars (none for a bare
+    additive subgroup).
+    """
+    if zero not in elems:
+        return ("zero", zero)
+    for a, b in product(elems, repeat=2):
+        if add(a, b) not in elems:
+            return ("sum", (a, b))
+    for r, a in product(scalars, elems):
+        if act(r, a) not in elems:
+            return ("scalar", (r, a))
+    return None
+
+
 def is_left_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
-    return (
-        ring.zero in elems
-        and all(ring.add(a, b) in elems for a in elems for b in elems)
-        and all(ring.mul(r, a) in elems for r in ring.elements() for a in elems)
-    )
+    return submodule_violation(elems, ring.add, ring.zero, ring.elements(), ring.mul) is None
 
 
 def is_right_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
     return is_left_ideal(ring.opposite(), elems)
 
 
+def _cyclic_submodules(scalars, vectors, act) -> set[frozenset]:
+    """The cyclic submodules {act(r, v) : r in scalars}, one per vector."""
+    scalars = list(scalars)
+    return {frozenset(act(r, v) for r in scalars) for v in vectors}
+
+
+def submodule_lattice(vectors, add, zero, scalars, act) -> list[frozenset]:
+    """Every submodule spanned by vectors under the scalar action, sorted
+    by size: the one lattice closure.
+
+    Each submodule is the sum of the cyclic submodules {act(r, v)} of its
+    members (cf. Wood, Amer. J. Math. 121, 1999), so the lattice is the
+    additive closure of the cyclic submodules under I + C, from {zero}.
+    """
+    def plus(I: frozenset, C: frozenset) -> frozenset:
+        if C <= I:  # every member is a subgroup, so I + C = I
+            return I
+        return frozenset(add(i, c) for i in I for c in C)
+
+    lattice = additive_closure(_cyclic_submodules(scalars, vectors, act), plus,
+                               frozenset({zero}))
+    return sorted(lattice, key=lambda s: (len(s), sorted(s)))
+
+
 def cyclic_left_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
     """The principal left ideals R*a for every a (images of right mult)."""
-    out = set()
     elems = ring.elements()
-    for a in elems:
-        out.add(frozenset(ring.mul(r, a) for r in elems))
-    return out
+    return _cyclic_submodules(elems, elems, ring.mul)
 
 
 def cyclic_right_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
@@ -475,30 +486,14 @@ def cyclic_right_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
     return cyclic_left_ideals(ring.opposite())
 
 
-def _close_under_sums(seeds: set[frozenset[Element]], add) -> list[frozenset[Element]]:
-    """Close a family of subgroups under pairwise sums I + J = {i + j}."""
-    family = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        fresh: list[frozenset[Element]] = []
-        for I in frontier:
-            for J in list(family):
-                s = frozenset(add(i, j) for i in I for j in J)
-                if s not in family:
-                    family.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    return sorted(family, key=lambda s: (len(s), sorted(s)))
-
-
 def left_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every left ideal, as sums of principal ones; sorted by size.
 
-    Exhaustive because each left ideal is the sum of the principal ideals
-    of its members.  Intended for rings up to a hundred or so elements.
+    Intended for rings up to a hundred or so elements.
     """
-    sets = _close_under_sums(cyclic_left_ideals(ring), ring.add)
-    return [Ideal("left", s) for s in sets]
+    elems = ring.elements()
+    return [Ideal("left", s)
+            for s in submodule_lattice(elems, ring.add, ring.zero, elems, ring.mul)]
 
 
 def right_ideals(ring: FiniteRing) -> list[Ideal]:

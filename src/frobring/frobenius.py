@@ -93,16 +93,31 @@ def pairing_kernel(ring: FiniteRing, pairing: Callable, slot: str) -> frozenset[
     return annihilated(elems, elems, _oriented(pairing, "left" if slot == "first" else "right"))
 
 
+def _degeneracy(side: str, kernels: tuple[Callable, Callable], zero):
+    """First (side, smallest witness) of a nontrivial kernel, or None.
+
+    The one side dispatch: kernels are the (first-slot, second-slot)
+    kernel computations; 'right' needs the first trivial, 'left' the
+    second, 'both' checks right first.  Any other side is a ValueError.
+    """
+    slots = {"right": (0,), "left": (1,), "both": (0, 1)}.get(side)
+    if slots is None:
+        raise ValueError(f"bad side {side!r}")
+    for slot in slots:
+        witnesses = kernels[slot]() - {zero}
+        if witnesses:
+            return ("right", "left")[slot], min(witnesses)
+    return None
+
+
+def _pairing_kernels(ring: FiniteRing, pairing: Callable) -> tuple[Callable, Callable]:
+    return (lambda: pairing_kernel(ring, pairing, "first"),
+            lambda: pairing_kernel(ring, pairing, "second"))
+
+
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
     """side='right' means the first-slot kernel is trivial; 'left' the second."""
-    zero = ring.zero
-    if side in ("right", "both"):
-        if pairing_kernel(ring, pairing, "first") != frozenset({zero}):
-            return False
-    if side in ("left", "both"):
-        if pairing_kernel(ring, pairing, "second") != frozenset({zero}):
-            return False
-    return True
+    return _degeneracy(side, _pairing_kernels(ring, pairing), ring.zero) is None
 
 
 def associativity_violation(ring: FiniteRing, pairing: Callable):
@@ -131,11 +146,10 @@ class FrobeniusFunctional:
         self.ring = ring
         self.form = form
         if check:
-            pairing = pairing_of_functional(ring, form)
-            for slot, side in (("first", "right"), ("second", "left")):
-                kernel = pairing_kernel(ring, pairing, slot)
-                if kernel != frozenset({ring.zero}):
-                    raise DegenerateFormError(side, sorted(kernel - {ring.zero})[0])
+            kernels = _pairing_kernels(ring, pairing_of_functional(ring, form))
+            bad = _degeneracy("both", kernels, ring.zero)
+            if bad is not None:
+                raise DegenerateFormError(*bad)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -168,26 +182,14 @@ def find_frobenius_functional(
     Scans all |R| forms and tests both kernels with early exit; returns
     None when the ring admits no such form (i.e. is not Frobenius).
     """
-    elems = None
+    zero = ring.zero
     for form in enumerate_forms(ring.shape, cap):
-        if elems is None:
-            elems = ring.elements()
-        ok = True
-        for a in elems:
-            if a == ring.zero:
-                continue
-            if all(form.evaluate(ring.mul(a, b)) == 0 for b in elems):
-                ok = False
-                break
-        if not ok:
+        elems = ring.elements()
+        if any(a != zero and all(form.evaluate(ring.mul(a, b)) == 0 for b in elems)
+               for a in elems):
             continue
-        for b in elems:
-            if b == ring.zero:
-                continue
-            if all(form.evaluate(ring.mul(a, b)) == 0 for a in elems):
-                ok = False
-                break
-        if ok:
+        if not any(b != zero and all(form.evaluate(ring.mul(a, b)) == 0 for a in elems)
+                   for b in elems):
             return FrobeniusFunctional(ring, form, check=False)
     return None
 
@@ -339,15 +341,8 @@ class AmbientForm:
 
     def is_nondegenerate(self, side: str = "both") -> bool:
         """'right' checks the first-slot kernel, 'left' the second-slot."""
-        zero_vec = (self.ring.zero,) * self.m
-        ok = True
-        if side in ("right", "both"):
-            ok = ok and self.left_kernel() == frozenset({zero_vec})
-        if side in ("left", "both"):
-            ok = ok and self.right_kernel() == frozenset({zero_vec})
-        if side not in ("left", "right", "both"):
-            raise ValueError(f"bad side {side!r}")
-        return ok
+        kernels = (self.left_kernel, self.right_kernel)
+        return _degeneracy(side, kernels, (self.ring.zero,) * self.m) is None
 
 
 def orthogonal(

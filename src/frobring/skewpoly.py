@@ -299,8 +299,8 @@ class SkewQuotient:
         return tuple(self.base.mul(a, c) for c in g)
 
     def mul(self, g: QElement, h: QElement) -> QElement:
-        """Left remainder of the skew product; the canonical ring product."""
-        return self.reduce_poly(poly_mul(self.base, self.aut, list(g), list(h)))
+        """The ring product, read off the quotient's structure table."""
+        return self.unflatten(self._table_ring().mul(self.flatten(g), self.flatten(h)))
 
     def constant_term_product(self, g: QElement, h: QElement) -> Element:
         """Closed form for the constant coefficient of g * h:
@@ -335,29 +335,28 @@ class SkewQuotient:
         return tuple(tuple(flat[j * k : (j + 1) * k]) for j in range(self.m))
 
     def as_finite_ring(self) -> FiniteRing:
-        """Structure-constant presentation on the basis e_i x^j.
+        """Structure-constant presentation on the basis e_i x^j, within the cap.
 
         The additive orders of A repeat once per degree; the FiniteRing
         constructor re-validates associativity, units and characteristic.
         """
+        _check_cap(self.cardinality, self.cap, "skew quotient")
+        return self._table_ring()
+
+    def _table_ring(self) -> FiniteRing:
+        """The cached table ring behind mul, built without the cap check.
+
+        Its basis products are left remainders of skew products, so the
+        polynomial arithmetic only builds the table (and is its oracle).
+        """
         if self._ring is None:
             base = self.base
             k = base.rank
-            rank = self.m * k
-            orders = base.shape.orders * self.m
-            shape = ModuleShape(base.characteristic, orders)
-            _check_cap(shape.cardinality, self.cap, "skew quotient")
-
-            def basis_q(t: int) -> QElement:
-                j, i = divmod(t, k)
-                out = [base.zero] * self.m
-                out[j] = base.basis(i)
-                return tuple(out)
-
-            table = [
-                [self.flatten(self.mul(basis_q(t1), basis_q(t2))) for t2 in range(rank)]
-                for t1 in range(rank)
-            ]
+            shape = ModuleShape(base.characteristic, base.shape.orders * self.m)
+            basis = [[base.basis(i) if d == j else base.zero for d in range(self.m)]
+                     for j in range(self.m) for i in range(k)]  # e_i x^j
+            table = [[self.flatten(self.reduce_poly(poly_mul(base, self.aut, g, h)))
+                      for h in basis] for g in basis]
             self._ring = FiniteRing(
                 shape,
                 table,

@@ -227,6 +227,14 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     boolean = write(tmp_path, "bool.json", {"m": 1, "generators": [[True]]})
     assert main(["code", "wenum", z2, boolean]) == 2
     assert capsys.readouterr().err.startswith("error: bad element True")
+    # integer spec fields take no booleans and no floats
+    bool_n = write(tmp_path, "bool_n.json", {"kind": "zn", "n": True})
+    float_n = write(tmp_path, "float_n.json", {"kind": "zn", "n": 4.7})
+    bool_m = write(tmp_path, "bool_m.json", {"m": True, "generators": [[1]]})
+    for argv in (["ring", "validate", bool_n], ["ring", "validate", float_n],
+                 ["code", "wenum", z2, bool_m]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: bad "), argv
     # library errors exit 1 with an error line instead of a traceback
     empty = write(tmp_path, "m0.json", {"m": 0, "generators": []})
     nonunit = write(tmp_path, "nonunit.json", {
@@ -248,6 +256,15 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_skew_build_over_the_cap_exits_1(tmp_path, capsys):
+    spec = write(tmp_path, "z2c3.json", {
+        "kind": "skew_quotient", "base": {"kind": "zn", "n": 2},
+        "modulus": [[1], [0], [0], [1]]})
+    assert main(["skew", "build", spec, "--cap", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error: skew quotient has 8 entries")
+    assert main(["skew", "build", spec, "--cap", "8"]) == 0
 
 
 def test_cap_flag_limits_enumeration(tmp_path, capsys):

@@ -22,7 +22,7 @@ from frobring.finring import (
     ring_zn,
     table_validation_report,
 )
-from frobring.catalog import cyclic_cayley, gf4_skew_quotient
+from frobring.catalog import gf4_skew_quotient
 from frobring.frobenius import right_annihilator
 from frobring.znmod import span
 

@@ -50,6 +50,8 @@ def test_pairing_kernels(z4):
     assert is_nondegenerate(z4, good, "left")
     with pytest.raises(ValueError):
         pairing_kernel(z4, good, "middle")
+    with pytest.raises(ValueError):
+        is_nondegenerate(z4, pair, "bogus")
 
 
 def test_pairing_from_gram_shape_check(z4):

@@ -1,0 +1,136 @@
+"""Submodule lattices and the submodule test against brute force.
+
+Every lattice (ideals of a ring, codes in A^m on each side) comes from one
+closure of cyclic submodules.  The oracle here filters all 2^|M| subsets
+of an ambient M of at most 16 elements, acting directly on the left or on
+the right, with no opposite ring and no closure involved.
+"""
+
+from itertools import product
+
+import pytest
+
+from frobring.catalog import gf4
+from frobring.codes import LinearCode, submodule_codes
+from frobring.finring import (
+    left_ideals,
+    right_ideals,
+    ring_matrix,
+    ring_zn,
+    submodule_violation,
+)
+
+
+def all_subgroups(elements, add, zero):
+    """Every subset containing zero and closed under add, by filtering all
+    2^n subsets as bit masks."""
+    els = list(elements)
+    index = {e: i for i, e in enumerate(els)}
+    plus = [[1 << index[add(a, b)] for b in els] for a in els]
+    zero_bit = 1 << index[zero]
+    found = []
+    for mask in range(1 << len(els)):
+        if not mask & zero_bit:
+            continue
+        members = [i for i in range(len(els)) if mask >> i & 1]
+        if all(plus[i][j] & mask for i in members for j in members):
+            found.append(frozenset(els[i] for i in members))
+    return found
+
+
+def closed_under(subsets, scalars, act):
+    return {S for S in subsets if all(act(r, v) in S for r in scalars for v in S)}
+
+
+def left_vector_action(A):
+    return lambda a, v: tuple(A.mul(a, c) for c in v)
+
+
+def right_vector_action(A):
+    return lambda a, v: tuple(A.mul(c, a) for c in v)
+
+
+def vadd(A):
+    return lambda v, w: tuple(A.add(a, b) for a, b in zip(v, w))
+
+
+AMBIENTS = {
+    "Z2^3": (ring_zn(2), 3),
+    "Z4^2": (ring_zn(4), 2),
+    "GF4^2": (gf4(), 2),
+    "M2(F2)^1": (ring_matrix(ring_zn(2), 2), 1),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(AMBIENTS))
+def ambient(request):
+    A, m = AMBIENTS[request.param]
+    vectors = list(product(A.elements(), repeat=m))
+    assert len(vectors) <= 16
+    return A, m, all_subgroups(vectors, vadd(A), (A.zero,) * m)
+
+
+def codewords(A, m, side):
+    return [code.codewords for code in submodule_codes(A, m, side)]
+
+
+def test_submodule_codes_match_brute_force(ambient):
+    A, m, subgroups = ambient
+    els = A.elements()
+    oracle = {
+        "additive": set(subgroups),
+        "left": closed_under(subgroups, els, left_vector_action(A)),
+        "right": closed_under(subgroups, els, right_vector_action(A)),
+    }
+    for side, expected in oracle.items():
+        found = codewords(A, m, side)
+        assert set(found) == expected, side
+        assert len(found) == len(expected), side
+        assert [len(c) for c in found] == sorted(len(c) for c in found), side
+
+
+def test_ideals_of_matrix_ring_match_brute_force():
+    R = ring_matrix(ring_zn(2), 2)
+    els = R.elements()
+    subgroups = all_subgroups(els, R.add, R.zero)
+    lefts = closed_under(subgroups, els, R.mul)
+    rights = closed_under(subgroups, els, lambda a, x: R.mul(x, a))
+    assert lefts != rights
+    for found, expected, side in ((left_ideals(R), lefts, "left"),
+                                  (right_ideals(R), rights, "right")):
+        assert {I.elements for I in found} == expected
+        assert len(found) == len(expected)
+        assert all(I.side == side for I in found)
+
+
+# -- the one submodule test ------------------------------------------------
+
+
+def test_submodule_violation_witnesses():
+    z4 = ring_zn(4)
+    els = z4.elements()
+
+    def check(S):
+        return submodule_violation(frozenset(S), z4.add, z4.zero, els, z4.mul)
+
+    assert check({(0,), (2,)}) is None
+    assert check({(2,)}) == ("zero", (0,))
+    assert check({(0,), (1,)}) == ("sum", ((1,), (1,)))
+    R = ring_matrix(ring_zn(2), 2)
+    first_row = frozenset(R.element((a, b, 0, 0)) for a in (0, 1) for b in (0, 1))
+    kind, (r, a) = submodule_violation(first_row, R.add, R.zero, R.elements(), R.mul)
+    assert kind == "scalar" and R.mul(r, a) not in first_row
+    assert submodule_violation(first_row, R.add, R.zero, (), None) is None
+
+
+def test_code_validation_keeps_its_messages():
+    z4 = ring_zn(4)
+    with pytest.raises(ValueError, match="does not contain the zero word"):
+        LinearCode(z4, 1, "left", (), [((1,),)], check=True)
+    with pytest.raises(ValueError, match=r"not closed under addition at \(\(1,\),\) \+"):
+        LinearCode(z4, 1, "additive", (), [((0,),), ((1,),)], check=True)
+    R = ring_matrix(ring_zn(2), 2)
+    first_row = [(R.element((a, b, 0, 0)),) for a in (0, 1) for b in (0, 1)]
+    LinearCode(R, 1, "right", (), first_row, check=True)
+    with pytest.raises(ValueError, match="not closed under left scalar"):
+        LinearCode(R, 1, "left", (), first_row, check=True)

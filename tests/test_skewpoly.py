@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from frobring.finring import is_frobenius_socle, ring_product, ring_zn
 from frobring.frobenius import find_frobenius_functional, is_nondegenerate
+from frobring.znmod import EnumerationCapError
 from frobring.skewpoly import (
     AutomorphismError,
     NotTwoSidedError,
@@ -264,6 +265,51 @@ def test_quotient_associativity_exhaustive(q_gf4):
         for b in els:
             for c in els[:6]:
                 assert q_gf4.mul(q_gf4.mul(a, b), c) == q_gf4.mul(a, q_gf4.mul(b, c))
+
+
+# The product goes through the structure table; the polynomial route that
+# builds the table is the oracle for every pair.
+
+
+def polynomial_product(q, g, h):
+    return q.reduce_poly(poly_mul(q.base, q.aut, list(g), list(h)))
+
+
+def cyclic_quotient(n, m, **kwargs):
+    base = ring_zn(n)
+    modulus = [(n - 1,)] + [(0,)] * (m - 1) + [(1,)]
+    return SkewQuotient(base, RingAutomorphism.identity(base), modulus, **kwargs)
+
+
+def swap_quotient():
+    base = ring_product(ring_zn(2), ring_zn(2))
+    swap = RingAutomorphism(base, [(0, 1), (1, 0)])
+    return SkewQuotient(base, swap, [(1, 1), (0, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("which", ["gf4", "z4", "z2_cubic", "z2_x6", "z3_x4", "swap"])
+def test_quotient_mul_matches_polynomial_route(which, q_gf4, q_z4, q_z2_cubic):
+    q = {
+        "gf4": q_gf4,
+        "z4": q_z4,
+        "z2_cubic": q_z2_cubic,
+        "z2_x6": cyclic_quotient(2, 6),
+        "z3_x4": cyclic_quotient(3, 4),
+        "swap": swap_quotient(),
+    }[which]
+    els = list(q.elements())
+    for g in els:
+        for h in els:
+            assert q.mul(g, h) == polynomial_product(q, g, h), (g, h)
+
+
+def test_mul_answers_above_the_cap():
+    q = cyclic_quotient(2, 3, cap=4)
+    x = q.shift_generator()
+    assert q.mul(x, q.mul(x, x)) == q.one
+    with pytest.raises(EnumerationCapError):
+        q.as_finite_ring()
+    assert q.mul(x, x) == ((0,), (0,), (1,))
 
 
 # -- the quotient as a finite ring -----------------------------------------
