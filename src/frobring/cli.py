@@ -19,9 +19,13 @@ Elements are coordinate lists (a bare integer is accepted for rank-1
 alphabets).  A code file is {"m": 2, "side": "left", "generators": [[...]]}
 and a form file is {"matrix": [[...], ...]} of elements.
 
-Exit codes: 0 when every verdict is positive and the input valid, 1 when a
-mathematical verdict is negative or the input fails validation, 2 for
-unreadable or unparsable input.
+Exit codes: 0 when every verdict is positive and the input valid.  2 when a
+file is unreadable or not of the documented JSON shape: invalid JSON, a
+missing field, a wrong JSON type or an unknown "kind".  1 when the library
+rejects the values (a cap overrun included) or a verdict is negative.  The
+spec readers raise CliError(2) before any library call sees a field, and
+main is the only place that maps errors to exit codes: a CliError exits
+with its own code, every library ValueError with 1.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ from .codes import (
 
 
 class CliError(Exception):
+    """Input that is not of the documented shape; main exits with code."""
+
     def __init__(self, code: int, message: str):
         self.code = code
         super().__init__(message)
@@ -92,82 +98,73 @@ def _element(e) -> tuple:
     raise CliError(2, f"bad element {e!r}: expected an int or a list of ints")
 
 
+def _field(spec, key: str, what: str):
+    if not isinstance(spec, dict) or key not in spec:
+        raise CliError(2, f"{what} must be an object with a {key!r} field")
+    return spec[key]
+
+
+def _list(v, field: str) -> list:
+    if not isinstance(v, list):
+        raise CliError(2, f"bad {field} {v!r}: expected a list")
+    return v
+
+
 def build_ring(spec: Any, cap: int) -> FiniteRing:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise CliError(2, "ring spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    try:
-        if kind == "zn":
-            return ring_zn(_int(spec["n"], "n"))
-        if kind == "table":
-            return ring_from_table(
-                _int(spec["n"], "n"),
-                [_int(d, "order") for d in spec["orders"]],
-                [[_element(e) for e in row] for row in spec["mul"]],
-                _element(spec["one"]),
-                cap=cap,
-            )
-        if kind == "product":
-            factors = [build_ring(f, cap) for f in spec["factors"]]
-            return ring_product(*factors)
-        if kind == "matrix":
-            size = _int(spec["size"], "size")
-            return ring_matrix(build_ring(spec["base"], cap), size, cap=cap)
-        if kind == "group_algebra":
-            return ring_group_algebra(
-                _int(spec["n"], "n"),
-                [[_int(v, "cayley entry") for v in row] for row in spec["cayley"]],
-            )
-        if kind == "skew_quotient":
-            return build_quotient(spec, cap).as_finite_ring()
-    except KeyError as exc:
-        raise CliError(2, f"ring spec of kind {kind!r} is missing field {exc}")
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, (RingValidationError, NotTwoSidedError)):
-            raise
-        raise CliError(2, f"malformed ring spec of kind {kind!r}: {exc}")
+    kind = _field(spec, "kind", "ring spec")
+    what = f"ring spec of kind {kind!r}"
+    if kind == "zn":
+        return ring_zn(_int(_field(spec, "n", what), "n"))
+    if kind == "table":
+        return ring_from_table(
+            _int(_field(spec, "n", what), "n"),
+            [_int(d, "order") for d in _list(_field(spec, "orders", what), "orders")],
+            [[_element(e) for e in _list(row, "mul row")]
+             for row in _list(_field(spec, "mul", what), "mul")],
+            _element(_field(spec, "one", what)),
+            cap=cap,
+        )
+    if kind == "product":
+        factors = _list(_field(spec, "factors", what), "factors")
+        return ring_product(*[build_ring(f, cap) for f in factors])
+    if kind == "matrix":
+        size = _int(_field(spec, "size", what), "size")
+        return ring_matrix(build_ring(_field(spec, "base", what), cap), size, cap=cap)
+    if kind == "group_algebra":
+        return ring_group_algebra(
+            _int(_field(spec, "n", what), "n"),
+            [[_int(v, "cayley entry") for v in _list(row, "cayley row")]
+             for row in _list(_field(spec, "cayley", what), "cayley")],
+        )
+    if kind == "skew_quotient":
+        return build_quotient(spec, cap).as_finite_ring()
     raise CliError(2, f"unknown ring spec kind {kind!r}")
 
 
 def build_quotient(spec: Any, cap: int) -> SkewQuotient:
-    if not isinstance(spec, dict) or spec.get("kind") != "skew_quotient":
+    if _field(spec, "kind", "ring spec") != "skew_quotient":
         raise CliError(2, "expected a ring spec of kind 'skew_quotient'")
-    try:
-        base = build_ring(spec["base"], cap)
-        modulus = [_element(c) for c in spec["modulus"]]
-        images = spec.get("aut_images")
-    except KeyError as exc:
-        raise CliError(2, f"skew_quotient spec is missing field {exc}")
-    if images is None:
-        aut = RingAutomorphism.identity(base)
-    else:
-        aut = RingAutomorphism(base, [_element(im) for im in images])
+    what = "skew_quotient spec"
+    modulus = [_element(c) for c in _list(_field(spec, "modulus", what), "modulus")]
+    images = spec.get("aut_images")
+    if images is not None:
+        images = [_element(im) for im in _list(images, "aut_images")]
+    base = build_ring(_field(spec, "base", what), cap)
+    aut = RingAutomorphism.identity(base) if images is None else RingAutomorphism(base, images)
     return SkewQuotient(base, aut, modulus, cap=cap)
 
 
 def build_code(spec: Any, ring: FiniteRing, cap: int) -> LinearCode:
-    if not isinstance(spec, dict):
-        raise CliError(2, "code spec must be a JSON object")
-    try:
-        m = _int(spec["m"], "m")
-        gens = [[_element(e) for e in g] for g in spec["generators"]]
-    except KeyError as exc:
-        raise CliError(2, f"code spec is missing field {exc}")
-    side = spec.get("side", "left")
-    try:
-        return LinearCode.generate(ring, m, gens, side, cap=cap)
-    except (TypeError, ValueError) as exc:
-        raise CliError(1, f"invalid code spec: {exc}")
+    m = _int(_field(spec, "m", "code spec"), "m")
+    gens = [[_element(e) for e in _list(g, "generator")]
+            for g in _list(_field(spec, "generators", "code spec"), "generators")]
+    return LinearCode.generate(ring, m, gens, spec.get("side", "left"), cap=cap)
 
 
 def build_form(spec: Any, ring: FiniteRing, m: int, cap: int) -> AmbientForm:
-    if not isinstance(spec, dict) or "matrix" not in spec:
-        raise CliError(2, "form spec must be an object with a 'matrix' field")
-    try:
-        return AmbientForm(ring, m, [[_element(e) for e in row] for row in spec["matrix"]],
-                           cap=cap)
-    except (TypeError, ValueError) as exc:
-        raise CliError(1, f"invalid form spec: {exc}")
+    rows = _list(_field(spec, "matrix", "form spec"), "matrix")
+    return AmbientForm(ring, m, [[_element(e) for e in _list(row, "matrix row")] for row in rows],
+                       cap=cap)
 
 
 def _jsonable(value):
@@ -199,60 +196,44 @@ def _ring_summary(ring: FiniteRing) -> str:
     )
 
 
-# -- commands --------------------------------------------------------------
+# -- commands: each returns (report, exit code) ------------------------------
 
 
-def cmd_ring_validate(args) -> int:
-    spec = _load_json(args.spec)
+def cmd_ring_validate(args):
     try:
-        ring = build_ring(spec, args.cap)
+        ring = build_ring(_load_json(args.spec), args.cap)
     except (RingValidationError, NotTwoSidedError) as exc:
-        _emit(
-            {
-                "command": "ring validate",
-                "valid": False,
-                "failed_check": getattr(exc, "check", "two-sided-modulus"),
-                "witness": _jsonable(exc.witness),
-            },
-            args.json,
-        )
-        return 1
+        return {
+            "valid": False,
+            "failed_check": getattr(exc, "check", "two-sided-modulus"),
+            "witness": _jsonable(exc.witness),
+        }, 1
     checks = {name: ok for name, ok, _ in table_validation_report(ring)}
-    _emit(
-        {
-            "command": "ring validate",
-            "valid": True,
-            "ring": _ring_summary(ring),
-            "characteristic": ring.characteristic,
-            "cardinality": ring.cardinality,
-            "checks": checks,
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "valid": True,
+        "ring": _ring_summary(ring),
+        "characteristic": ring.characteristic,
+        "cardinality": ring.cardinality,
+        "checks": checks,
+    }, 0
 
 
-def cmd_ring_frobenius(args) -> int:
+def cmd_ring_frobenius(args):
     ring = build_ring(_load_json(args.spec), args.cap)
     functional = find_frobenius_functional(ring, args.cap)
     cert = is_frobenius_socle(ring)
     agreement = (functional is not None) == cert.is_frobenius
-    _emit(
-        {
-            "command": "ring frobenius",
-            "ring": _ring_summary(ring),
-            "frobenius": cert.is_frobenius,
-            "functional_weights": list(functional.weights) if functional else None,
-            "radical_size": cert.radical_size,
-            "right_socle_size": cert.right_socle_size,
-            "left_socle_size": cert.left_socle_size,
-            "right_socle_generator": _jsonable(cert.right_witness),
-            "left_socle_generator": _jsonable(cert.left_witness),
-            "routes_agree": agreement,
-        },
-        args.json,
-    )
-    return 0 if (cert.is_frobenius and agreement) else 1
+    return {
+        "ring": _ring_summary(ring),
+        "frobenius": cert.is_frobenius,
+        "functional_weights": list(functional.weights) if functional else None,
+        "radical_size": cert.radical_size,
+        "right_socle_size": cert.right_socle_size,
+        "left_socle_size": cert.left_socle_size,
+        "right_socle_generator": _jsonable(cert.right_witness),
+        "left_socle_generator": _jsonable(cert.left_witness),
+        "routes_agree": agreement,
+    }, 0 if (cert.is_frobenius and agreement) else 1
 
 
 def _code_setup(args):
@@ -265,142 +246,94 @@ def _code_setup(args):
     return ring, code, form
 
 
-def cmd_code_dual(args) -> int:
+def cmd_code_dual(args):
     ring, code, form = _code_setup(args)
     try:
         d = dual(code, form, args.side)
     except DegenerateFormError as exc:
-        _emit({"command": "code dual", "error": str(exc)}, args.json)
-        return 1
+        return {"error": str(exc)}, 1
     product_ok = code.cardinality * d.cardinality == ring.cardinality**code.m
-    _emit(
-        {
-            "command": "code dual",
-            "ring": _ring_summary(ring),
-            "code_side": code.side,
-            "code_size": code.cardinality,
-            "dual_side": d.side,
-            "dual_size": d.cardinality,
-            "cardinality_product_ok": product_ok,
-            "dual_codewords": [_jsonable(v) for v in d.sorted_codewords()],
-        },
-        args.json,
-    )
-    return 0 if product_ok else 1
+    return {
+        "ring": _ring_summary(ring),
+        "code_side": code.side,
+        "code_size": code.cardinality,
+        "dual_side": d.side,
+        "dual_size": d.cardinality,
+        "cardinality_product_ok": product_ok,
+        "dual_codewords": [_jsonable(v) for v in d.sorted_codewords()],
+    }, 0 if product_ok else 1
 
 
-def cmd_code_wenum(args) -> int:
+def cmd_code_wenum(args):
     ring, code, _ = _code_setup(args)
     enum = weight_enumerator(code)
-    _emit(
-        {
-            "command": "code wenum",
-            "ring": _ring_summary(ring),
-            "code_size": code.cardinality,
-            "counts": list(enum.counts),
-            "polynomial": enum.polynomial(),
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "ring": _ring_summary(ring),
+        "code_size": code.cardinality,
+        "counts": list(enum.counts),
+        "polynomial": enum.polynomial(),
+    }, 0
 
 
-def cmd_code_macwilliams(args) -> int:
+def cmd_code_macwilliams(args):
     ring, code, form = _code_setup(args)
     try:
         rep = macwilliams_holds(code, form)
     except (DegenerateFormError, TransformError) as exc:
-        _emit({"command": "code macwilliams", "error": str(exc)}, args.json)
-        return 1
-    _emit(
-        {
-            "command": "code macwilliams",
-            "ring": _ring_summary(ring),
-            "identity_holds": rep.identity_holds,
-            "gram_is_monomial": rep.gram_is_monomial,
-            "code_enumerator": rep.code_enumerator.polynomial(),
-            "dual_enumerator": rep.dual_enumerator.polynomial(),
-            "transformed_enumerator": rep.transformed.polynomial(),
-        },
-        args.json,
-    )
-    return 0 if rep.identity_holds else 1
+        return {"error": str(exc)}, 1
+    return {
+        "ring": _ring_summary(ring),
+        "identity_holds": rep.identity_holds,
+        "gram_is_monomial": rep.gram_is_monomial,
+        "code_enumerator": rep.code_enumerator.polynomial(),
+        "dual_enumerator": rep.dual_enumerator.polynomial(),
+        "transformed_enumerator": rep.transformed.polynomial(),
+    }, 0 if rep.identity_holds else 1
 
 
-def cmd_skew_build(args) -> int:
-    spec = _load_json(args.spec)
+def cmd_skew_build(args):
     try:
-        quotient = build_quotient(spec, args.cap)
+        quotient = build_quotient(_load_json(args.spec), args.cap)
     except NotTwoSidedError as exc:
-        _emit(
-            {"command": "skew build", "two_sided": False, "witness": _jsonable(exc.witness)},
-            args.json,
-        )
-        return 1
+        return {"two_sided": False, "witness": _jsonable(exc.witness)}, 1
     except ValueError as exc:
-        _emit({"command": "skew build", "error": str(exc)}, args.json)
-        return 1
+        return {"error": str(exc)}, 1
     ring = quotient.as_finite_ring()
-    _emit(
-        {
-            "command": "skew build",
-            "two_sided": True,
-            "degree": quotient.m,
-            "automorphism_order": quotient.aut.order,
-            "ring": _ring_summary(ring),
-            "table_spec": {
-                "kind": "table",
-                "n": ring.characteristic,
-                "orders": list(ring.shape.orders),
-                "mul": _jsonable(ring.mul_table),
-                "one": _jsonable(ring.one),
-            },
+    return {
+        "two_sided": True,
+        "degree": quotient.m,
+        "automorphism_order": quotient.aut.order,
+        "ring": _ring_summary(ring),
+        "table_spec": {
+            "kind": "table",
+            "n": ring.characteristic,
+            "orders": list(ring.shape.orders),
+            "mul": _jsonable(ring.mul_table),
+            "one": _jsonable(ring.one),
         },
-        args.json,
-    )
-    return 0
+    }, 0
 
 
-def cmd_skew_frobenius(args) -> int:
+def cmd_skew_frobenius(args):
     quotient = build_quotient(_load_json(args.spec), args.cap)
     base_functional = find_frobenius_functional(quotient.base, args.cap)
     if base_functional is None:
-        _emit(
-            {"command": "skew frobenius", "error": "base ring has no Frobenius functional"},
-            args.json,
-        )
-        return 1
+        return {"error": "base ring has no Frobenius functional"}, 1
     functional = quotient.frobenius_functional(base_functional)
-    _emit(
-        {
-            "command": "skew frobenius",
-            "base_weights": list(base_functional.weights),
-            "quotient_weights": list(functional.weights),
-            "nondegenerate": True,
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "base_weights": list(base_functional.weights),
+        "quotient_weights": list(functional.weights),
+        "nondegenerate": True,
+    }, 0
 
 
-def cmd_skew_sweep(args) -> int:
+def cmd_skew_sweep(args):
     quotient = build_quotient(_load_json(args.spec), args.cap)
     if not quotient.has_cyclic_modulus():
-        _emit(
-            {
-                "command": "skew sweep",
-                "error": "sweep needs modulus x^m - 1 with automorphism order dividing m",
-            },
-            args.json,
-        )
-        return 1
+        return {"error": "sweep needs modulus x^m - 1 with automorphism order dividing m"}, 1
     base_functional = find_frobenius_functional(quotient.base, args.cap)
     if base_functional is None:
-        _emit(
-            {"command": "skew sweep", "error": "base ring has no Frobenius functional"},
-            args.json,
-        )
-        return 1
+        return {"error": "base ring has no Frobenius functional"}, 1
     rows = []
     all_ok = True
     for ideal_words in quotient_left_ideal_codes(quotient):
@@ -420,25 +353,33 @@ def cmd_skew_sweep(args) -> int:
                 "cardinality_product_ok": rep.cardinality_product_ok,
             }
         )
-    _emit(
-        {
-            "command": "skew sweep",
-            "left_ideals": len(rows),
-            "all_ok": all_ok,
-            "rows": rows,
-        },
-        args.json,
-    )
-    return 0 if all_ok else 1
+    return {"left_ideals": len(rows), "all_ok": all_ok, "rows": rows}, 0 if all_ok else 1
 
 
-# -- parser ----------------------------------------------------------------
+# -- the command table and the one error-to-exit mapping ---------------------
 
+_FORM = ("--form", {"help": "gram matrix file (default: identity)"})
+_SIDE = ("--side", {"choices": ("left", "right"), "default": None})
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="enumeration size cap (default 2^20)")
+GROUPS = {
+    "ring": "ring spec commands",
+    "code": "linear code commands",
+    "skew": "skew quotient commands",
+}
+
+# (group, command, handler, help, positional files, extra options)
+COMMANDS = (
+    ("ring", "validate", cmd_ring_validate, "check a ring presentation", ("spec",), ()),
+    ("ring", "frobenius", cmd_ring_frobenius, "run both Frobenius tests", ("spec",), ()),
+    ("code", "dual", cmd_code_dual, "orthogonal of a code under a form",
+     ("ring", "code"), (_FORM, _SIDE)),
+    ("code", "wenum", cmd_code_wenum, "Hamming weight enumerator", ("ring", "code"), ()),
+    ("code", "macwilliams", cmd_code_macwilliams, "transform vs dual enumerator",
+     ("ring", "code"), (_FORM,)),
+    ("skew", "build", cmd_skew_build, "construct a quotient, export its table", ("spec",), ()),
+    ("skew", "frobenius", cmd_skew_frobenius, "lift a functional to the quotient", ("spec",), ()),
+    ("skew", "sweep", cmd_skew_sweep, "duality check over every left ideal", ("spec",), ()),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -447,57 +388,18 @@ def make_parser() -> argparse.ArgumentParser:
         description="finite rings over Z_n, Frobenius structure, ring-linear codes",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    ring = top.add_parser("ring", help="ring spec commands").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = ring.add_parser("validate", help="check a ring presentation")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_ring_validate)
-    p = ring.add_parser("frobenius", help="run both Frobenius tests")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_ring_frobenius)
-
-    code = top.add_parser("code", help="linear code commands").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = code.add_parser("dual", help="orthogonal of a code under a form")
-    p.add_argument("ring")
-    p.add_argument("code")
-    p.add_argument("--form", help="gram matrix file (default: identity)")
-    p.add_argument("--side", choices=("left", "right"), default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_code_dual)
-    p = code.add_parser("wenum", help="Hamming weight enumerator")
-    p.add_argument("ring")
-    p.add_argument("code")
-    _add_common(p)
-    p.set_defaults(func=cmd_code_wenum)
-    p = code.add_parser("macwilliams", help="transform vs dual enumerator")
-    p.add_argument("ring")
-    p.add_argument("code")
-    p.add_argument("--form", help="gram matrix file (default: identity)")
-    _add_common(p)
-    p.set_defaults(func=cmd_code_macwilliams)
-
-    skew = top.add_parser("skew", help="skew quotient commands").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = skew.add_parser("build", help="construct a quotient, export its table")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_skew_build)
-    p = skew.add_parser("frobenius", help="lift a functional to the quotient")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_skew_frobenius)
-    p = skew.add_parser("sweep", help="duality check over every left ideal")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_skew_sweep)
-
+    groups = {group: top.add_parser(group, help=text).add_subparsers(dest="cmd", required=True)
+              for group, text in GROUPS.items()}
+    for group, name, func, text, files, options in COMMANDS:
+        p = groups[group].add_parser(name, help=text)
+        for f in files:
+            p.add_argument(f)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="enumeration size cap (default 2^20)")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -505,13 +407,14 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        rc = args.func(args)
+        report, rc = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _emit({"command": f"{args.group} {args.cmd}", **report}, args.json)
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return rc
 

@@ -47,7 +47,7 @@ from .frobenius import (
     _oriented,
     orthogonal,
 )
-from .skewpoly import InternalConsistencyError, SkewQuotient
+from .skewpoly import SkewQuotient
 
 _SIDES = ("left", "right", "additive")
 _ORTH_FOR_SIDE = {"left": "right", "right": "left", "additive": "right"}
@@ -88,9 +88,7 @@ class LinearCode:
         """Close the generators under addition and the requested scalar
         action.  'additive' skips the scalar action (integer multiples
         are already sums)."""
-        if side not in _SIDES:
-            raise ValueError(f"bad code side {side!r}")
-        _check_cap(alphabet.cardinality**m, cap, "ambient module")
+        _check_ambient(alphabet, m, side, cap)
         gens = [tuple(alphabet.element(c) for c in g) for g in generators]
         for g in gens:
             if len(g) != m:
@@ -153,6 +151,14 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"<LinearCode side={self.side} |C|={self.cardinality} m={self.m}>"
+
+
+def _check_ambient(A: FiniteRing, m: int, side: str, cap: int) -> None:
+    if side not in _SIDES:
+        raise ValueError(f"bad code side {side!r}")
+    if m < 1:
+        raise ValueError("code length must be positive")
+    _check_cap(A.cardinality**m, cap, "ambient module")
 
 
 def _vadd(A: FiniteRing, v: Vector, w: Vector) -> Vector:
@@ -340,9 +346,7 @@ def submodule_codes(
     Exhaustive by the same argument as ideal enumeration: every submodule
     is a sum of the cyclic submodules of its members.
     """
-    if side not in _SIDES:
-        raise ValueError(f"bad code side {side!r}")
-    _check_cap(A.cardinality**m, cap, "ambient module")
+    _check_ambient(A, m, side, cap)
     vectors = product(A.elements(), repeat=m)
     lattice = submodule_lattice(vectors, partial(_vadd, A), (A.zero,) * m, *_action(A, side))
     return [LinearCode(A, m, side, (), words) for words in lattice]
@@ -352,29 +356,19 @@ def submodule_codes(
 
 
 def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
-    """Is the (additively closed) codeword set a left ideal of the quotient?
+    """Is the codeword set a left ideal of the quotient?
 
-    Decided two ways that must agree: closure under the shift x and left
-    scalars, and closure under left multiplication by every ring element.
+    The quotient is generated as a ring by x and the basis scalars of A,
+    so a subgroup closed under left multiplication by those generators is
+    closed under every left multiple (the shift-closure of Boucher,
+    Geiselmann and Ulmer, AAECC 18, 2007).
     """
     words = code.codewords if isinstance(code, LinearCode) else frozenset(code)
     A = quotient.base
-    x = quotient.shift_generator()
-    route_shift = all(
-        quotient.mul(x, c) in words for c in words
-    ) and all(
-        quotient.scale_left(A.basis(i), c) in words
-        for i in range(A.rank)
-        for c in words
-    )
-    route_full = all(
-        quotient.mul(r, c) in words for r in quotient.elements() for c in words
-    )
-    if route_shift != route_full:
-        raise InternalConsistencyError(
-            "shift-closure and full-closure disagree; input not additively closed?"
-        )
-    return route_full
+    generators = [quotient.shift_generator()] + [
+        quotient.embed_scalar(A.basis(i)) for i in range(A.rank)]
+    return submodule_violation(words, quotient.add, quotient.zero, generators,
+                               quotient.mul) is None
 
 
 def quotient_left_ideal_codes(quotient: SkewQuotient) -> list[frozenset[Vector]]:

@@ -290,13 +290,12 @@ class AmbientForm:
         matrix: Sequence[Sequence[Iterable[int]]],
         *,
         cap: int = DEFAULT_CAP,
-        check: bool = True,
     ):
         if m < 1:
             raise ValueError("ambient length must be positive")
         self.ring = ring
         self.m = m
-        if check and (len(matrix) != m or any(len(row) != m for row in matrix)):
+        if len(matrix) != m or any(len(row) != m for row in matrix):
             raise ValueError(f"gram matrix must be {m}x{m}")
         self.matrix: tuple[tuple[Element, ...], ...] = tuple(
             tuple(ring.element(entry) for entry in row) for row in matrix

@@ -230,7 +230,6 @@ class SkewQuotient:
         *,
         label: str | None = None,
         cap: int = DEFAULT_CAP,
-        check: bool = True,
     ):
         self.base = base
         self.aut = aut
@@ -242,14 +241,13 @@ class SkewQuotient:
             raise ValueError("modulus must have degree at least 1")
         if self.modulus[self.m] != base.one:
             raise ValueError("modulus must be monic")
-        if check:
-            if aut.ring != base:
-                raise ValueError("automorphism acts on a different ring")
-            verdict = check_two_sided(base, aut, self.modulus)
-            if not verdict.ok:
-                raise NotTwoSidedError((verdict.reason, verdict.witness))
-            if not base.is_unit(self.modulus[0]):
-                raise ValueError("constant coefficient of the modulus must be a unit")
+        if aut.ring != base:
+            raise ValueError("automorphism acts on a different ring")
+        verdict = check_two_sided(base, aut, self.modulus)
+        if not verdict.ok:
+            raise NotTwoSidedError((verdict.reason, verdict.witness))
+        if not base.is_unit(self.modulus[0]):
+            raise ValueError("constant coefficient of the modulus must be a unit")
         self._ring: FiniteRing | None = None
 
     # -- element plumbing --------------------------------------------------
@@ -294,9 +292,6 @@ class SkewQuotient:
 
     def neg(self, g: QElement) -> QElement:
         return tuple(self.base.neg(a) for a in g)
-
-    def scale_left(self, a: Element, g: QElement) -> QElement:
-        return tuple(self.base.mul(a, c) for c in g)
 
     def mul(self, g: QElement, h: QElement) -> QElement:
         """The ring product, read off the quotient's structure table."""

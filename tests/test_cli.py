@@ -1,11 +1,17 @@
 """Command line behavior: exit codes, reports, determinism."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobring.catalog import double_nil_ring
-from frobring.cli import main
+from frobring.cli import COMMANDS, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write(tmp_path, name, obj):
@@ -47,7 +53,7 @@ def gf4_quotient_spec(tmp_path):
 def test_ring_validate_ok(z4_spec, capsys):
     assert main(["ring", "validate", z4_spec]) == 0
     out = capsys.readouterr().out
-    assert "valid: true" in out
+    assert out.startswith("command: ring validate\nvalid: true\n")
     assert "cardinality: 4" in out
 
 
@@ -256,6 +262,39 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # so do values the library rejects inside a well-shaped ring spec,
+    # a cap overrun included
+    z2_spec = {"kind": "zn", "n": 2}
+    over_cap = ["--cap", "4"]
+    for name, spec, extra in (
+        ("matrix", {"kind": "matrix", "base": z2_spec, "size": 2}, over_cap),
+        ("skew", {"kind": "skew_quotient", "base": z2_spec, "modulus": [1, 0, 0, 1]}, over_cap),
+        ("n0", {"kind": "zn", "n": 0}, []),
+        ("nofactors", {"kind": "product", "factors": []}, []),
+        ("short_entry", {"kind": "table", "n": 2, "orders": [2, 2],
+                         "mul": [[[1, 0], [0, 1]], [[0, 1], [1]]], "one": [1, 0]}, []),
+    ):
+        path = write(tmp_path, f"{name}.json", spec)
+        for cmd in ("validate", "frobenius"):
+            assert main(["ring", cmd, path] + extra) == 1, (name, cmd)
+            assert capsys.readouterr().err.startswith("error: "), (name, cmd)
+    # a field of the wrong JSON type exits 2, wherever it sits
+    for name, argv_head, spec in (
+        ("gens_int", ["code", "wenum", z2], {"m": 1, "generators": 3}),
+        ("gens_row", ["code", "dual", z2], {"m": 1, "generators": [3]}),
+        ("modulus", ["skew", "build"], {"kind": "skew_quotient", "base": z2_spec, "modulus": 3}),
+        ("images", ["skew", "sweep"], {"kind": "skew_quotient", "base": z2_spec,
+                                       "modulus": [1, 1], "aut_images": 5}),
+        ("images0", ["skew", "build"], {"kind": "skew_quotient", "base": z2_spec,
+                                        "modulus": [1, 1], "aut_images": 0}),
+    ):
+        argv = argv_head + [write(tmp_path, f"{name}.json", spec)]
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: bad "), argv
+    code = write(tmp_path, "c1.json", {"m": 1, "generators": [[1]]})
+    form = write(tmp_path, "form3.json", {"matrix": 3})
+    assert main(["code", "dual", z2, code, "--form", form]) == 2
+    assert capsys.readouterr().err.startswith("error: bad matrix 3")
 
 
 def test_skew_build_over_the_cap_exits_1(tmp_path, capsys):
@@ -290,3 +329,96 @@ def test_json_reports_are_deterministic(gf4_quotient_spec, capsys):
     third = capsys.readouterr().out
     main(["ring", "frobenius", gf4_quotient_spec, "--json"])
     assert capsys.readouterr().out == third
+
+
+def test_readme_lists_the_command_table():
+    block = README.read_text().split("Commands:\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = []
+    for line in block.splitlines():
+        prog, group, name, *rest = line.split()
+        assert prog == "frobring", line
+        files = next((i for i, w in enumerate(rest) if w.startswith(("-", "["))), len(rest))
+        flags = [w.lstrip("[") for w in rest[files:] if w.lstrip("[").startswith("--")]
+        listed.append((group, name, files, flags))
+    assert listed == [(group, name, len(files), [flag for flag, _ in options])
+                      for group, name, _, _, files, options in COMMANDS]
+
+
+# -- fuzzing: malformed specs of every shape exit 0, 1 or 2, never raise ------
+
+small = st.integers(-1, 4)
+junk = st.one_of(st.none(), st.booleans(), small, st.floats(-2, 2), st.text(max_size=2),
+                 st.just({}), st.just([[]]))
+
+
+def maybe(valid):
+    """Mostly valid values, about one time in eight a wrong JSON type."""
+    return st.integers(0, 7).flatmap(lambda i: junk if i == 7 else valid)
+
+
+def short(elems, n=3):
+    return st.lists(elems, max_size=n)
+
+
+@st.composite
+def obj(draw, fields, optional=()):
+    """An object of the fields: each one goes missing about one time in
+    sixteen, an optional one about every other time."""
+    return {k: draw(v) for k, v in fields.items()
+            if draw(st.integers(0, 15)) < (8 if k in optional else 15)}
+
+
+GF4 = {"kind": "table", "n": 2, "orders": [2, 2],
+       "mul": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], "one": [1, 0]}
+element = maybe(st.one_of(small, short(small, 2)))
+valid_rings = st.sampled_from([{"kind": "zn", "n": n} for n in (2, 3, 4)] + [GF4])
+leaves = st.one_of(
+    valid_rings,
+    obj({"kind": st.just("zn"), "n": maybe(small)}),
+    obj({"kind": st.just("table"), "n": maybe(small), "orders": maybe(short(maybe(small), 2)),
+         "mul": maybe(short(maybe(short(element, 2)), 2)), "one": element}),
+    obj({"kind": st.just("group_algebra"), "n": maybe(small),
+         "cayley": maybe(short(maybe(short(maybe(small)))))}),
+    obj({"kind": st.sampled_from(["field", 3])}),
+    junk,
+)
+
+
+def skew_specs(base):
+    return obj({"kind": st.just("skew_quotient"), "base": base,
+                "modulus": maybe(short(element, 3).map(lambda f: f + [1])),
+                "aut_images": maybe(short(element, 2))}, optional=("aut_images",))
+
+
+ring_specs = st.recursive(leaves, lambda inner: st.one_of(
+    obj({"kind": st.just("product"), "factors": maybe(short(inner, 2))}),
+    obj({"kind": st.just("matrix"), "base": inner, "size": maybe(st.integers(-1, 2))}),
+    skew_specs(inner),
+), max_leaves=3)
+valid_skew = st.sampled_from([
+    {"kind": "skew_quotient", "base": {"kind": "zn", "n": 2}, "modulus": [1, 0, 0, 1]},
+    {"kind": "skew_quotient", "base": GF4, "aut_images": [[1, 0], [1, 1]],
+     "modulus": [[1, 0], [0, 0], [1, 0]]},
+])
+# code commands get flat rings, so that codes over them often fit
+SPECS = {"ring": ring_specs, "code": leaves, "skew": st.one_of(valid_skew, skew_specs(leaves))}
+code_specs = obj({"m": maybe(st.integers(-1, 3)),
+                  "side": maybe(st.sampled_from(["left", "right", "additive", "up"])),
+                  "generators": maybe(short(maybe(short(element)), 2))}, optional=("side",))
+form_specs = obj({"matrix": maybe(short(maybe(short(element))))})
+
+
+# Derandomized: every run checks the same 500 cases, so a failure repeats.
+@settings(max_examples=500, derandomize=True)
+@given(st.data(), st.sampled_from(COMMANDS), code_specs, st.none() | form_specs, st.booleans())
+def test_malformed_specs_never_raise(tmp_path_factory, data, command, code, form, as_json):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    group, name = command[:2]
+    argv = [group, name, write(tmp, "ring.json", data.draw(SPECS[group], label="ring"))]
+    if group == "code":
+        argv.append(write(tmp, "code.json", code))
+        if form is not None and name != "wenum":
+            argv += ["--form", write(tmp, "form.json", form)]
+    argv += ["--cap", "64"] + ["--json"] * as_json
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

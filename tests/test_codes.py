@@ -60,6 +60,11 @@ def test_generate_rejects_bad_input(z4):
         LinearCode.generate(z4, 2, [[(1,)]], side="left")
     with pytest.raises(ValueError):
         LinearCode.generate(z4, 2, [[(1,), (0,)]], side="middle")
+    for m in (0, -1):  # like AmbientForm, codes need a positive length
+        with pytest.raises(ValueError, match="length must be positive"):
+            LinearCode.generate(z4, m, [])
+        with pytest.raises(ValueError, match="length must be positive"):
+            submodule_codes(z4, m, "left")
 
 
 def test_code_equality_and_side_blindness(z4):
@@ -237,6 +242,31 @@ def test_is_skew_cyclic(q_z2_cubic):
     assert is_skew_cyclic(ideal, q)
     subgroup = frozenset({q.zero, gen})
     assert not is_skew_cyclic(subgroup, q)
+    # closed under every left multiple, but the union of the ideals of
+    # 1 + x and of 1 + x + x^2 is not even a subgroup
+    union = ideal | {q.mul(r, ((1,), (1,), (1,))) for r in q.elements()}
+    assert len(union) == 5
+    assert not is_skew_cyclic(union, q)
+
+
+def left_ideal_oracle(words, q):
+    """The full closure: a subgroup closed under left multiplication by
+    every element of the quotient."""
+    return (
+        q.zero in words
+        and all(q.add(a, b) in words for a in words for b in words)
+        and all(q.mul(r, c) in words for r in q.elements() for c in words)
+    )
+
+
+def test_is_skew_cyclic_matches_full_closure(q_gf4, q_z4, q_z2_cubic):
+    elems = list(q_z2_cubic.elements())
+    for mask in range(1 << len(elems)):  # every subset of Z2[x]/(x^3 - 1)
+        words = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        assert is_skew_cyclic(words, q_z2_cubic) == left_ideal_oracle(words, q_z2_cubic)
+    for q in (q_gf4, q_z4):  # every additive subgroup
+        for code in submodule_codes(q.base, q.m, "additive"):
+            assert is_skew_cyclic(code, q) == left_ideal_oracle(code.codewords, q)
 
 
 def test_quotient_ideal_census(q_gf4, q_z4, q_z2_cubic):
