@@ -20,12 +20,13 @@ alphabets).  A code file is {"m": 2, "side": "left", "generators": [[...]]}
 and a form file is {"matrix": [[...], ...]} of elements.
 
 Exit codes: 0 when every verdict is positive and the input valid.  2 when a
-file is unreadable or not of the documented JSON shape: invalid JSON, a
-missing field, a wrong JSON type or an unknown "kind".  1 when the library
-rejects the values (a cap overrun included) or a verdict is negative.  The
-spec readers raise CliError(2) before any library call sees a field, and
-main is the only place that maps errors to exit codes: a CliError exits
-with its own code, every library ValueError with 1.
+file is unreadable or not of the documented JSON shape: not UTF-8, invalid
+JSON, nested too deeply, a missing field, a wrong JSON type or an unknown
+"kind".  1 when the library rejects the values (a cap overrun included) or
+a verdict is negative.  The spec readers raise CliError(2) before any
+library call sees a field, and main is the only place that maps errors to
+exit codes: a CliError exits with its own code, every library ValueError
+with 1.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(2, f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise CliError(2, f"{path}: spec nested too deeply") from None
 
 
 def _is_int(c) -> bool:
@@ -111,6 +114,13 @@ def _list(v, field: str) -> list:
 
 
 def build_ring(spec: Any, cap: int) -> FiniteRing:
+    try:
+        return _build_ring(spec, cap)
+    except RecursionError:  # specs nest through product, matrix and skew_quotient
+        raise CliError(2, "spec nested too deeply") from None
+
+
+def _build_ring(spec: Any, cap: int) -> FiniteRing:
     kind = _field(spec, "kind", "ring spec")
     what = f"ring spec of kind {kind!r}"
     if kind == "zn":
@@ -126,10 +136,10 @@ def build_ring(spec: Any, cap: int) -> FiniteRing:
         )
     if kind == "product":
         factors = _list(_field(spec, "factors", what), "factors")
-        return ring_product(*[build_ring(f, cap) for f in factors])
+        return ring_product(*[_build_ring(f, cap) for f in factors])
     if kind == "matrix":
         size = _int(_field(spec, "size", what), "size")
-        return ring_matrix(build_ring(_field(spec, "base", what), cap), size, cap=cap)
+        return ring_matrix(_build_ring(_field(spec, "base", what), cap), size, cap=cap)
     if kind == "group_algebra":
         return ring_group_algebra(
             _int(_field(spec, "n", what), "n"),

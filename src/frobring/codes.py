@@ -30,7 +30,7 @@ from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
-from .znmod import DEFAULT_CAP, Element, _check_cap, additive_closure, annihilated
+from .znmod import DEFAULT_CAP, Element, _check_power_cap, additive_closure, annihilated
 from .finring import (
     FiniteRing,
     is_left_ideal,
@@ -158,7 +158,7 @@ def _check_ambient(A: FiniteRing, m: int, side: str, cap: int) -> None:
         raise ValueError(f"bad code side {side!r}")
     if m < 1:
         raise ValueError("code length must be positive")
-    _check_cap(A.cardinality**m, cap, "ambient module")
+    _check_power_cap(A.cardinality, m, cap, "ambient module")
 
 
 def _vadd(A: FiniteRing, v: Vector, w: Vector) -> Vector:

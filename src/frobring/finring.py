@@ -9,11 +9,22 @@ every table entry.  Construction validates well-definedness, associativity
 and the unit laws on the basis, and that the additive order of 1 equals n,
 so the characteristic really is n.
 
-Structural computations are all brute force over the element list, sized
-for rings of a few hundred elements: units by two-sided inverse search,
-the Jacobson radical by quasi-regularity (x is in the radical iff 1 - a*x
-is a unit for every a), socles as annihilators of the radical, and the
-Frobenius test by looking for a single socle generator on each side.
+Structural computations enumerate the element list, sized for rings of a
+few hundred elements, but use the ring structure to avoid scanning all
+pairs of elements:
+
+* units and nilpotents come from one walk of powers a, a^2, ..., since
+  a is a unit (nilpotent) iff any power a^i, i >= 1, is one;
+* the Jacobson radical is nil, so only nilpotent candidates get the
+  quasi-regularity test (x is in the radical iff 1 - a*x is a unit for
+  every a), and candidates inside the additive span of the members found
+  so far are skipped; that span's generators are kept;
+* socles are the annihilators of those radical generators, which by
+  bilinearity is the annihilator of the whole radical;
+* the Frobenius test looks for a single socle generator on each side,
+  comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
+  the socle by size.
+
 Right-handed notions are the left-handed ones of the opposite ring, which
 every ring builds once on demand (FiniteRing.opposite).  Rings cache these
 computations; treat constructed rings as immutable.
@@ -113,7 +124,9 @@ class FiniteRing:
         self.cap = cap
         self._elements: tuple[Element, ...] | None = None
         self._units: frozenset[Element] | None = None
+        self._nilpotents: frozenset[Element] | None = None
         self._radical: Ideal | None = None
+        self._radical_generators: tuple[Element, ...] = ()
         self._socles: dict[str, Ideal] = {}
         self._opposite: FiniteRing | None = None
         if check:
@@ -185,16 +198,41 @@ class FiniteRing:
         return tuple(acc[l] % orders[l] for l in range(k))
 
     def units(self) -> frozenset[Element]:
+        """Units by one walk of powers per undecided element.
+
+        A walk a, a^2, ... stops at 1 (a unit), at 0 (nilpotent), at an
+        earlier power (neither: a unit's powers reach 1 and a nilpotent's
+        reach 0 before they repeat) or at an element already decided.  As
+        a is a unit (nilpotent) iff a^i is, for any i >= 1, the walk
+        decides every power it passed.  Each product yields a newly
+        decided element, so the walks make fewer than |R| products.
+        """
+        if self._units is None and self.one == self.zero:  # the zero ring: 0 is both
+            self._units = self._nilpotents = frozenset({self.zero})
         if self._units is None:
-            elems = self.elements()
-            found = set()
-            for a in elems:
-                for b in elems:
-                    if self.mul(a, b) == self.one and self.mul(b, a) == self.one:
-                        found.add(a)
-                        break
-            self._units = frozenset(found)
+            memo: dict[Element, str] = {self.zero: "nilpotent", self.one: "unit"}
+            for a in self.elements():
+                if a in memo:
+                    continue
+                powers = [a]
+                seen = {a}
+                x = self.mul(a, a)
+                while x not in memo and x not in seen:
+                    powers.append(x)
+                    seen.add(x)
+                    x = self.mul(x, a)
+                kind = memo.get(x, "neither")
+                for p in powers:
+                    memo[p] = kind
+            self._units = frozenset(x for x, kind in memo.items() if kind == "unit")
+            self._nilpotents = frozenset(x for x, kind in memo.items() if kind == "nilpotent")
         return self._units
+
+    def nilpotents(self) -> frozenset[Element]:
+        """Nilpotent elements, found by the same power walk as the units."""
+        if self._nilpotents is None:
+            self.units()
+        return self._nilpotents
 
     def is_unit(self, a: Element) -> bool:
         return a in self.units()
@@ -202,27 +240,41 @@ class FiniteRing:
     # -- radical and socle -------------------------------------------------
 
     def jacobson_radical(self) -> Ideal:
-        """Radical by quasi-regularity: x with 1 - a*x a unit for every a."""
+        """Radical by quasi-regularity: x with 1 - a*x a unit for every a.
+
+        The radical is nil, so only nilpotents are tested, in sorted order,
+        and one already in the additive span of the members found is not
+        tested again.  Those members are kept as the radical's additive
+        generators (radical_generators)."""
         if self._radical is None:
             elems = self.elements()
             units = self.units()
-            rad = frozenset(
-                x
-                for x in elems
-                if all(self.sub(self.one, self.mul(a, x)) in units for a in elems)
-            )
+            gens: list[Element] = []
+            rad = frozenset({self.zero})
+            for x in sorted(self.nilpotents()):
+                if x in rad:
+                    continue
+                if all(self.sub(self.one, self.mul(a, x)) in units for a in elems):
+                    gens.append(x)
+                    rad = additive_closure(gens, self.add, self.zero)
             self._radical = Ideal("two-sided", rad)
+            self._radical_generators = tuple(gens)
         return self._radical
+
+    def radical_generators(self) -> tuple[Element, ...]:
+        """Additive generators of the Jacobson radical."""
+        self.jacobson_radical()
+        return self._radical_generators
 
     def socle(self, side: str) -> Ideal:
         """Annihilator of the radical: right socle kills the radical from
-        the left (x * J = 0), left socle from the right (J * x = 0)."""
+        the left (x * J = 0), left socle from the right (J * x = 0).  By
+        bilinearity it is enough to annihilate J's additive generators."""
         if side not in ("left", "right"):
             raise ValueError(f"bad socle side {side!r}")
         if side not in self._socles:
-            rad = self.jacobson_radical().elements
             ring = self if side == "right" else self.opposite()
-            soc = annihilated(self.elements(), rad, ring.mul, self.zero)
+            soc = annihilated(self.elements(), self.radical_generators(), ring.mul, self.zero)
             self._socles[side] = Ideal(side, soc)
         return self._socles[side]
 
@@ -533,9 +585,13 @@ def is_frobenius_socle(ring: FiniteRing) -> SocleCertificate:
 
 
 def _right_generator(ring: FiniteRing, socle: frozenset[Element]) -> Element | None:
-    """First s, in sorted order, with s * R equal to the socle."""
-    elems = ring.elements()
+    """First s, in sorted order, with s * R equal to the socle.
+
+    s * R is the additive span of s * e_1, ..., s * e_k, and it lies in
+    the socle (a right ideal) when s does, so comparing sizes suffices."""
+    basis = [ring.basis(j) for j in range(ring.rank)]
     for s in sorted(socle):
-        if frozenset(ring.mul(s, r) for r in elems) == socle:
+        s_R = additive_closure((ring.mul(s, e) for e in basis), ring.add, ring.zero)
+        if len(s_R) == len(socle):
             return s
     return None

@@ -36,7 +36,7 @@ from .znmod import (
     ZnLinearForm,
     annihilated,
     enumerate_forms,
-    _check_cap,
+    _check_power_cap,
 )
 from .finring import FiniteRing, Ideal
 
@@ -110,14 +110,26 @@ def _degeneracy(side: str, kernels: tuple[Callable, Callable], zero):
     return None
 
 
-def _pairing_kernels(ring: FiniteRing, pairing: Callable) -> tuple[Callable, Callable]:
-    return (lambda: pairing_kernel(ring, pairing, "first"),
-            lambda: pairing_kernel(ring, pairing, "second"))
+def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> Iterator[Element]:
+    """Kernel of the pairing (a, b) |-> a^T G b mod n in the named slot,
+    lazily and in element order: {a : aG = 0} in the first slot and
+    {b : Gb = 0} in the second, since b (or a) may be any basis vector.
+
+    For a functional's gram G_ij = eps(e_i e_j) this is the kernel of
+    eps(a * b) without a ring product; a search stops at its first
+    nonzero member, a check takes them all."""
+    lines = list(zip(*gram)) if slot == "first" else gram  # columns or rows of G
+    n = ring.characteristic
+    for a in ring.elements():
+        if all(sum(c * g for c, g in zip(a, line)) % n == 0 for line in lines):
+            yield a
 
 
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
     """side='right' means the first-slot kernel is trivial; 'left' the second."""
-    return _degeneracy(side, _pairing_kernels(ring, pairing), ring.zero) is None
+    kernels = (lambda: pairing_kernel(ring, pairing, "first"),
+               lambda: pairing_kernel(ring, pairing, "second"))
+    return _degeneracy(side, kernels, ring.zero) is None
 
 
 def associativity_violation(ring: FiniteRing, pairing: Callable):
@@ -146,7 +158,9 @@ class FrobeniusFunctional:
         self.ring = ring
         self.form = form
         if check:
-            kernels = _pairing_kernels(ring, pairing_of_functional(ring, form))
+            gram = self.gram()
+            kernels = (lambda: frozenset(_gram_kernel(ring, gram, "first")),
+                       lambda: frozenset(_gram_kernel(ring, gram, "second")))
             bad = _degeneracy("both", kernels, ring.zero)
             if bad is not None:
                 raise DegenerateFormError(*bad)
@@ -179,18 +193,17 @@ def find_frobenius_functional(
 ) -> FrobeniusFunctional | None:
     """First form, in weight-lexicographic order, that is Frobenius.
 
-    Scans all |R| forms and tests both kernels with early exit; returns
-    None when the ring admits no such form (i.e. is not Frobenius).
+    Scans all |R| forms and tests both kernels on the form's gram, first
+    slot first, with early exit; returns None when the ring admits no
+    such form (i.e. is not Frobenius).
     """
     zero = ring.zero
     for form in enumerate_forms(ring.shape, cap):
-        elems = ring.elements()
-        if any(a != zero and all(form.evaluate(ring.mul(a, b)) == 0 for b in elems)
-               for a in elems):
-            continue
-        if not any(b != zero and all(form.evaluate(ring.mul(a, b)) == 0 for a in elems)
-                   for b in elems):
-            return FrobeniusFunctional(ring, form, check=False)
+        candidate = FrobeniusFunctional(ring, form, check=False)
+        gram = candidate.gram()
+        if not any(x != zero for slot in ("first", "second")
+                   for x in _gram_kernel(ring, gram, slot)):
+            return candidate
     return None
 
 
@@ -309,7 +322,7 @@ class AmbientForm:
         return self.ring.cardinality ** self.m
 
     def vectors(self) -> Iterator[Vector]:
-        _check_cap(self.cardinality, self.cap, "ambient module")
+        _check_power_cap(self.ring.cardinality, self.m, self.cap, "ambient module")
         return product(self.ring.elements(), repeat=self.m)
 
     def pairing(self, x: Vector, y: Vector) -> Element:

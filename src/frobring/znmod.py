@@ -127,6 +127,16 @@ def _check_cap(size: int, cap: int, what: str) -> None:
         raise EnumerationCapError(f"{what} has {size} entries, cap is {cap}")
 
 
+def _check_power_cap(base: int, exponent: int, cap: int, what: str) -> None:
+    """_check_cap for base**exponent entries, multiplying with an early
+    stop so that a huge exponent never forms a huge integer."""
+    size = 1
+    for _ in range(exponent if base > 1 else 0):
+        size *= base
+        if size > cap:
+            raise EnumerationCapError(f"{what} has {base}^{exponent} entries, cap is {cap}")
+
+
 def enumerate_module(shape: ModuleShape, cap: int = DEFAULT_CAP) -> Iterator[Element]:
     """Yield every element of the module in lexicographic coordinate order."""
     _check_cap(shape.cardinality, cap, "module")

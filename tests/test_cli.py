@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobring.catalog import double_nil_ring
-from frobring.cli import COMMANDS, main
+from frobring.cli import COMMANDS, CliError, build_ring, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -295,6 +295,37 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     form = write(tmp_path, "form3.json", {"matrix": 3})
     assert main(["code", "dual", z2, code, "--form", form]) == 2
     assert capsys.readouterr().err.startswith("error: bad matrix 3")
+    # a file that is not UTF-8 is unreadable
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"kind": "zn", "n": 2}'.encode("utf-16-le"))
+    assert main(["ring", "validate", str(utf16)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    # nesting too deep for the parser or for the spec builder exits 2
+    brackets = tmp_path / "brackets.json"
+    brackets.write_text("[" * 100000)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"kind": "matrix", "size": 1, "base": ' * 990
+                    + json.dumps(z2_spec) + "}" * 990)
+    for path in (str(brackets), str(deep)):
+        assert main(["ring", "validate", path]) == 2, path
+        assert "spec nested too deeply" in capsys.readouterr().err, path
+
+
+def test_build_ring_rejects_deep_nesting():
+    spec = {"kind": "zn", "n": 2}
+    for _ in range(5000):
+        spec = {"kind": "product", "factors": [spec]}
+    with pytest.raises(CliError, match="spec nested too deeply") as caught:
+        build_ring(spec, 64)
+    assert caught.value.code == 2
+
+
+def test_huge_ambient_exits_1_with_the_cap_message(tmp_path, capsys):
+    z2 = write(tmp_path, "z2.json", {"kind": "zn", "n": 2})
+    code = write(tmp_path, "huge.json", {"m": 1000000, "generators": [[1]]})
+    assert main(["code", "wenum", z2, code]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: ambient module has 2^1000000 entries, cap is 1048576")
 
 
 def test_skew_build_over_the_cap_exits_1(tmp_path, capsys):

@@ -1,0 +1,265 @@
+"""Structural routes of finring and frobenius against brute-force oracles.
+
+The power walk for units and nilpotents, the radical from nilpotent
+candidates, socles through the radical's generators, socle generators by
+the size of span{s e_j}, and the functional search on the form's gram all
+replace scans over pairs of elements.  Each scan is kept here as the
+oracle, and both must give the same sets, witnesses and first form.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from frobring import (
+    DegenerateFormError,
+    FrobeniusFunctional,
+    enumerate_forms,
+    find_frobenius_functional,
+    is_frobenius_socle,
+    ring_from_table,
+    ring_group_algebra,
+    ring_matrix,
+    ring_product,
+    ring_zn,
+    span,
+)
+from frobring.catalog import corpus_rings, gf4, z2_quotient_x3_minus_1
+from frobring.finring import FiniteRing
+
+
+# -- constructed rings from the benchmark's families ---------------------------
+
+
+def unit_vector(length, at):
+    return [1 if t == at else 0 for t in range(length)]
+
+
+def truncated(n, k):
+    """Z_n[x]/(x^k): Frobenius."""
+    mul = [[unit_vector(k, i + j) if i + j < k else [0] * k for j in range(k)]
+           for i in range(k)]
+    return ring_from_table(n, [n] * k, mul, unit_vector(k, 0))
+
+
+def square_zero(p, k):
+    """Z_p[u_1..u_k]/(u)^2: not Frobenius for k >= 2."""
+    r = k + 1
+    mul = [[unit_vector(r, j) for j in range(r)]]
+    mul += [[unit_vector(r, i)] + [[0] * r] * k for i in range(1, r)]
+    return ring_from_table(p, [p] * r, mul, unit_vector(r, 0))
+
+
+def upper_triangular(n, t):
+    """T_t(Z_n) on the matrix units E_ab, a <= b: not Frobenius for t >= 2."""
+    units = [(a, b) for a in range(t) for b in range(a, t)]
+    r = len(units)
+    mul = [[unit_vector(r, units.index((a, d))) if b == c else [0] * r for (c, d) in units]
+           for (a, b) in units]
+    return ring_from_table(n, [n] * r, mul, [1 if a == b else 0 for (a, b) in units])
+
+
+def dihedral_cayley(k):
+    """D_k as pairs (s, r) meaning s-fold reflection after rotation r."""
+    elems = list(product(range(2), range(k)))
+
+    def compose(x, y):
+        return ((x[0] + y[0]) % 2, ((-1) ** y[0] * x[1] + y[1]) % k)
+
+    return [[elems.index(compose(x, y)) for y in elems] for x in elems]
+
+
+def constructed_rings():
+    z2, z3, z4 = ring_zn(2), ring_zn(3), ring_zn(4)
+    return {
+        "M2(Z4)": ring_matrix(z4, 2),
+        "Z2[D4]": ring_group_algebra(2, dihedral_cayley(4)),
+        "T2(Z6)": upper_triangular(6, 2),
+        "T3(Z2)": upper_triangular(2, 3),
+        "Z2[u1..u3]/(u)^2": square_zero(2, 3),
+        "Z3[x]/(x^4)": truncated(3, 4),
+        "Z3 x T2(Z2)": ring_product(z3, upper_triangular(2, 2)),
+        "M2(Z2) x Z2[u1,u2]/(u)^2": ring_product(ring_matrix(z2, 2), square_zero(2, 2)),
+        "Z2[D3]": ring_group_algebra(2, dihedral_cayley(3)),
+    }
+
+
+def all_rings():
+    rings = dict(corpus_rings())  # Z1 (one = zero) .. Z12 and the catalog rings
+    rings["GF4"] = gf4()
+    rings["Z2[x]/(x^3-1)"] = z2_quotient_x3_minus_1().as_finite_ring()
+    rings.update(constructed_rings())
+    return rings
+
+
+RINGS = all_rings()
+NAMES = list(RINGS)
+# the degeneracy witness of every form, on the rings small enough to try them all
+SMALL = [name for name in NAMES if RINGS[name].cardinality <= 64]
+
+
+def fresh(name: str) -> FiniteRing:
+    """A ring with empty caches, so that each route runs from scratch."""
+    ring = RINGS[name]
+    return FiniteRing(ring.shape, ring.mul_table, ring.one, cayley=ring.cayley)
+
+
+# -- the brute-force oracles -------------------------------------------------
+
+
+def units_oracle(ring):
+    elems = ring.elements()
+    return frozenset(a for a in elems
+                     if any(ring.mul(a, b) == ring.one == ring.mul(b, a) for b in elems))
+
+
+def nilpotents_oracle(ring):
+    def nilpotent(a):
+        x = a
+        for _ in range(ring.cardinality):
+            if x == ring.zero:
+                return True
+            x = ring.mul(x, a)
+        return x == ring.zero
+
+    return frozenset(a for a in ring.elements() if nilpotent(a))
+
+
+def radical_oracle(ring, units):
+    elems = ring.elements()
+    return frozenset(x for x in elems
+                     if all(ring.sub(ring.one, ring.mul(a, x)) in units for a in elems))
+
+
+def socle_oracle(ring, radical, side):
+    if side == "right":
+        return frozenset(x for x in ring.elements()
+                         if all(ring.mul(x, j) == ring.zero for j in radical))
+    return frozenset(x for x in ring.elements()
+                     if all(ring.mul(j, x) == ring.zero for j in radical))
+
+
+def right_generator_oracle(ring, socle):
+    elems = ring.elements()
+    for s in sorted(socle):
+        if frozenset(ring.mul(s, r) for r in elems) == socle:
+            return s
+    return None
+
+
+def kernels_oracle(ring, form):
+    elems = ring.elements()
+
+    def eps(a, b):
+        return form.evaluate(ring.mul(a, b))
+
+    first = frozenset(a for a in elems if all(eps(a, b) == 0 for b in elems))
+    second = frozenset(b for b in elems if all(eps(a, b) == 0 for a in elems))
+    return first, second
+
+
+def degeneracy_oracle(ring, form):
+    first, second = kernels_oracle(ring, form)
+    for side, kernel in (("right", first), ("left", second)):
+        if kernel - {ring.zero}:
+            return side, min(kernel - {ring.zero})
+    return None
+
+
+def functional_oracle(ring):
+    """The all-pairs search, with early exit on each kernel."""
+    elems, zero = ring.elements(), ring.zero
+    for form in enumerate_forms(ring.shape):
+        if any(a != zero and all(form.evaluate(ring.mul(a, b)) == 0 for b in elems)
+               for a in elems):
+            continue
+        if not any(b != zero and all(form.evaluate(ring.mul(a, b)) == 0 for a in elems)
+                   for b in elems):
+            return form.weights
+    return None
+
+
+# -- the structural routes agree ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_structure_matches_the_scans(name):
+    ring = fresh(name)
+    units = units_oracle(ring)
+    assert ring.units() == units
+    assert ring.nilpotents() == nilpotents_oracle(ring)
+    radical = radical_oracle(ring, units)
+    assert ring.jacobson_radical().elements == radical
+    for side in ("right", "left"):
+        assert ring.socle(side).elements == socle_oracle(ring, radical, side)
+    assert span(ring.radical_generators(), ring.shape) == radical
+    cert = is_frobenius_socle(ring)
+    right_soc, left_soc = ring.socle("right").elements, ring.socle("left").elements
+    size = ring.cardinality // len(radical)
+    right = right_generator_oracle(ring, right_soc) if len(right_soc) == size else None
+    left = (right_generator_oracle(ring.opposite(), left_soc)
+            if len(left_soc) == size else None)
+    assert (cert.right_witness, cert.left_witness) == (right, left)
+    assert cert.is_frobenius == (right is not None and left is not None)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_functional_search_matches_all_pairs(name):
+    ring = fresh(name)
+    found = find_frobenius_functional(ring)
+    assert (found.weights if found else None) == functional_oracle(ring)
+    assert (found is not None) == is_frobenius_socle(ring).is_frobenius
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_degenerate_form_error_matches_all_pairs(name):
+    ring = fresh(name)
+    for form in enumerate_forms(ring.shape):
+        expected = degeneracy_oracle(ring, form)
+        try:
+            FrobeniusFunctional(ring, form)
+        except DegenerateFormError as exc:
+            assert (exc.side, exc.witness) == expected, form.weights
+        else:
+            assert expected is None, form.weights
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_power_walk_in_any_visiting_order(seed):
+    """The walk's memo must give the same sets whichever element comes first."""
+    ring = fresh("M2(Z2) x Z2[u1,u2]/(u)^2")
+    units = units_oracle(ring)
+    order = list(ring.elements())
+    random.Random(seed).shuffle(order)
+    ring._elements = tuple(order)
+    assert ring.units() == units
+    assert ring.nilpotents() == nilpotents_oracle(ring)
+
+
+# -- work regression ---------------------------------------------------------
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """Counts FiniteRing.mul calls; monkeypatch restores the method."""
+    calls = [0]
+    original = FiniteRing.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(FiniteRing, "mul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])
+def test_no_quadratic_product_scan(name, mul_calls):
+    ring = fresh(name)  # validation multiplies basis elements
+    mul_calls[0] = 0
+    ring.units()
+    assert mul_calls[0] <= ring.cardinality
+    mul_calls[0] = 0
+    assert find_frobenius_functional(ring) is not None
+    assert mul_calls[0] == 0

@@ -11,6 +11,7 @@ from frobring.znmod import (
     enumerate_module,
     kernel_elements,
     span,
+    _check_power_cap,
 )
 
 
@@ -197,6 +198,15 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         list(enumerate_forms(big))
     assert len(list(enumerate_module(big, cap=1 << 21))) == 1 << 21
+
+
+def test_power_cap_never_forms_the_power():
+    _check_power_cap(4, 2, 16, "ambient module")  # exactly at the cap
+    with pytest.raises(EnumerationCapError, match="has 4\\^2 entries, cap is 15"):
+        _check_power_cap(4, 2, 15, "ambient module")
+    with pytest.raises(EnumerationCapError, match="has 2\\^1000000000 entries"):
+        _check_power_cap(2, 10**9, 1 << 20, "ambient module")
+    _check_power_cap(1, 10**12, 1, "ambient module")  # the zero ring: one vector
 
 
 # -- properties ------------------------------------------------------------
