@@ -241,7 +241,8 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
 
     Defaults to the side that pairs against the code's module structure:
     right orthogonal for a left code, left orthogonal for a right code.
-    The form must be nondegenerate (exhaustively checked, cached).
+    The form must be nondegenerate (both kernels checked, cached).  The
+    orthogonal is taken of an additive generating set of the codewords.
     """
     if form.ring != code.alphabet or form.m != code.m:
         raise ValueError("form and code live in different ambients")
@@ -252,8 +253,22 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
-    words = orthogonal(form, sorted(code.codewords), orth_side)
+    words = orthogonal(form, _additive_generators(code), orth_side)
     return LinearCode(code.alphabet, code.m, orth_side, (), words)
+
+
+def _additive_generators(code: LinearCode) -> list[Vector]:
+    """Codewords, in sorted order, each outside the additive span of those
+    kept before it: an additive generating set of the code, which has the
+    same orthogonals as the code on either side."""
+    add, zero = partial(_vadd, code.alphabet), (code.alphabet.zero,) * code.m
+    gens: list[Vector] = []
+    spanned = frozenset({zero})
+    for word in sorted(code.codewords):
+        if word not in spanned:
+            gens.append(word)
+            spanned = additive_closure(gens, add, zero)
+    return gens
 
 
 def identity_form(A: FiniteRing, m: int, cap: int = DEFAULT_CAP) -> AmbientForm:

@@ -516,11 +516,18 @@ def submodule_lattice(vectors, add, zero, scalars, act) -> list[frozenset]:
     Each submodule is the sum of the cyclic submodules {act(r, v)} of its
     members (cf. Wood, Amer. J. Math. 121, 1999), so the lattice is the
     additive closure of the cyclic submodules under I + C, from {zero}.
+    A sum is built one coset I + c at a time, skipping every c already in
+    it: I is a subgroup, so if c = i + c' then I + c = I + c'.  That makes
+    |I + C| additions instead of |I| * |C|.
     """
     def plus(I: frozenset, C: frozenset) -> frozenset:
         if C <= I:  # every member is a subgroup, so I + C = I
             return I
-        return frozenset(add(i, c) for i in I for c in C)
+        out = set(I)
+        for c in C:
+            if c not in out:
+                out.update(add(i, c) for i in I)
+        return frozenset(out)
 
     lattice = additive_closure(_cyclic_submodules(scalars, vectors, act), plus,
                                frozenset({zero}))

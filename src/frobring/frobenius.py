@@ -15,13 +15,17 @@ Side conventions, fixed once here and used everywhere:
   usual usage: right nondegenerate means the *first*-slot kernel
   {a : <a, -> = 0} is trivial, left nondegenerate means the second-slot
   kernel is trivial.
-* every orthogonal, kernel and annihilator is znmod.annihilated with the
-  pairing oriented so the candidate sits in its first slot; right-handed
-  annihilators in a ring are the left-handed ones of the opposite ring.
+* every orthogonal, kernel and annihilator takes the pairing oriented so
+  the candidate sits in its first slot; right-handed annihilators in a
+  ring are the left-handed ones of the opposite ring.
 
 Ambient forms <x, y> = sum_i,j x_i Q_ij y_j on A^m are the coding-theory
-face of the same machinery; their kernels are computed by exhaustive
-search, which is the package-wide ground truth for nondegeneracy.
+face of the same machinery.  A pairing is biadditive, so the orthogonal of
+a subset S is the kernel of the Z-linear map x |-> (<x, s>)_s, fixed by
+the images of the r*m basis vectors of A^m; orthogonals, functional
+orthogonals and both kernels of a form are one znmod.linear_kernel call.
+In the ring itself, annihilators and pairing kernels stay the
+znmod.annihilated scan, and the functional search scans the form's gram.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .znmod import (
     ZnLinearForm,
     annihilated,
     enumerate_forms,
+    linear_kernel,
     _check_power_cap,
 )
 from .finring import FiniteRing, Ideal
@@ -339,22 +344,47 @@ class AmbientForm:
                 out = self.ring.add(out, self.ring.mul(self.ring.mul(xi, row[j]), yj))
         return out
 
+    def basis_vectors(self) -> list[Vector]:
+        """The r*m additive basis vectors of A^m (e_i in one position,
+        zero elsewhere), position-major, after the ambient cap check."""
+        _check_power_cap(self.ring.cardinality, self.m, self.cap, "ambient module")
+        zero = self.ring.zero
+        return [tuple(self.ring.basis(i) if q == p else zero for q in range(self.m))
+                for p in range(self.m) for i in range(self.ring.rank)]
+
     def left_kernel(self) -> frozenset[Vector]:
-        """First-slot kernel {x : <x, y> = 0 for all y}, by full search."""
+        """First-slot kernel {x : <x, y> = 0 for all y}: by biadditivity,
+        the left orthogonal of the basis vectors."""
         if self._left_kernel is None:
-            self._left_kernel = orthogonal(self, self.vectors(), "left")
+            self._left_kernel = orthogonal(self, self.basis_vectors(), "left")
         return self._left_kernel
 
     def right_kernel(self) -> frozenset[Vector]:
-        """Second-slot kernel {y : <x, y> = 0 for all x}, by full search."""
+        """Second-slot kernel {y : <x, y> = 0 for all x}: the right
+        orthogonal of the basis vectors."""
         if self._right_kernel is None:
-            self._right_kernel = orthogonal(self, self.vectors(), "right")
+            self._right_kernel = orthogonal(self, self.basis_vectors(), "right")
         return self._right_kernel
 
     def is_nondegenerate(self, side: str = "both") -> bool:
         """'right' checks the first-slot kernel, 'left' the second-slot."""
         kernels = (self.left_kernel, self.right_kernel)
         return _degeneracy(side, kernels, (self.ring.zero,) * self.m) is None
+
+
+def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
+                       value: Callable, orders: tuple[int, ...]) -> frozenset[Vector]:
+    """{x : value(<x, s>) = 0 for all s}, with x in the named slot, as one
+    linear_kernel call.  The map x |-> (value(<x, s>))_s is Z-linear, so it
+    is fixed by the images of the r*m basis vectors of A^m; value is
+    additive, with values in the coordinates of the given orders."""
+    basis = form.basis_vectors()
+    pairing = _oriented(form.pairing, side)
+    subset = list(subset)
+    images = [tuple(c for s in subset for c in value(pairing(b, s))) for b in basis]
+    R, m = form.ring, form.m
+    flat = linear_kernel(R.shape.orders * m, images, orders * len(subset))
+    return frozenset(tuple(x[p * R.rank:(p + 1) * R.rank] for p in range(m)) for x in flat)
 
 
 def orthogonal(
@@ -365,8 +395,7 @@ def orthogonal(
     side='left' gives {x : <x, s> = 0 for all s}, side='right' gives
     {y : <s, y> = 0 for all s}.
     """
-    pairing = _oriented(form.pairing, side)
-    return annihilated(form.vectors(), subset, pairing, form.ring.zero)
+    return _linear_orthogonal(form, subset, side, lambda a: a, form.ring.shape.orders)
 
 
 def functional_orthogonal(
@@ -378,5 +407,5 @@ def functional_orthogonal(
     ring-valued orthogonal on submodules of the matching side.
     """
     eps = _as_form(functional)
-    pairing = _oriented(form.pairing, side)
-    return annihilated(form.vectors(), subset, lambda x, s: eps.evaluate(pairing(x, s)))
+    return _linear_orthogonal(form, subset, side, lambda a: (eps.evaluate(a),),
+                              (form.ring.characteristic,))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .znmod import DEFAULT_CAP, Element, ModuleShape, ZnLinearForm, _check_cap
+from .znmod import DEFAULT_CAP, Element, ModuleShape, ZnLinearForm, _check_power_cap
 from .finring import FiniteRing
 from .frobenius import FrobeniusFunctional, _as_form
 
@@ -277,7 +277,7 @@ class SkewQuotient:
         return tuple(out)
 
     def elements(self) -> Iterator[QElement]:
-        _check_cap(self.cardinality, self.cap, "skew quotient")
+        _check_power_cap(self.base.cardinality, self.m, self.cap, "skew quotient")
         return product(self.base.elements(), repeat=self.m)
 
     def reduce_poly(self, coeffs: Sequence[Element]) -> QElement:
@@ -335,7 +335,7 @@ class SkewQuotient:
         The additive orders of A repeat once per degree; the FiniteRing
         constructor re-validates associativity, units and characteristic.
         """
-        _check_cap(self.cardinality, self.cap, "skew quotient")
+        _check_power_cap(self.base.cardinality, self.m, self.cap, "skew quotient")
         return self._table_ring()
 
     def _table_ring(self) -> FiniteRing:

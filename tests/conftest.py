@@ -14,7 +14,7 @@ from frobring.catalog import (
 )
 from frobring.finring import ring_group_algebra
 
-settings.register_profile("suite", deadline=None, max_examples=60)
+settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
 
 

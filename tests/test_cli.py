@@ -333,8 +333,18 @@ def test_skew_build_over_the_cap_exits_1(tmp_path, capsys):
         "kind": "skew_quotient", "base": {"kind": "zn", "n": 2},
         "modulus": [[1], [0], [0], [1]]})
     assert main(["skew", "build", spec, "--cap", "4"]) == 1
-    assert capsys.readouterr().err.startswith("error: skew quotient has 8 entries")
+    assert capsys.readouterr().err.startswith("error: skew quotient has 2^3 entries")
     assert main(["skew", "build", spec, "--cap", "8"]) == 0
+
+
+def test_huge_skew_quotient_exits_1_with_the_cap_message(tmp_path, capsys):
+    spec = write(tmp_path, "z2c20000.json", {
+        "kind": "skew_quotient", "base": {"kind": "zn", "n": 2},
+        "modulus": [[1]] + [[0]] * 19999 + [[1]]})
+    for command in (["skew", "build"], ["ring", "validate"]):
+        assert main([*command, spec]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: skew quotient has 2^20000 entries, cap is 1048576")
 
 
 def test_cap_flag_limits_enumeration(tmp_path, capsys):

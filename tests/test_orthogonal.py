@@ -1,0 +1,201 @@
+"""Ambient orthogonals, kernels and duals against the full-ambient scan.
+
+orthogonal, functional_orthogonal, both AmbientForm kernels and dual solve
+a linear map over the r*m basis vectors of A^m.  The scan they replace,
+annihilated over every vector of A^m, is kept here as the oracle: each
+route must give the same sets, and a degenerate form the same
+DegenerateFormError side and smallest witness.
+"""
+
+import random
+from functools import partial
+from itertools import product
+
+import pytest
+
+from frobring import ring_matrix, ring_zn
+from frobring.catalog import gf4
+from frobring.codes import LinearCode, _vadd, dual, submodule_codes
+from frobring.frobenius import (
+    AmbientForm,
+    DegenerateFormError,
+    _degeneracy,
+    _oriented,
+    find_frobenius_functional,
+    functional_orthogonal,
+    orthogonal,
+)
+from frobring.znmod import EnumerationCapError, additive_closure, annihilated
+
+SIDES = ("left", "right")
+
+
+def orthogonal_oracle(form, subset, side, value=lambda a: a):
+    pairing = _oriented(form.pairing, side)
+    zero = value(form.ring.zero)
+    return annihilated(form.vectors(), subset, lambda x, s: value(pairing(x, s)), zero)
+
+
+def degeneracy_oracle(form):
+    kernels = tuple(partial(orthogonal_oracle, form, list(form.vectors()), side)
+                    for side in SIDES)
+    return _degeneracy("both", kernels, (form.ring.zero,) * form.m)
+
+
+# -- ambients and grams --------------------------------------------------------
+
+
+def m2f2_units():
+    R = ring_matrix(ring_zn(2), 2)
+    nonunits = [a for a in R.elements() if a != R.zero and not R.is_unit(a)]
+    return R, min(R.units() - {R.one}), min(nonunits)
+
+
+def ambients():
+    """(label, ring, m, {gram label: matrix}) for each ambient."""
+    z4, f3, z6, f4 = ring_zn(4), ring_zn(3), ring_zn(6), gf4()
+    w, w2 = (0, 1), (1, 1)  # w^2 = 1 + w in GF4
+    one, zero = (1, 0), (0, 0)
+    m2, unit, nonunit = m2f2_units()
+
+    def zn_grams(n):
+        return {
+            "identity": [[(1,), (0,)], [(0,), (1,)]],
+            "monomial": [[(0,), (n - 1,)], [(1,), (0,)]],
+            "non-monomial": [[(1,), (1,)], [(0,), (1,)]],
+            "zero row": [[(1,), (1,)], [(0,), (0,)]],
+        }
+
+    return [
+        ("Z4^2", z4, 2, {**zn_grams(4), "2 on the diagonal": [[(2,), (0,)], [(0,), (1,)]]}),
+        ("GF4^2", f4, 2, {
+            "identity": [[one, zero], [zero, one]],
+            "monomial": [[zero, w], [w2, zero]],
+            "non-monomial": [[one, w], [zero, one]],
+            "zero row": [[zero, zero], [w, one]],
+            "rank-deficient": [[one, w], [w, w2]],
+        }),
+        ("F3^2", f3, 2, zn_grams(3)),
+        ("Z6^2", z6, 2, zn_grams(6)),
+        ("M2(F2)^1", m2, 1, {
+            "identity": [[m2.one]],
+            "monomial": [[unit]],
+            "zero row": [[m2.zero]],
+            "non-unit": [[nonunit]],
+        }),
+    ]
+
+
+CASES = [(label, gram_label) for label, _, _, grams in ambients() for gram_label in grams]
+AMBIENTS = {label: (ring, m, grams) for label, ring, m, grams in ambients()}
+
+
+def subsets(ring, m):
+    """Every left, right and additive submodule of A^m as a code, plus
+    seeded random subsets that are not subgroups."""
+    codes = {}
+    for side in ("left", "right", "additive"):
+        for code in submodule_codes(ring, m, side):
+            codes.setdefault(code.codewords, code)
+    vectors = list(product(ring.elements(), repeat=m))
+    rng = random.Random(6)
+    add, zero = partial(_vadd, ring), (ring.zero,) * m
+    loose = []
+    while len(loose) < 4:
+        subset = frozenset(rng.sample(vectors, rng.randint(1, 5)))
+        if additive_closure(subset, add, zero) != subset:
+            loose.append(subset)
+    return list(codes.values()), loose
+
+
+@pytest.mark.parametrize("label, gram_label", CASES)
+def test_orthogonals_match_the_full_scan(label, gram_label):
+    ring, m, grams = AMBIENTS[label]
+    form = AmbientForm(ring, m, grams[gram_label])
+    eps = find_frobenius_functional(ring)
+    codes, loose = subsets(ring, m)
+    for subset in [code.codewords for code in codes] + loose:
+        for side in SIDES:
+            assert orthogonal(form, subset, side) == orthogonal_oracle(form, subset, side)
+            assert functional_orthogonal(form, eps, subset, side) == orthogonal_oracle(
+                form, subset, side, eps.evaluate)
+
+
+@pytest.mark.parametrize("label, gram_label", CASES)
+def test_kernels_and_duals_match_the_full_scan(label, gram_label):
+    ring, m, grams = AMBIENTS[label]
+    form = AmbientForm(ring, m, grams[gram_label])
+    everything = list(form.vectors())
+    assert form.left_kernel() == orthogonal_oracle(form, everything, "left")
+    assert form.right_kernel() == orthogonal_oracle(form, everything, "right")
+    bad = degeneracy_oracle(form)
+    assert form.is_nondegenerate() is (bad is None)
+    for code in subsets(ring, m)[0]:
+        for side in (None, *SIDES):
+            if bad is not None:
+                with pytest.raises(DegenerateFormError) as err:
+                    dual(code, form, side)
+                assert (err.value.side, err.value.witness) == bad
+                continue
+            expected_side = side or ("left" if code.side == "right" else "right")
+            words = orthogonal_oracle(form, sorted(code.codewords), expected_side)
+            d = dual(code, form, side)
+            assert (d.side, d.codewords) == (expected_side, words)
+            if side is None and code.side != "additive":
+                assert code.cardinality * d.cardinality == ring.cardinality ** m
+
+
+def test_degenerate_grams_are_covered():
+    degenerate = {(label, g) for label, g in CASES
+                  if degeneracy_oracle(AmbientForm(AMBIENTS[label][0], AMBIENTS[label][1],
+                                                   AMBIENTS[label][2][g])) is not None}
+    assert degenerate == {("Z4^2", "zero row"), ("Z4^2", "2 on the diagonal"),
+                          ("GF4^2", "zero row"), ("GF4^2", "rank-deficient"),
+                          ("F3^2", "zero row"), ("Z6^2", "zero row"),
+                          ("M2(F2)^1", "zero row"), ("M2(F2)^1", "non-unit")}
+
+
+# -- work regression -----------------------------------------------------------
+
+
+@pytest.fixture
+def pairing_calls(monkeypatch):
+    """Counts AmbientForm.pairing calls; monkeypatch restores the method."""
+    calls = [0]
+    original = AmbientForm.pairing
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(AmbientForm, "pairing", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (2, 12)])
+def test_dual_never_scans_the_ambient(n, m, pairing_calls):
+    ring = ring_zn(n)
+    gens = [[(1,)] * m, [(0,), (1,)] * (m // 2)]
+    code = LinearCode.generate(ring, m, gens, "left")
+    identity = [[(1,) if i == j else (0,) for j in range(m)] for i in range(m)]
+    d = dual(code, AmbientForm(ring, m, identity))
+    assert pairing_calls[0] < n ** m // 8
+    assert d.cardinality == n ** m // code.cardinality
+    # both kernels pair basis against basis; each additive generator the
+    # greedy choice keeps at least doubles the span, so there are at most
+    # log2 |C| of them, each paired with every basis vector
+    assert pairing_calls[0] <= 2 * m * m + m * (code.cardinality.bit_length() - 1)
+
+
+def test_cap_is_checked_before_any_pairing(pairing_calls):
+    z4 = ring_zn(4)
+    form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]], cap=15)
+    code = LinearCode.generate(z4, 2, [[(1,), (1,)]])
+    eps = find_frobenius_functional(z4)
+    calls = [form.left_kernel, form.right_kernel, lambda: dual(code, form),
+             lambda: orthogonal(form, code.codewords, "left"),
+             lambda: functional_orthogonal(form, eps, code.codewords, "right")]
+    for call in calls:
+        with pytest.raises(EnumerationCapError, match="ambient module has 4\\^2 entries, cap is 15"):
+            call()
+    assert pairing_calls[0] == 0

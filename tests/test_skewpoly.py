@@ -312,6 +312,13 @@ def test_mul_answers_above_the_cap():
     assert q.mul(x, x) == ((0,), (0,), (1,))
 
 
+def test_huge_quotient_hits_the_cap_without_forming_its_size():
+    q = cyclic_quotient(2, 20000)
+    for call in (q.elements, q.as_finite_ring):
+        with pytest.raises(EnumerationCapError, match="skew quotient has 2\\^20000 entries"):
+            call()
+
+
 # -- the quotient as a finite ring -----------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Module shapes, linear forms, spans and brute-force kernels."""
 
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,9 @@ from frobring.znmod import (
     ZnLinearForm,
     enumerate_forms,
     enumerate_module,
+    annihilated,
     kernel_elements,
+    linear_kernel,
     span,
     _check_power_cap,
 )
@@ -186,6 +190,52 @@ def test_kernel_with_distinct_shapes():
     pair = lambda x, y: (2 * x[0] * y[0]) % 4
     assert kernel_elements(pair, left, right) == {(0,)}
     assert kernel_elements(lambda x, y: 0, left, right) == {(0,), (1,)}
+
+
+@st.composite
+def linear_maps(draw):
+    """(domain orders, images, codomain orders) with orders dividing one n;
+    order-1 coordinates, rank 0 on either side and zero images included."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    domain = draw(st.lists(st.sampled_from(divisors), max_size=6))
+    codomain = draw(st.lists(st.sampled_from(divisors), max_size=3))
+    image = st.tuples(*(st.integers(0, q - 1) for q in codomain))
+    images = draw(st.lists(image, min_size=len(domain), max_size=len(domain)))
+    return domain, images, codomain
+
+
+def kernel_oracle(domain, images, codomain):
+    """The brute-force filter: every element of the domain, each codomain
+    coordinate checked by annihilated, sorted into lexicographic order."""
+    def coordinate(x, j):
+        return sum(c * v[j] for c, v in zip(x, images)) % codomain[j]
+    candidates = enumerate_module(ModuleShape(lcm(*domain), domain))
+    return sorted(annihilated(candidates, range(len(codomain)), coordinate))
+
+
+@given(linear_maps())
+def test_linear_kernel_matches_the_scan(case):
+    assert list(linear_kernel(*case)) == kernel_oracle(*case)
+
+
+@pytest.mark.parametrize("case", [
+    ((), [], ()),                               # rank 0: the zero element
+    ((), [], (4,)),
+    ((4, 2), [(), ()], ()),                     # zero codomain: everything
+    ((4, 1, 2), [(0, 0), (0, 0), (0, 0)], (4, 2)),  # zero images
+    ((4,), [(2,)], (4,)),                       # rank 1
+    ((2, 2, 4), [(1, 1), (0, 1), (2, 2)], (2, 4)),
+])
+def test_linear_kernel_edge_cases(case):
+    assert list(linear_kernel(*case)) == kernel_oracle(*case)
+
+
+def test_linear_kernel_needs_an_image_per_coordinate():
+    with pytest.raises(ValueError):
+        list(linear_kernel((2, 2), [(1,)], (2,)))
+    with pytest.raises(ValueError):
+        list(linear_kernel((2,), [(1, 1)], (2,)))
 
 
 # -- caps ------------------------------------------------------------------
