@@ -30,11 +30,13 @@ from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
-from .znmod import DEFAULT_CAP, Element, _check_power_cap, additive_closure, annihilated
+from .znmod import (DEFAULT_CAP, Element, ZnLinearForm, _check_power_cap, additive_closure,
+                    additive_generators)
 from .finring import (
     FiniteRing,
     is_left_ideal,
     left_ideals,
+    ring_orthogonal,
     submodule_lattice,
     submodule_violation,
 )
@@ -42,9 +44,9 @@ from .frobenius import (
     AmbientForm,
     DegenerateFormError,
     Vector,
-    _as_form,
     _degeneracy,
-    _oriented,
+    functional_left_orthogonal,
+    functional_right_orthogonal,
     orthogonal,
 )
 from .skewpoly import SkewQuotient
@@ -253,22 +255,8 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
-    words = orthogonal(form, _additive_generators(code), orth_side)
-    return LinearCode(code.alphabet, code.m, orth_side, (), words)
-
-
-def _additive_generators(code: LinearCode) -> list[Vector]:
-    """Codewords, in sorted order, each outside the additive span of those
-    kept before it: an additive generating set of the code, which has the
-    same orthogonals as the code on either side."""
-    add, zero = partial(_vadd, code.alphabet), (code.alphabet.zero,) * code.m
-    gens: list[Vector] = []
-    spanned = frozenset({zero})
-    for word in sorted(code.codewords):
-        if word not in spanned:
-            gens.append(word)
-            spanned = additive_closure(gens, add, zero)
-    return gens
+    gens = additive_generators(code.codewords, partial(_vadd, code.alphabet), zero_vec)
+    return LinearCode(code.alphabet, code.m, orth_side, (), orthogonal(form, gens, orth_side))
 
 
 def identity_form(A: FiniteRing, m: int, cap: int = DEFAULT_CAP) -> AmbientForm:
@@ -410,25 +398,17 @@ def skew_cyclic_dual_report(
     """Check the duality bridge for one left ideal V of the quotient.
 
     The Euclidean dual here is {f : sum_i f_i g_i = 0 for all g in V},
-    i.e. the first-slot orthogonal; it must equal the first-slot
-    orthogonal of reversal(V) under the pairing (g, t) |-> eps((g t)_0),
-    and must itself be skew-cyclic.
+    i.e. the first-slot orthogonal under the identity form; it must equal
+    the first-slot orthogonal of reversal(V) under the pairing
+    (g, t) |-> eps((g t)_0), and must itself be skew-cyclic.
     """
-    base = quotient.base
-    eps = _as_form(base_functional)
+    lifted = quotient.lifted_form(base_functional)
     V = frozenset(V)
-    vectors = list(quotient.elements())
-    zero = base.zero
-
-    def euclid(f: Vector, g: Vector) -> Element:
-        out = zero
-        for a, b in zip(f, g):
-            out = base.add(out, base.mul(a, b))
-        return out
-
-    e_dual = annihilated(vectors, V, euclid, zero)
-    reversed_V = [quotient.reversal(v) for v in sorted(V)]
-    r_orth = annihilated(vectors, reversed_V, lambda g, t: eps.evaluate(quotient.mul(g, t)[0]))
+    gens = additive_generators(V, quotient.add, quotient.zero)
+    e_dual = orthogonal(identity_form(quotient.base, quotient.m, quotient.cap), gens, "left")
+    reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
+    r_orth = frozenset(quotient.unflatten(g) for g in functional_left_orthogonal(
+        quotient.as_finite_ring(), lifted, reversed_gens))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
         dual_is_skew_cyclic=is_skew_cyclic(e_dual, quotient),
@@ -451,21 +431,14 @@ class GroupAlgebraDualReport:
 
 def group_inversion(R: FiniteRing, a: Element) -> Element:
     """Support inversion sum a_g g |-> sum a_g g^{-1} of a group algebra."""
-    inv = _inversion_permutation(R)
-    return tuple(a[inv[s]] for s in range(R.rank))
+    return tuple(a[i] for i in _inversion_permutation(R))
 
 
 def _inversion_permutation(R: FiniteRing) -> list[int]:
     if R.cayley is None:
         raise ValueError("alphabet is not a group algebra (no Cayley table attached)")
-    g = R.rank
-    identity = next(
-        e for e in range(g) if all(R.cayley[e][x] == x for x in range(g))
-    )
-    inv = [0] * g
-    for a in range(g):
-        inv[a] = next(b for b in range(g) if R.cayley[a][b] == identity)
-    return inv
+    identity = next(e for e, row in enumerate(R.cayley) if row[e] == e)  # the one idempotent
+    return [row.index(identity) for row in R.cayley]
 
 
 def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgebraDualReport:
@@ -479,20 +452,11 @@ def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgeb
     """
     inv = _inversion_permutation(R)
     n = R.characteristic
-    S = sorted(frozenset(S))
-    elems = R.elements()
-
-    def euclid(a: Element, b: Element) -> int:
-        return sum(x * y for x, y in zip(a, b)) % n
-
-    def algebra_pairing(a: Element, b: Element) -> int:
-        return sum(a[t] * b[inv[t]] for t in range(R.rank)) % n
-
-    e_dual = annihilated(elems, S, _oriented(euclid, "right"))
-    r_orth = annihilated(elems, S, _oriented(algebra_pairing, "right"))
-    inverted = frozenset(
-        tuple(b[inv[s]] for s in range(R.rank)) for b in r_orth
-    )
+    gens = additive_generators(S, R.add, R.zero)
+    e_dual = ring_orthogonal(R, gens, lambda b, s: (sum(x * y for x, y in zip(b, s)) % n,), (n,))
+    eps = ZnLinearForm(R.shape, R.one)  # the coefficient of the identity, as 1 is its basis vector
+    r_orth = functional_right_orthogonal(R, eps, gens)
+    inverted = frozenset(tuple(b[i] for i in inv) for b in r_orth)
     return GroupAlgebraDualReport(
         dual_matches_inverted_orthogonal=e_dual == inverted,
         dual_is_left_ideal=is_left_ideal(R, e_dual),

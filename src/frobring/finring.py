@@ -20,7 +20,7 @@ pairs of elements:
   every a), and candidates inside the additive span of the members found
   so far are skipped; that span's generators are kept;
 * socles are the annihilators of those radical generators, which by
-  bilinearity is the annihilator of the whole radical;
+  bilinearity is the annihilator of the whole radical (ring_orthogonal);
 * the Frobenius test looks for a single socle generator on each side,
   comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
   the socle by size.
@@ -43,8 +43,8 @@ from .znmod import (
     EnumerationCapError,
     ModuleShape,
     additive_closure,
-    annihilated,
     enumerate_module,
+    orthogonal_kernel,
 )
 
 
@@ -274,7 +274,7 @@ class FiniteRing:
             raise ValueError(f"bad socle side {side!r}")
         if side not in self._socles:
             ring = self if side == "right" else self.opposite()
-            soc = annihilated(self.elements(), self.radical_generators(), ring.mul, self.zero)
+            soc = ring_orthogonal(self, self.radical_generators(), ring.mul, self.shape.orders)
             self._socles[side] = Ideal(side, soc)
         return self._socles[side]
 
@@ -474,6 +474,13 @@ def ring_group_algebra(
 
 
 # -- ideal machinery -------------------------------------------------------
+
+
+def ring_orthogonal(ring: FiniteRing, gens, pairing, codomain) -> frozenset[Element]:
+    """{a : pairing(a, g) = 0 for every g in gens}, by rank * |gens| pairings;
+    for a biadditive pairing, the orthogonal of everything gens span."""
+    basis = [ring.basis(i) for i in range(ring.rank)]
+    return frozenset(orthogonal_kernel(ring.shape.orders, basis, gens, pairing, codomain))
 
 
 def submodule_violation(elems, add, zero, scalars, act):

@@ -19,13 +19,12 @@ Side conventions, fixed once here and used everywhere:
   the candidate sits in its first slot; right-handed annihilators in a
   ring are the left-handed ones of the opposite ring.
 
-Ambient forms <x, y> = sum_i,j x_i Q_ij y_j on A^m are the coding-theory
-face of the same machinery.  A pairing is biadditive, so the orthogonal of
-a subset S is the kernel of the Z-linear map x |-> (<x, s>)_s, fixed by
-the images of the r*m basis vectors of A^m; orthogonals, functional
-orthogonals and both kernels of a form are one znmod.linear_kernel call.
-In the ring itself, annihilators and pairing kernels stay the
-znmod.annihilated scan, and the functional search scans the form's gram.
+A pairing is biadditive, so the orthogonal of a subset S is the kernel of
+the Z-linear map x |-> (<x, s>)_s over an additive generating set of S:
+annihilators, functional orthogonals, and for ambient forms on A^m the
+orthogonals and kernels are each one znmod.orthogonal_kernel call on the
+images of the basis vectors.  Pairing kernels in the ring are read off the
+pairing's gram (_gram_kernel), lazily, as the search stops early.
 """
 
 from __future__ import annotations
@@ -38,12 +37,12 @@ from .znmod import (
     DEFAULT_CAP,
     Element,
     ZnLinearForm,
-    annihilated,
+    additive_generators,
     enumerate_forms,
-    linear_kernel,
+    orthogonal_kernel,
     _check_power_cap,
 )
-from .finring import FiniteRing, Ideal
+from .finring import FiniteRing, Ideal, ring_orthogonal
 
 Vector = tuple[Element, ...]
 
@@ -57,22 +56,28 @@ class DegenerateFormError(ValueError):
         super().__init__(f"pairing is degenerate ({side} kernel contains {witness!r})")
 
 
-def _as_form(functional) -> ZnLinearForm:
-    return functional.form if isinstance(functional, FrobeniusFunctional) else functional
+def _as_form(ring: FiniteRing, functional) -> ZnLinearForm:
+    form = functional.form if isinstance(functional, FrobeniusFunctional) else functional
+    if form.shape != ring.shape:
+        raise ValueError("form is not defined on the ring's module")
+    return form
 
 
 def pairing_of_functional(ring: FiniteRing, functional) -> Callable[[Element, Element], int]:
     """The multiplication pairing (a, b) |-> eps(a * b) as a callable."""
-    form = _as_form(functional)
+    form = _as_form(ring, functional)
     return lambda a, b: form.evaluate(ring.mul(a, b))
 
 
 def pairing_from_gram(ring: FiniteRing, gram: Sequence[Sequence[int]]) -> Callable:
-    """Z_n-bilinear pairing on the ring's module from a gram matrix."""
+    """Z_n-bilinear pairing on the ring's module from a gram matrix, whose
+    rows and columns must be ZnLinearForm weights: d_i g_ij = d_j g_ij = 0."""
     n = ring.characteristic
     g = [tuple(int(v) % n for v in row) for row in gram]
     if len(g) != ring.rank or any(len(row) != ring.rank for row in g):
         raise ValueError("gram matrix must be rank x rank")
+    for weights in (*g, *zip(*g)):
+        ZnLinearForm(ring.shape, weights)
 
     def pairing(a: Element, b: Element) -> int:
         return sum(ai * g[i][j] * bj for i, ai in enumerate(a) for j, bj in enumerate(b)) % n
@@ -91,11 +96,12 @@ def _oriented(pairing: Callable, side: str) -> Callable:
 
 
 def pairing_kernel(ring: FiniteRing, pairing: Callable, slot: str) -> frozenset[Element]:
-    """Kernel of a Z_n-valued pairing on R x R in the named slot."""
+    """Kernel of a Z_n-valued pairing on R x R in the named slot.  The
+    pairing must be Z-bilinear: this is _gram_kernel of its basis gram."""
     if slot not in ("first", "second"):
         raise ValueError(f"bad slot {slot!r}")
-    elems = ring.elements()
-    return annihilated(elems, elems, _oriented(pairing, "left" if slot == "first" else "right"))
+    basis = [ring.basis(i) for i in range(ring.rank)]
+    return frozenset(_gram_kernel(ring, [[pairing(a, b) for b in basis] for a in basis], slot))
 
 
 def _degeneracy(side: str, kernels: tuple[Callable, Callable], zero):
@@ -131,7 +137,8 @@ def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> 
 
 
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
-    """side='right' means the first-slot kernel is trivial; 'left' the second."""
+    """side='right' means the first-slot kernel is trivial; 'left' the
+    second.  The pairing must be Z-bilinear, as for pairing_kernel."""
     kernels = (lambda: pairing_kernel(ring, pairing, "first"),
                lambda: pairing_kernel(ring, pairing, "second"))
     return _degeneracy(side, kernels, ring.zero) is None
@@ -158,10 +165,8 @@ class FrobeniusFunctional:
     """A linear form whose multiplication pairing is nondegenerate both ways."""
 
     def __init__(self, ring: FiniteRing, form: ZnLinearForm, *, check: bool = True):
-        if form.shape != ring.shape:
-            raise ValueError("form is not defined on the ring's module")
         self.ring = ring
-        self.form = form
+        self.form = _as_form(ring, form)
         if check:
             gram = self.gram()
             kernels = (lambda: frozenset(_gram_kernel(ring, gram, "first")),
@@ -247,7 +252,7 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
     associativity item depends only on associativity of the ring product,
     so it holds even for degenerate forms.
     """
-    form = _as_form(functional)
+    form = _as_form(ring, functional)
     elems = ring.elements()
     all_weights = {f.weights for f in enumerate_forms(ring.shape, ring.cap)}
 
@@ -272,7 +277,8 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
 
 def left_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
     """{a : a * s = 0 for all s in the subset}; always a left ideal."""
-    return Ideal("left", annihilated(ring.elements(), subset, ring.mul, ring.zero))
+    gens = additive_generators(subset, ring.add, ring.zero)
+    return Ideal("left", ring_orthogonal(ring, gens, ring.mul, ring.shape.orders))
 
 
 def right_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
@@ -285,7 +291,9 @@ def functional_left_orthogonal(
 ) -> frozenset[Element]:
     """{a : eps(a * s) = 0 for all s}.  For a Frobenius eps and a right
     ideal this coincides with the left annihilator."""
-    return annihilated(ring.elements(), subset, pairing_of_functional(ring, functional))
+    pairing = pairing_of_functional(ring, functional)
+    gens = additive_generators(subset, ring.add, ring.zero)
+    return ring_orthogonal(ring, gens, lambda a, s: (pairing(a, s),), (ring.characteristic,))
 
 
 def functional_right_orthogonal(
@@ -374,16 +382,13 @@ class AmbientForm:
 
 def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
                        value: Callable, orders: tuple[int, ...]) -> frozenset[Vector]:
-    """{x : value(<x, s>) = 0 for all s}, with x in the named slot, as one
-    linear_kernel call.  The map x |-> (value(<x, s>))_s is Z-linear, so it
-    is fixed by the images of the r*m basis vectors of A^m; value is
-    additive, with values in the coordinates of the given orders."""
-    basis = form.basis_vectors()
+    """{x : value(<x, s>) = 0 for all s}, with x in the named slot: the
+    orthogonal_kernel over the r*m basis vectors of A^m, cut back into m
+    ring elements.  value is additive, with values in the given orders."""
     pairing = _oriented(form.pairing, side)
-    subset = list(subset)
-    images = [tuple(c for s in subset for c in value(pairing(b, s))) for b in basis]
     R, m = form.ring, form.m
-    flat = linear_kernel(R.shape.orders * m, images, orders * len(subset))
+    flat = orthogonal_kernel(R.shape.orders * m, form.basis_vectors(), subset,
+                             lambda b, s: value(pairing(b, s)), orders)
     return frozenset(tuple(x[p * R.rank:(p + 1) * R.rank] for p in range(m)) for x in flat)
 
 
@@ -406,6 +411,6 @@ def functional_orthogonal(
     For a Frobenius functional on the alphabet this agrees with the
     ring-valued orthogonal on submodules of the matching side.
     """
-    eps = _as_form(functional)
+    eps = _as_form(form.ring, functional)
     return _linear_orthogonal(form, subset, side, lambda a: (eps.evaluate(a),),
                               (form.ring.characteristic,))

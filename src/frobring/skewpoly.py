@@ -372,18 +372,21 @@ class SkewQuotient:
         failure raises InternalConsistencyError rather than passing
         silently.
         """
-        base_form = _as_form(base_functional)
         if not isinstance(base_functional, FrobeniusFunctional):
-            FrobeniusFunctional(self.base, base_form)  # validates, raises if degenerate
-        ring = self.as_finite_ring()
-        weights = tuple(base_form.weights) + (0,) * (ring.rank - self.base.rank)
-        lifted = ZnLinearForm(ring.shape, weights)
+            FrobeniusFunctional(self.base, base_functional)  # validates, raises if degenerate
+        lifted = self.lifted_form(base_functional)
         try:
-            return FrobeniusFunctional(ring, lifted)
+            return FrobeniusFunctional(self.as_finite_ring(), lifted)
         except Exception as exc:
             raise InternalConsistencyError(
                 "lifted constant-coefficient functional failed nondegeneracy"
             ) from exc
+
+    def lifted_form(self, base_functional) -> ZnLinearForm:
+        """The form g |-> eps(g_0) on the quotient ring, unchecked."""
+        ring = self.as_finite_ring()
+        weights = _as_form(self.base, base_functional).weights
+        return ZnLinearForm(ring.shape, weights + (0,) * (ring.rank - len(weights)))
 
     # -- the reversal involution ------------------------------------------
 

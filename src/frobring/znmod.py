@@ -214,14 +214,35 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
             yield x + y
 
 
+def orthogonal_kernel(domain: Sequence[int], basis: Sequence, against: Iterable,
+                      pairing: Callable, codomain: Sequence[int]) -> Iterator[Element]:
+    """Every x in Z_{d_1} x ... x Z_{d_k}, in lexicographic order, with
+    pairing(sum_i x_i * basis[i], s) = 0 for every s: the one orthogonal.
+    pairing must be additive in its first slot, with values in the
+    codomain's orders: one linear_kernel call on its values at the basis."""
+    against = list(against)
+    images = [tuple(c for s in against for c in pairing(b, s)) for b in basis]
+    return linear_kernel(domain, images, tuple(codomain) * len(against))
+
+
+def additive_generators(elements: Iterable, add: Callable, zero) -> list:
+    """The elements, in sorted order, each kept when outside the additive
+    closure of those kept before: an additive generating set of their span."""
+    gens, spanned = [], frozenset({zero})
+    for x in sorted(elements):
+        if x not in spanned:
+            gens.append(x)
+            spanned = additive_closure(gens, add, zero)
+    return gens
+
+
 def annihilated(candidates: Iterable, against: Iterable, pairing: Callable,
                 zero=0) -> frozenset:
     """Every candidate x with pairing(x, s) == zero for every s in against.
 
-    The brute-force orthogonality scan over an explicit candidate list:
-    socles, annihilators and pairing kernels in a ring and the skew and
-    group-algebra reports use it, and the tests keep it as the oracle for
-    every linear_kernel route.
+    The brute-force orthogonality scan over an explicit candidate list,
+    kept as the oracle (kernel_elements and the tests) for every
+    orthogonal_kernel route.
     """
     against = list(against)
     return frozenset(x for x in candidates if all(pairing(x, s) == zero for s in against))
@@ -241,7 +262,7 @@ def kernel_elements(
     """All x in the left module with pairing(x, y) = 0 for every y.
 
     The pairing must return values already reduced mod n.  This is the
-    brute-force ground truth used by every nondegeneracy decision.
+    brute-force ground truth, kept as an oracle: no library route calls it.
     """
     right = enumerate_module(right_shape, cap)
     return annihilated(enumerate_module(left_shape, cap), right, pairing)

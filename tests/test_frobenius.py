@@ -2,7 +2,7 @@
 
 import pytest
 
-from frobring.znmod import ZnLinearForm
+from frobring.znmod import ZnLinearForm, kernel_elements
 from frobring.finring import is_frobenius_socle, left_ideals, right_ideals
 from frobring.frobenius import (
     AmbientForm,
@@ -57,6 +57,21 @@ def test_pairing_kernels(z4):
 def test_pairing_from_gram_shape_check(z4):
     with pytest.raises(ValueError):
         pairing_from_gram(z4, [[1, 0]])
+    # on Z4 x Z2 the identity gram is not well defined: x = (0, 1) would
+    # pair to 1 with itself while x + x = 0 pairs to 0
+    from frobring.finring import ring_product, ring_zn
+
+    r = ring_product(ring_zn(4), ring_zn(2))
+    with pytest.raises(ValueError, match="not well defined"):
+        pairing_from_gram(r, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not well defined"):
+        pairing_from_gram(r, [[1, 1], [0, 2]])  # 2 * 1 != 0 (mod 4) in row 0
+    with pytest.raises(ValueError, match="not well defined"):
+        pairing_from_gram(r, [[1, 0], [1, 0]])  # and in column 0
+    pair = pairing_from_gram(r, [[1, 2], [0, 2]])
+    assert pair((0, 1), (0, 1)) == 2
+    assert is_nondegenerate(r, pair)
+    assert pairing_kernel(r, pair, "first") == kernel_elements(pair, r.shape, r.shape)
 
 
 def test_multiplication_pairings_are_associative(z4, m2f2):
@@ -186,6 +201,17 @@ def test_annihilator_matches_functional_orthogonal(m2f2):
             functional_right_orthogonal(m2f2, eps, ideal.elements)
             == right_annihilator(m2f2, ideal.elements).elements
         )
+
+
+def test_forms_on_another_module_are_rejected(z4, z2xz4):
+    alien = ZnLinearForm(z2xz4.shape, (2, 1))
+    for call in (functional_left_orthogonal, functional_right_orthogonal):
+        with pytest.raises(ValueError, match="form is not defined on the ring's module"):
+            call(z4, alien, [(1,)])
+    with pytest.raises(ValueError, match="form is not defined on the ring's module"):
+        pairing_of_functional(z4, alien)
+    with pytest.raises(ValueError, match="form is not defined on the ring's module"):
+        functional_orthogonal(AmbientForm(z4, 1, [[(1,)]]), alien, [((1,),)], "left")
 
 
 def test_functional_orthogonal_differs_on_non_ideals(z4):

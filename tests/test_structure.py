@@ -3,30 +3,53 @@
 The power walk for units and nilpotents, the radical from nilpotent
 candidates, socles through the radical's generators, socle generators by
 the size of span{s e_j}, and the functional search on the form's gram all
-replace scans over pairs of elements.  Each scan is kept here as the
-oracle, and both must give the same sets, witnesses and first form.
+replace scans over pairs of elements.  Annihilators, functional
+orthogonals and the skew and group-algebra duality reports solve one
+linear map over an additive generating set, and pairing kernels read the
+pairing's gram.  Each scan is kept here as the oracle, and both must give
+the same sets, witnesses and first form.
 """
 
 import random
 from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobring import (
     DegenerateFormError,
     FrobeniusFunctional,
     enumerate_forms,
     find_frobenius_functional,
+    functional_left_orthogonal,
+    functional_right_orthogonal,
+    group_algebra_dual_report,
     is_frobenius_socle,
+    left_annihilator,
+    pairing_from_gram,
+    pairing_of_functional,
+    right_annihilator,
     ring_from_table,
     ring_group_algebra,
     ring_matrix,
     ring_product,
     ring_zn,
+    skew_cyclic_dual_report,
     span,
 )
-from frobring.catalog import corpus_rings, gf4, z2_quotient_x3_minus_1
-from frobring.finring import FiniteRing
+from frobring.catalog import (
+    corpus_rings,
+    gf4,
+    gf4_skew_quotient,
+    z2_quotient_x3_minus_1,
+    z4_quotient_x2_minus_1,
+)
+from frobring.codes import quotient_left_ideal_codes
+from frobring.finring import FiniteRing, left_ideals
+from frobring.skewpoly import RingAutomorphism, SkewQuotient
+from frobring.frobenius import pairing_kernel
+from frobring.znmod import additive_generators, annihilated
 
 
 # -- constructed rings from the benchmark's families ---------------------------
@@ -263,3 +286,150 @@ def test_no_quadratic_product_scan(name, mul_calls):
     mul_calls[0] = 0
     assert find_frobenius_functional(ring) is not None
     assert mul_calls[0] == 0
+
+
+@pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])
+def test_orthogonals_make_rank_products_per_generator(name, mul_calls):
+    """Socles, annihilators and functional orthogonals pair the basis with
+    additive generators only, never scanning the ring."""
+    ring = fresh(name)
+    ring.jacobson_radical()  # the radical and the opposite ring make their own products
+    ring.opposite()
+    eps = find_frobenius_functional(ring)
+    for side in ("right", "left"):
+        mul_calls[0] = 0
+        ring.socle(side)
+        assert mul_calls[0] <= ring.rank * len(ring.radical_generators())
+    for ideal in (ring.jacobson_radical(), ring.socle("left")):
+        gens = additive_generators(ideal.elements, ring.add, ring.zero)
+        assert 2 ** len(gens) <= len(ideal)  # each generator at least doubles the span
+        bound = ring.rank * len(gens)
+        mul_calls[0] = 0
+        left_annihilator(ring, ideal.elements)
+        assert mul_calls[0] <= bound
+        mul_calls[0] = 0
+        functional_left_orthogonal(ring, eps, ideal.elements)
+        assert mul_calls[0] <= bound
+
+
+# -- orthogonals in the ring against the annihilated scan -----------------------
+
+
+def ring_orthogonal_oracles(ring, form, subset):
+    """(left and right annihilator, functional left and right orthogonal)
+    by scanning every element against every member of the subset."""
+    elems, mul, zero = ring.elements(), ring.mul, ring.zero
+    return (
+        annihilated(elems, subset, mul, zero),
+        annihilated(elems, subset, lambda b, s: mul(s, b), zero),
+        annihilated(elems, subset, lambda a, s: form.evaluate(mul(a, s))),
+        annihilated(elems, subset, lambda b, s: form.evaluate(mul(s, b))),
+    )
+
+
+def ring_orthogonals(ring, form, subset):
+    return (
+        left_annihilator(ring, subset).elements,
+        right_annihilator(ring, subset).elements,
+        functional_left_orthogonal(ring, form, subset),
+        functional_right_orthogonal(ring, form, subset),
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_ring_orthogonals_of_fixed_subsets_match_the_scan(name):
+    ring = RINGS[name]
+    form = max(enumerate_forms(ring.shape), key=lambda f: f.weights)
+    # the empty set, a non-ideal (it misses zero) and the whole ring
+    for subset in ([], [ring.one], list(ring.elements())):
+        assert ring_orthogonals(ring, form, subset) == ring_orthogonal_oracles(
+            ring, form, subset), subset
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_ring_orthogonals_match_the_scan(name, data):
+    ring = RINGS[name]
+    form = data.draw(st.sampled_from(list(enumerate_forms(ring.shape))), label="form")
+    subset = data.draw(st.lists(st.sampled_from(ring.elements()), max_size=4), label="subset")
+    assert ring_orthogonals(ring, form, subset) == ring_orthogonal_oracles(ring, form, subset)
+
+
+def well_defined_gram(ring, data):
+    """A drawn gram whose entries satisfy d_i g_ij = d_j g_ij = 0 (mod n)."""
+    n, orders = ring.characteristic, ring.shape.orders
+    step = [[lcm(n // di, n // dj) for dj in orders] for di in orders]
+    ks = data.draw(st.lists(st.integers(0, n - 1), min_size=ring.rank ** 2,
+                            max_size=ring.rank ** 2), label="gram")
+    return [[ks[i * ring.rank + j] * step[i][j] % n for j in range(ring.rank)]
+            for i in range(ring.rank)]
+
+
+@pytest.mark.parametrize("name", SMALL)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_pairing_kernels_match_the_scan(name, data):
+    ring = RINGS[name]
+    elems = ring.elements()
+    form = data.draw(st.sampled_from(list(enumerate_forms(ring.shape))), label="form")
+    for pairing in (pairing_of_functional(ring, form),
+                    pairing_from_gram(ring, well_defined_gram(ring, data))):
+        assert pairing_kernel(ring, pairing, "first") == annihilated(elems, elems, pairing)
+        assert pairing_kernel(ring, pairing, "second") == annihilated(
+            elems, elems, lambda b, a: pairing(a, b))
+
+
+# -- the duality reports against the annihilated scan ---------------------------
+
+
+def t2_quotient_x2_minus_1():
+    """T2(Z2)[x]/(x^2 - 1): a noncommutative base, so the Euclidean form's
+    two slots differ.  The base is not Frobenius, which the report allows."""
+    t2 = upper_triangular(2, 2)
+    return SkewQuotient(t2, RingAutomorphism.identity(t2), [t2.one, t2.zero, t2.one])
+
+
+@pytest.mark.parametrize("build", [gf4_skew_quotient, z4_quotient_x2_minus_1,
+                                   z2_quotient_x3_minus_1, t2_quotient_x2_minus_1])
+def test_skew_report_orthogonals_match_the_scan(build):
+    q = build()
+    base = q.base
+    eps = find_frobenius_functional(base) or max(enumerate_forms(base.shape),
+                                                 key=lambda f: f.weights)
+    vectors = list(q.elements())
+
+    def euclid(f, g):
+        out = base.zero
+        for a, b in zip(f, g):
+            out = base.add(out, base.mul(a, b))
+        return out
+
+    # every left ideal, then {x}, which is not one
+    for V in quotient_left_ideal_codes(q) + [frozenset({q.shift_generator()})]:
+        rep = skew_cyclic_dual_report(V, q, eps)
+        assert rep.euclidean_dual == annihilated(vectors, V, euclid, base.zero)
+        reversed_V = [q.reversal(v) for v in V]
+        assert rep.reversal_orthogonal == annihilated(
+            vectors, reversed_V, lambda g, t: eps.evaluate(q.mul(g, t)[0]))
+
+
+@pytest.mark.parametrize("name", ["Z2C2", "Z3C3", "Z2[D3]"])
+def test_group_report_orthogonals_match_the_scan(name):
+    R = RINGS[name]  # Z2[D3] is Z2[S3]
+    n = R.characteristic
+    identity = R.one.index(1)
+    inverse = [row.index(identity) for row in R.cayley]
+
+    def euclid(b, s):
+        return sum(x * y for x, y in zip(b, s)) % n
+
+    def algebra(b, s):  # eps(s * b), eps the coefficient of the identity
+        return sum(s[t] * b[inverse[t]] for t in range(R.rank)) % n
+
+    for ideal in left_ideals(R):
+        rep = group_algebra_dual_report(R, ideal.elements)
+        assert rep.euclidean_dual == annihilated(R.elements(), ideal.elements, euclid)
+        orth = annihilated(R.elements(), ideal.elements, algebra)
+        assert rep.inverted_right_orthogonal == {
+            tuple(b[inverse[t]] for t in range(R.rank)) for b in orth}

@@ -9,6 +9,7 @@ from frobring.znmod import (
     EnumerationCapError,
     ModuleShape,
     ZnLinearForm,
+    additive_generators,
     enumerate_forms,
     enumerate_module,
     annihilated,
@@ -171,6 +172,23 @@ def test_span_is_additively_closed(gens):
         for y in sub:
             assert s.add(x, y) in sub
     assert s.cardinality % len(sub) == 0
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+        max_size=6,
+    )
+)
+def test_additive_generators_span_the_same_subgroup(elements):
+    s = ModuleShape(4, (4, 4, 2))
+    elements = [s.reduce(x) for x in elements]
+    gens = additive_generators(elements, s.add, s.zero)
+    assert gens == sorted(gens) and set(gens) <= set(elements)
+    assert span(gens, s) == span(elements, s)
+    # each generator lies outside the span of those before it
+    for i, g in enumerate(gens):
+        assert g not in span(gens[:i], s)
 
 
 # -- kernels ---------------------------------------------------------------
