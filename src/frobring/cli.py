@@ -21,12 +21,12 @@ and a form file is {"matrix": [[...], ...]} of elements.
 
 Exit codes: 0 when every verdict is positive and the input valid.  2 when a
 file is unreadable or not of the documented JSON shape: not UTF-8, invalid
-JSON, nested too deeply, a missing field, a wrong JSON type or an unknown
-"kind".  1 when the library rejects the values (a cap overrun included) or
-a verdict is negative.  The spec readers raise CliError(2) before any
-library call sees a field, and main is the only place that maps errors to
-exit codes: a CliError exits with its own code, every library ValueError
-with 1.
+JSON (an integer past Python's digit limit included), nested too deeply, a
+missing field, a wrong JSON type or an unknown "kind".  1 when the library
+rejects the values (a cap overrun included) or a verdict is negative.  The
+spec readers raise CliError(2) before any library call sees a field, and
+main is the only place that maps errors to exit codes: a CliError exits
+with its own code, every library ValueError with 1.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, not UTF-8, or an int over Python's digit limit
         raise CliError(2, f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise CliError(2, f"{path}: spec nested too deeply") from None
@@ -168,7 +168,10 @@ def build_code(spec: Any, ring: FiniteRing, cap: int) -> LinearCode:
     m = _int(_field(spec, "m", "code spec"), "m")
     gens = [[_element(e) for e in _list(g, "generator")]
             for g in _list(_field(spec, "generators", "code spec"), "generators")]
-    return LinearCode.generate(ring, m, gens, spec.get("side", "left"), cap=cap)
+    side = spec.get("side", "left")
+    if not isinstance(side, str):
+        raise CliError(2, f"bad side {side!r}: expected a string")
+    return LinearCode.generate(ring, m, gens, side, cap=cap)
 
 
 def build_form(spec: Any, ring: FiniteRing, m: int, cap: int) -> AmbientForm:

@@ -243,7 +243,7 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
 
     Defaults to the side that pairs against the code's module structure:
     right orthogonal for a left code, left orthogonal for a right code.
-    The form must be nondegenerate (both kernels checked, cached).  The
+    The form must be nondegenerate (first-slot kernel, cached).  The
     orthogonal is taken of an additive generating set of the codewords.
     """
     if form.ring != code.alphabet or form.m != code.m:

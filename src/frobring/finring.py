@@ -32,6 +32,7 @@ computations; treat constructed rings as immutable.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
@@ -40,8 +41,8 @@ from typing import Iterable, Sequence
 from .znmod import (
     DEFAULT_CAP,
     Element,
-    EnumerationCapError,
     ModuleShape,
+    _check_power_cap,
     additive_closure,
     enumerate_module,
     orthogonal_kernel,
@@ -107,7 +108,6 @@ class FiniteRing:
         label: str | None = None,
         cayley: Sequence[Sequence[int]] | None = None,
         cap: int = DEFAULT_CAP,
-        check: bool = True,
     ):
         self.shape = shape
         k = shape.rank
@@ -128,12 +128,11 @@ class FiniteRing:
         self._radical: Ideal | None = None
         self._radical_generators: tuple[Element, ...] = ()
         self._socles: dict[str, Ideal] = {}
-        self._opposite: FiniteRing | None = None
-        if check:
-            failures = table_validation_report(self)
-            for check_name, ok, witness in failures:
-                if not ok:
-                    raise RingValidationError(check_name, witness)
+        # the opposite ring, held weakly by an opposite for its original
+        self._opposite: FiniteRing | weakref.ref | None = None
+        for check_name, ok, witness in table_validation_report(self):
+            if not ok:
+                raise RingValidationError(check_name, witness)
 
     # -- basic structure ---------------------------------------------------
 
@@ -281,8 +280,13 @@ class FiniteRing:
     def opposite(self) -> "FiniteRing":
         """The same module with a * b computed as b * a, built once through
         the validating constructor on the transposed basis table.  Its
-        left-handed notions are the right-handed ones of this ring."""
-        if self._opposite is None:
+        left-handed notions are the right-handed ones of this ring.  The
+        opposite holds this ring weakly (no reference cycle) and builds it
+        again if it is gone."""
+        op = self._opposite
+        if isinstance(op, weakref.ref):
+            op = op()
+        if op is None:
             k = self.rank
             cayley = None if self.cayley is None else tuple(zip(*self.cayley))
             op = FiniteRing(
@@ -294,9 +298,9 @@ class FiniteRing:
                 cap=self.cap,
             )
             op._elements = self._elements
-            op._opposite = self
+            op._opposite = weakref.ref(self)
             self._opposite = op
-        return self._opposite
+        return op
 
     # -- conveniences ------------------------------------------------------
 
@@ -410,14 +414,11 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None,
     """t x t matrices over base, basis E_pq e_i ordered by (p, q, i)."""
     if t < 1:
         raise ValueError("matrix size must be positive")
+    _check_power_cap(base.cardinality, t * t, cap, "matrix ring")
     k0 = base.rank
     k = t * t * k0
     orders = tuple(base.shape.orders[i] for _ in range(t * t) for i in range(k0))
     shape = ModuleShape(base.characteristic, orders)
-    if shape.cardinality > cap:
-        raise EnumerationCapError(
-            f"matrix ring would have {shape.cardinality} elements, cap is {cap}"
-        )
 
     def flat(p: int, q: int, i: int) -> int:
         return (p * t + q) * k0 + i

@@ -30,6 +30,7 @@ pairing's gram (_gram_kernel), lazily, as the search stops early.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -105,20 +106,18 @@ def pairing_kernel(ring: FiniteRing, pairing: Callable, slot: str) -> frozenset[
 
 
 def _degeneracy(side: str, kernels: tuple[Callable, Callable], zero):
-    """First (side, smallest witness) of a nontrivial kernel, or None.
-
-    The one side dispatch: kernels are the (first-slot, second-slot)
-    kernel computations; 'right' needs the first trivial, 'left' the
-    second, 'both' checks right first.  Any other side is a ValueError.
-    """
-    slots = {"right": (0,), "left": (1,), "both": (0, 1)}.get(side)
-    if slots is None:
+    """(side, smallest witness) of a nontrivial kernel, or None: the one
+    side dispatch over (first-slot, second-slot) kernel computations.
+    'right' reads the first, 'left' the second, and 'both' the first alone,
+    as its triviality forces the second's: a Z-bilinear Z_n-valued pairing
+    has kernels of one size (character duality), and if xQ = 0 only for
+    x = 0 on A^m, Q has a left inverse P, so Qy = 0 gives y = PQy = 0.
+    Any other side is a ValueError."""
+    slot = {"right": 0, "both": 0, "left": 1}.get(side)
+    if slot is None:
         raise ValueError(f"bad side {side!r}")
-    for slot in slots:
-        witnesses = kernels[slot]() - {zero}
-        if witnesses:
-            return ("right", "left")[slot], min(witnesses)
-    return None
+    witnesses = set(kernels[slot]()) - {zero}
+    return (("right", "left")[slot], min(witnesses)) if witnesses else None
 
 
 def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> Iterator[Element]:
@@ -137,10 +136,9 @@ def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> 
 
 
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
-    """side='right' means the first-slot kernel is trivial; 'left' the
-    second.  The pairing must be Z-bilinear, as for pairing_kernel."""
-    kernels = (lambda: pairing_kernel(ring, pairing, "first"),
-               lambda: pairing_kernel(ring, pairing, "second"))
+    """side='right' reads the first-slot kernel, 'left' the second, 'both'
+    the first (see _degeneracy).  The pairing must be Z-bilinear."""
+    kernels = [partial(pairing_kernel, ring, pairing, slot) for slot in ("first", "second")]
     return _degeneracy(side, kernels, ring.zero) is None
 
 
@@ -161,19 +159,23 @@ def is_associative(ring: FiniteRing, pairing: Callable) -> bool:
     return associativity_violation(ring, pairing) is None
 
 
-class FrobeniusFunctional:
-    """A linear form whose multiplication pairing is nondegenerate both ways."""
+def _functional_gram(ring: FiniteRing, form: ZnLinearForm) -> tuple[tuple[int, ...], ...]:
+    """Matrix of eps(e_i * e_j) over Z_n, read off the basis table."""
+    return tuple(tuple(form.evaluate(e) for e in row) for row in ring.mul_table)
 
-    def __init__(self, ring: FiniteRing, form: ZnLinearForm, *, check: bool = True):
+
+class FrobeniusFunctional:
+    """A linear form whose multiplication pairing is nondegenerate both
+    ways; construction raises DegenerateFormError otherwise (_degeneracy)."""
+
+    def __init__(self, ring: FiniteRing, form: ZnLinearForm):
         self.ring = ring
         self.form = _as_form(ring, form)
-        if check:
-            gram = self.gram()
-            kernels = (lambda: frozenset(_gram_kernel(ring, gram, "first")),
-                       lambda: frozenset(_gram_kernel(ring, gram, "second")))
-            bad = _degeneracy("both", kernels, ring.zero)
-            if bad is not None:
-                raise DegenerateFormError(*bad)
+        gram = self.gram()
+        kernels = [partial(_gram_kernel, ring, gram, slot) for slot in ("first", "second")]
+        bad = _degeneracy("both", kernels, ring.zero)
+        if bad is not None:
+            raise DegenerateFormError(*bad)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -189,10 +191,7 @@ class FrobeniusFunctional:
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Matrix of eps(e_i * e_j) over Z_n."""
-        return tuple(
-            tuple(self.form.evaluate(self.ring.mul_table[i][j]) for j in range(self.ring.rank))
-            for i in range(self.ring.rank)
-        )
+        return _functional_gram(self.ring, self.form)
 
     def __repr__(self) -> str:
         return f"FrobeniusFunctional(weights={self.weights})"
@@ -203,17 +202,15 @@ def find_frobenius_functional(
 ) -> FrobeniusFunctional | None:
     """First form, in weight-lexicographic order, that is Frobenius.
 
-    Scans all |R| forms and tests both kernels on the form's gram, first
-    slot first, with early exit; returns None when the ring admits no
-    such form (i.e. is not Frobenius).
+    Tests the first-slot kernel of each form's gram (see _degeneracy),
+    stopping at its first nonzero member, without a ring product; returns
+    the form found through the verifying constructor, or None.
     """
     zero = ring.zero
     for form in enumerate_forms(ring.shape, cap):
-        candidate = FrobeniusFunctional(ring, form, check=False)
-        gram = candidate.gram()
-        if not any(x != zero for slot in ("first", "second")
-                   for x in _gram_kernel(ring, gram, slot)):
-            return candidate
+        gram = _functional_gram(ring, form)
+        if all(x == zero for x in _gram_kernel(ring, gram, "first")):
+            return FrobeniusFunctional(ring, form)
     return None
 
 
@@ -375,7 +372,7 @@ class AmbientForm:
         return self._right_kernel
 
     def is_nondegenerate(self, side: str = "both") -> bool:
-        """'right' checks the first-slot kernel, 'left' the second-slot."""
+        """'right' checks the first-slot kernel, 'left' the second, 'both' the first."""
         kernels = (self.left_kernel, self.right_kernel)
         return _degeneracy(side, kernels, (self.ring.zero,) * self.m) is None
 

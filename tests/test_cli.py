@@ -287,6 +287,7 @@ def test_parse_error_exit_codes(tmp_path, capsys):
                                        "modulus": [1, 1], "aut_images": 5}),
         ("images0", ["skew", "build"], {"kind": "skew_quotient", "base": z2_spec,
                                         "modulus": [1, 1], "aut_images": 0}),
+        ("side", ["code", "dual", z2], {"m": 2, "side": 3, "generators": [[1, 0]]}),
     ):
         argv = argv_head + [write(tmp_path, f"{name}.json", spec)]
         assert main(argv) == 2, argv
@@ -299,6 +300,11 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe" + '{"kind": "zn", "n": 2}'.encode("utf-16-le"))
     assert main(["ring", "validate", str(utf16)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    # so is an integer past Python's digit limit for int conversion
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"kind": "zn", "n": ' + "9" * 5000 + "}")
+    assert main(["ring", "validate", str(huge)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
     # nesting too deep for the parser or for the spec builder exits 2
     brackets = tmp_path / "brackets.json"

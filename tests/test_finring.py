@@ -1,12 +1,14 @@
 """Ring construction, table validation, radicals, socles and ideals."""
 
+import gc
+import time
+import weakref
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from frobring.finring import (
-    FiniteRing,
     RingValidationError,
     cyclic_left_ideals,
     cyclic_right_ideals,
@@ -24,7 +26,7 @@ from frobring.finring import (
 )
 from frobring.catalog import gf4_skew_quotient
 from frobring.frobenius import right_annihilator
-from frobring.znmod import span
+from frobring.znmod import EnumerationCapError, span
 
 
 def mat(ring, a, b, c, d):
@@ -160,13 +162,6 @@ def test_rejects_broken_unit():
     with pytest.raises(RingValidationError) as exc:
         ring_from_table(2, (2,), [[(0,)]], (1,))
     assert exc.value.check == "unit-laws"
-
-
-def test_check_false_skips_validation():
-    table = [[(0,)]]
-    ring = FiniteRing(ring_zn(2).shape, table, (1,), check=False)
-    report = table_validation_report(ring)
-    assert not all(ok for _, ok, _ in report)
 
 
 # -- radical and socle -----------------------------------------------------
@@ -310,6 +305,14 @@ def test_zn_ring_laws(n, data):
     assert r.mul(r.one, a) == a
 
 
+def test_huge_matrix_ring_hits_the_cap_without_forming_its_size():
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError,
+                       match="matrix ring has 2\\^2250000 entries, cap is 1048576"):
+        ring_matrix(ring_zn(2), 1500)
+    assert time.perf_counter() - started < 1.0
+
+
 @given(st.data())
 def test_matrix_ring_laws(data):
     r = ring_matrix(ring_zn(2), 2)
@@ -351,6 +354,24 @@ def test_opposite_is_a_different_ring_exactly_when_noncommutative(corpus):
 def test_opposite_is_built_once(m2f2):
     assert m2f2.opposite() is m2f2.opposite()
     assert m2f2.opposite().opposite() is m2f2
+
+
+def test_a_ring_and_its_opposite_form_no_reference_cycle():
+    """With the cyclic collector off, refcounting alone frees the ring;
+    its opposite, kept alive, builds an equal ring again on demand."""
+    ring = ring_matrix(ring_zn(2), 2)
+    op = ring.opposite()
+    gone = weakref.ref(ring)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del ring
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+    again = op.opposite()
+    assert again == ring_matrix(ring_zn(2), 2) and again.opposite() is op
 
 
 # Brute-force right-hand scans, kept as the oracle for every right-handed

@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from frobring import ring_matrix, ring_zn
+from frobring import ring_from_table, ring_matrix, ring_zn
 from frobring.catalog import gf4
 from frobring.codes import LinearCode, _vadd, dual, submodule_codes
 from frobring.frobenius import (
@@ -25,7 +25,7 @@ from frobring.frobenius import (
     functional_orthogonal,
     orthogonal,
 )
-from frobring.znmod import EnumerationCapError, additive_closure, annihilated
+from frobring.znmod import EnumerationCapError, additive_closure, annihilated, enumerate_forms
 
 SIDES = ("left", "right")
 
@@ -51,9 +51,15 @@ def m2f2_units():
     return R, min(R.units() - {R.one}), min(nonunits)
 
 
+def t2z2():
+    """T2(Z2) on the matrix units E11, E12, E22; not Frobenius."""
+    e11, e12, e22, o = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    return ring_from_table(2, (2, 2, 2), [[e11, e12, o], [o, o, e12], [o, o, e22]], (1, 0, 1))
+
+
 def ambients():
     """(label, ring, m, {gram label: matrix}) for each ambient."""
-    z4, f3, z6, f4 = ring_zn(4), ring_zn(3), ring_zn(6), gf4()
+    z4, f3, z6, f4, t2 = ring_zn(4), ring_zn(3), ring_zn(6), gf4(), t2z2()
     w, w2 = (0, 1), (1, 1)  # w^2 = 1 + w in GF4
     one, zero = (1, 0), (0, 0)
     m2, unit, nonunit = m2f2_units()
@@ -83,6 +89,9 @@ def ambients():
             "zero row": [[m2.zero]],
             "non-unit": [[nonunit]],
         }),
+        # x E11 = 0 and E11 y = 0 have 4 and 2 solutions: an A-valued form's
+        # two kernels share triviality, not size
+        ("T2(Z2)^1", t2, 1, {"E11": [[(1, 0, 0)]]}),
     ]
 
 
@@ -112,7 +121,10 @@ def subsets(ring, m):
 def test_orthogonals_match_the_full_scan(label, gram_label):
     ring, m, grams = AMBIENTS[label]
     form = AmbientForm(ring, m, grams[gram_label])
-    eps = find_frobenius_functional(ring)
+    eps = find_frobenius_functional(ring) or max(enumerate_forms(ring.shape),
+                                                 key=lambda f: f.weights)
+    trivial = {(ring.zero,) * m}
+    assert (form.left_kernel() == trivial) is (form.right_kernel() == trivial)
     codes, loose = subsets(ring, m)
     for subset in [code.codewords for code in codes] + loose:
         for side in SIDES:
@@ -152,7 +164,11 @@ def test_degenerate_grams_are_covered():
     assert degenerate == {("Z4^2", "zero row"), ("Z4^2", "2 on the diagonal"),
                           ("GF4^2", "zero row"), ("GF4^2", "rank-deficient"),
                           ("F3^2", "zero row"), ("Z6^2", "zero row"),
-                          ("M2(F2)^1", "zero row"), ("M2(F2)^1", "non-unit")}
+                          ("M2(F2)^1", "zero row"), ("M2(F2)^1", "non-unit"),
+                          ("T2(Z2)^1", "E11")}
+    ring, m, grams = AMBIENTS["T2(Z2)^1"]
+    form = AmbientForm(ring, m, grams["E11"])
+    assert (len(form.left_kernel()), len(form.right_kernel())) == (4, 2)
 
 
 # -- work regression -----------------------------------------------------------
