@@ -7,6 +7,7 @@ from .znmod import (
     ZnLinearForm,
     enumerate_forms,
     enumerate_module,
+    enumeration_cap,
     kernel_elements,
     span,
 )

@@ -30,7 +30,7 @@ from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
-from .znmod import (DEFAULT_CAP, Element, ZnLinearForm, _check_power_cap, additive_closure,
+from .znmod import (Element, ZnLinearForm, _check_power_cap, additive_closure,
                     additive_generators)
 from .finring import (
     FiniteRing,
@@ -85,12 +85,11 @@ class LinearCode:
         m: int,
         generators: Sequence[Sequence[Iterable[int]]],
         side: str = "left",
-        cap: int = DEFAULT_CAP,
     ) -> "LinearCode":
         """Close the generators under addition and the requested scalar
         action.  'additive' skips the scalar action (integer multiples
         are already sums)."""
-        _check_ambient(alphabet, m, side, cap)
+        _check_ambient(alphabet, m, side)
         gens = [tuple(alphabet.element(c) for c in g) for g in generators]
         for g in gens:
             if len(g) != m:
@@ -155,12 +154,12 @@ class LinearCode:
         return f"<LinearCode side={self.side} |C|={self.cardinality} m={self.m}>"
 
 
-def _check_ambient(A: FiniteRing, m: int, side: str, cap: int) -> None:
+def _check_ambient(A: FiniteRing, m: int, side: str) -> None:
     if side not in _SIDES:
         raise ValueError(f"bad code side {side!r}")
     if m < 1:
         raise ValueError("code length must be positive")
-    _check_power_cap(A.cardinality, m, cap, "ambient module")
+    _check_power_cap(A.cardinality, m, "ambient module")
 
 
 def _vadd(A: FiniteRing, v: Vector, w: Vector) -> Vector:
@@ -259,9 +258,9 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     return LinearCode(code.alphabet, code.m, orth_side, (), orthogonal(form, gens, orth_side))
 
 
-def identity_form(A: FiniteRing, m: int, cap: int = DEFAULT_CAP) -> AmbientForm:
+def identity_form(A: FiniteRing, m: int) -> AmbientForm:
     matrix = [[A.one if i == j else A.zero for j in range(m)] for i in range(m)]
-    return AmbientForm(A, m, matrix, cap=cap)
+    return AmbientForm(A, m, matrix)
 
 
 def euclidean_dual(code: LinearCode, side: str | None = None) -> LinearCode:
@@ -341,15 +340,13 @@ def macwilliams_holds(code: LinearCode, form: AmbientForm) -> MacWilliamsReport:
 # -- submodule sweeps ------------------------------------------------------
 
 
-def submodule_codes(
-    A: FiniteRing, m: int, side: str, cap: int = DEFAULT_CAP
-) -> list[LinearCode]:
+def submodule_codes(A: FiniteRing, m: int, side: str) -> list[LinearCode]:
     """Every submodule of A^m on the given side, smallest first.
 
     Exhaustive by the same argument as ideal enumeration: every submodule
     is a sum of the cyclic submodules of its members.
     """
-    _check_ambient(A, m, side, cap)
+    _check_ambient(A, m, side)
     vectors = product(A.elements(), repeat=m)
     lattice = submodule_lattice(vectors, partial(_vadd, A), (A.zero,) * m, *_action(A, side))
     return [LinearCode(A, m, side, (), words) for words in lattice]
@@ -405,7 +402,7 @@ def skew_cyclic_dual_report(
     lifted = quotient.lifted_form(base_functional)
     V = frozenset(V)
     gens = additive_generators(V, quotient.add, quotient.zero)
-    e_dual = orthogonal(identity_form(quotient.base, quotient.m, quotient.cap), gens, "left")
+    e_dual = orthogonal(identity_form(quotient.base, quotient.m), gens, "left")
     reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
     r_orth = frozenset(quotient.unflatten(g) for g in functional_left_orthogonal(
         quotient.as_finite_ring(), lifted, reversed_gens))

@@ -39,7 +39,6 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .znmod import (
-    DEFAULT_CAP,
     Element,
     ModuleShape,
     _check_power_cap,
@@ -107,7 +106,6 @@ class FiniteRing:
         *,
         label: str | None = None,
         cayley: Sequence[Sequence[int]] | None = None,
-        cap: int = DEFAULT_CAP,
     ):
         self.shape = shape
         k = shape.rank
@@ -121,7 +119,6 @@ class FiniteRing:
         self.one: Element = shape.reduce(one)
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
-        self.cap = cap
         self._elements: tuple[Element, ...] | None = None
         self._units: frozenset[Element] | None = None
         self._nilpotents: frozenset[Element] | None = None
@@ -161,7 +158,7 @@ class FiniteRing:
 
     def elements(self) -> tuple[Element, ...]:
         if self._elements is None:
-            self._elements = tuple(enumerate_module(self.shape, self.cap))
+            self._elements = tuple(enumerate_module(self.shape))
         return self._elements
 
     # -- arithmetic --------------------------------------------------------
@@ -295,7 +292,6 @@ class FiniteRing:
                 self.one,
                 label=f"{self.label}^op" if self.label else None,
                 cayley=cayley,
-                cap=self.cap,
             )
             op._elements = self._elements
             op._opposite = weakref.ref(self)
@@ -320,12 +316,17 @@ class FiniteRing:
         return f"<{name}: char {self.characteristic}, orders {self.shape.orders}>"
 
 
+# the presentation checks every ring passes on construction, in order
+TABLE_CHECKS = ("bilinear-well-defined", "associativity", "unit-laws", "characteristic")
+
+
 def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     """Run every presentation check, returning (name, ok, witness) rows.
 
     Checks run in dependency order; a bilinearity failure makes the later
     product-based checks meaningless, so they are skipped once it fails.
     """
+    bilinear, associative, unital, characteristic = TABLE_CHECKS
     shape = ring.shape
     k = shape.rank
     orders = shape.orders
@@ -337,7 +338,7 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
         if (orders[i] * e[l]) % orders[l] or (orders[j] * e[l]) % orders[l]:
             witness = (i, j, l)
             break
-    report.append(("bilinear-well-defined", witness is None, witness))
+    report.append((bilinear, witness is None, witness))
     if witness is not None:
         return report
 
@@ -349,7 +350,7 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
         if left != right:
             witness = (i, j, l)
             break
-    report.append(("associativity", witness is None, witness))
+    report.append((associative, witness is None, witness))
 
     witness = None
     for i in range(k):
@@ -357,12 +358,10 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
         if ring.mul(ring.one, e) != e or ring.mul(e, ring.one) != e:
             witness = i
             break
-    report.append(("unit-laws", witness is None, witness))
+    report.append((unital, witness is None, witness))
 
     order_of_one = shape.element_order(ring.one)
-    report.append(
-        ("characteristic", order_of_one == shape.n, (order_of_one, shape.n))
-    )
+    report.append((characteristic, order_of_one == shape.n, (order_of_one, shape.n)))
     return report
 
 
@@ -382,10 +381,9 @@ def ring_from_table(
     one: Iterable[int],
     *,
     label: str | None = None,
-    cap: int = DEFAULT_CAP,
 ) -> FiniteRing:
     """Build and fully validate a ring from an explicit presentation."""
-    return FiniteRing(ModuleShape(n, tuple(orders)), mul, one, label=label, cap=cap)
+    return FiniteRing(ModuleShape(n, tuple(orders)), mul, one, label=label)
 
 
 def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
@@ -409,12 +407,11 @@ def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
     return FiniteRing(shape, table, one, label=label)
 
 
-def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None,
-                cap: int = DEFAULT_CAP) -> FiniteRing:
+def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> FiniteRing:
     """t x t matrices over base, basis E_pq e_i ordered by (p, q, i)."""
     if t < 1:
         raise ValueError("matrix size must be positive")
-    _check_power_cap(base.cardinality, t * t, cap, "matrix ring")
+    _check_power_cap(base.cardinality, t * t, "matrix ring")
     k0 = base.rank
     k = t * t * k0
     orders = tuple(base.shape.orders[i] for _ in range(t * t) for i in range(k0))
@@ -431,7 +428,7 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None,
             table[flat(p, q, i)][flat(q, s, j)] = pad[0] + base.mul_table[i][j] + pad[1]
     one = tuple(c for p, q in product(range(t), repeat=2)
                 for c in (base.one if p == q else base.zero))
-    return FiniteRing(shape, table, one, label=label or f"M{t}({base.label})", cap=cap)
+    return FiniteRing(shape, table, one, label=label or f"M{t}({base.label})")
 
 
 def ring_group_algebra(

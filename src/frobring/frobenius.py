@@ -35,7 +35,6 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .znmod import (
-    DEFAULT_CAP,
     Element,
     ZnLinearForm,
     additive_generators,
@@ -197,9 +196,7 @@ class FrobeniusFunctional:
         return f"FrobeniusFunctional(weights={self.weights})"
 
 
-def find_frobenius_functional(
-    ring: FiniteRing, cap: int = DEFAULT_CAP
-) -> FrobeniusFunctional | None:
+def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     """First form, in weight-lexicographic order, that is Frobenius.
 
     Tests the first-slot kernel of each form's gram (see _degeneracy),
@@ -207,7 +204,7 @@ def find_frobenius_functional(
     the form found through the verifying constructor, or None.
     """
     zero = ring.zero
-    for form in enumerate_forms(ring.shape, cap):
+    for form in enumerate_forms(ring.shape):
         gram = _functional_gram(ring, form)
         if all(x == zero for x in _gram_kernel(ring, gram, "first")):
             return FrobeniusFunctional(ring, form)
@@ -251,7 +248,7 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
     """
     form = _as_form(ring, functional)
     elems = ring.elements()
-    all_weights = {f.weights for f in enumerate_forms(ring.shape, ring.cap)}
+    all_weights = {f.weights for f in enumerate_forms(ring.shape)}
 
     def translate_weights(R: FiniteRing, b: Element) -> tuple[int, ...]:
         """Weights of eps(b * -) on R; on the opposite ring, of eps(- * b)."""
@@ -306,14 +303,7 @@ def functional_right_orthogonal(
 class AmbientForm:
     """A-valued bilinear form <x, y> = sum x_i Q_ij y_j on A^m."""
 
-    def __init__(
-        self,
-        ring: FiniteRing,
-        m: int,
-        matrix: Sequence[Sequence[Iterable[int]]],
-        *,
-        cap: int = DEFAULT_CAP,
-    ):
+    def __init__(self, ring: FiniteRing, m: int, matrix: Sequence[Sequence[Iterable[int]]]):
         if m < 1:
             raise ValueError("ambient length must be positive")
         self.ring = ring
@@ -323,7 +313,6 @@ class AmbientForm:
         self.matrix: tuple[tuple[Element, ...], ...] = tuple(
             tuple(ring.element(entry) for entry in row) for row in matrix
         )
-        self.cap = cap
         self._left_kernel: frozenset[Vector] | None = None
         self._right_kernel: frozenset[Vector] | None = None
 
@@ -332,7 +321,7 @@ class AmbientForm:
         return self.ring.cardinality ** self.m
 
     def vectors(self) -> Iterator[Vector]:
-        _check_power_cap(self.ring.cardinality, self.m, self.cap, "ambient module")
+        _check_power_cap(self.ring.cardinality, self.m, "ambient module")
         return product(self.ring.elements(), repeat=self.m)
 
     def pairing(self, x: Vector, y: Vector) -> Element:
@@ -352,7 +341,7 @@ class AmbientForm:
     def basis_vectors(self) -> list[Vector]:
         """The r*m additive basis vectors of A^m (e_i in one position,
         zero elsewhere), position-major, after the ambient cap check."""
-        _check_power_cap(self.ring.cardinality, self.m, self.cap, "ambient module")
+        _check_power_cap(self.ring.cardinality, self.m, "ambient module")
         zero = self.ring.zero
         return [tuple(self.ring.basis(i) if q == p else zero for q in range(self.m))
                 for p in range(self.m) for i in range(self.ring.rank)]

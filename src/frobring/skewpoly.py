@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .znmod import DEFAULT_CAP, Element, ModuleShape, ZnLinearForm, _check_power_cap
+from .znmod import Element, ModuleShape, ZnLinearForm, _check_power_cap
 from .finring import FiniteRing
 from .frobenius import FrobeniusFunctional, _as_form
 
@@ -50,10 +50,6 @@ class NotTwoSidedError(ValueError):
 
 class UnsupportedModulusError(ValueError):
     """The operation is not defined, or not exact, for this modulus."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A fact the construction guarantees failed to re-verify."""
 
 
 class RingAutomorphism:
@@ -218,21 +214,13 @@ def check_two_sided(
 class SkewQuotient:
     """The finite ring A[x; aut] / (f) for a monic two-sided f."""
 
-    def __init__(
-        self,
-        base: FiniteRing,
-        aut: RingAutomorphism,
-        modulus: Sequence[Iterable[int]],
-        *,
-        label: str | None = None,
-        cap: int = DEFAULT_CAP,
-    ):
+    def __init__(self, base: FiniteRing, aut: RingAutomorphism,
+                 modulus: Sequence[Iterable[int]], *, label: str | None = None):
         self.base = base
         self.aut = aut
         self.modulus: tuple[Element, ...] = tuple(base.element(c) for c in modulus)
         self.m = len(self.modulus) - 1
         self.label = label
-        self.cap = cap
         if self.m < 1:
             raise ValueError("modulus must have degree at least 1")
         if self.modulus[self.m] != base.one:
@@ -273,7 +261,7 @@ class SkewQuotient:
         return tuple(out)
 
     def elements(self) -> Iterator[QElement]:
-        _check_power_cap(self.base.cardinality, self.m, self.cap, "skew quotient")
+        _check_power_cap(self.base.cardinality, self.m, "skew quotient")
         return product(self.base.elements(), repeat=self.m)
 
     def reduce_poly(self, coeffs: Sequence[Element]) -> QElement:
@@ -331,7 +319,7 @@ class SkewQuotient:
         The additive orders of A repeat once per degree; the FiniteRing
         constructor re-validates associativity, units and characteristic.
         """
-        _check_power_cap(self.base.cardinality, self.m, self.cap, "skew quotient")
+        _check_power_cap(self.base.cardinality, self.m, "skew quotient")
         return self._table_ring()
 
     def _table_ring(self) -> FiniteRing:
@@ -353,7 +341,6 @@ class SkewQuotient:
                 table,
                 self.flatten(self.one),
                 label=self.label or "skew-quotient",
-                cap=self.cap,
             )
         return self._ring
 
@@ -364,19 +351,13 @@ class SkewQuotient:
 
         The base functional must itself be Frobenius (validated here when
         a raw form is passed).  The lifted form is provably nondegenerate
-        for a unit constant coefficient; it is still re-verified, and a
-        failure raises InternalConsistencyError rather than passing
-        silently.
+        for a unit constant coefficient; the FrobeniusFunctional
+        constructor still re-verifies it and raises DegenerateFormError
+        rather than passing silently.
         """
         if not isinstance(base_functional, FrobeniusFunctional):
             FrobeniusFunctional(self.base, base_functional)  # validates, raises if degenerate
-        lifted = self.lifted_form(base_functional)
-        try:
-            return FrobeniusFunctional(self.as_finite_ring(), lifted)
-        except Exception as exc:
-            raise InternalConsistencyError(
-                "lifted constant-coefficient functional failed nondegeneracy"
-            ) from exc
+        return FrobeniusFunctional(self.as_finite_ring(), self.lifted_form(base_functional))
 
     def lifted_form(self, base_functional) -> ZnLinearForm:
         """The form g |-> eps(g_0) on the quotient ring, unchecked."""

@@ -9,13 +9,17 @@ condition weight * d = 0 (mod n) needed for the map to be well defined.
 Counting those choices gives d forms per coordinate, hence as many forms as
 elements in total.
 
-Everything is immutable and all operations are pure.  Enumerations run in
-lexicographic coordinate order and are guarded by an explicit size cap;
-exceeding the cap raises EnumerationCapError, never silently truncates.
+Everything is immutable and all operations are pure, apart from the one
+setting they read: enumerations run in lexicographic coordinate order and
+are guarded by the size cap of the enclosing enumeration_cap block
+(DEFAULT_CAP outside any); exceeding the cap raises EnumerationCapError,
+never silently truncates.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
@@ -24,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 Element = tuple[int, ...]
 
 DEFAULT_CAP = 1 << 20
+_CAP: ContextVar[int] = ContextVar("enumeration_cap", default=DEFAULT_CAP)
 
 
 class EnumerationCapError(ValueError):
@@ -122,14 +127,27 @@ class ZnLinearForm:
     __call__ = evaluate
 
 
-def _check_cap(size: int, cap: int, what: str) -> None:
+@contextmanager
+def enumeration_cap(n: int) -> Iterator[None]:
+    """Within the block every enumeration is capped at n entries; the
+    enclosing cap comes back when it ends, on an exception too."""
+    token = _CAP.set(n)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
+
+
+def _check_cap(size: int, what: str) -> None:
+    cap = _CAP.get()
     if size > cap:
         raise EnumerationCapError(f"{what} has {size} entries, cap is {cap}")
 
 
-def _check_power_cap(base: int, exponent: int, cap: int, what: str) -> None:
+def _check_power_cap(base: int, exponent: int, what: str) -> None:
     """_check_cap for base**exponent entries, multiplying with an early
     stop so that a huge exponent never forms a huge integer."""
+    cap = _CAP.get()
     size = 1
     for _ in range(exponent if base > 1 else 0):
         size *= base
@@ -137,19 +155,19 @@ def _check_power_cap(base: int, exponent: int, cap: int, what: str) -> None:
             raise EnumerationCapError(f"{what} has {base}^{exponent} entries, cap is {cap}")
 
 
-def enumerate_module(shape: ModuleShape, cap: int = DEFAULT_CAP) -> Iterator[Element]:
+def enumerate_module(shape: ModuleShape) -> Iterator[Element]:
     """Yield every element of the module in lexicographic coordinate order."""
-    _check_cap(shape.cardinality, cap, "module")
+    _check_cap(shape.cardinality, "module")
     return product(*(range(d) for d in shape.orders))
 
 
-def enumerate_forms(shape: ModuleShape, cap: int = DEFAULT_CAP) -> Iterator[ZnLinearForm]:
+def enumerate_forms(shape: ModuleShape) -> Iterator[ZnLinearForm]:
     """Yield every linear form into Z_n, ordered by weight tuples.
 
     Coordinate i of order d contributes the d weights 0, n/d, 2n/d, ...,
     so exactly as many forms are produced as the module has elements.
     """
-    _check_cap(shape.cardinality, cap, "form space")
+    _check_cap(shape.cardinality, "form space")
     steps = [shape.n // d for d in shape.orders]
     for js in product(*(range(d) for d in shape.orders)):
         yield ZnLinearForm(shape, tuple(j * s for j, s in zip(js, steps)))
@@ -253,16 +271,12 @@ def span(gens: Iterable[Element], shape: ModuleShape) -> frozenset[Element]:
     return additive_closure((shape.reduce(g) for g in gens), shape.add, shape.zero)
 
 
-def kernel_elements(
-    pairing: Callable[[Element, Element], int],
-    left_shape: ModuleShape,
-    right_shape: ModuleShape,
-    cap: int = DEFAULT_CAP,
-) -> frozenset[Element]:
+def kernel_elements(pairing: Callable[[Element, Element], int], left_shape: ModuleShape,
+                    right_shape: ModuleShape) -> frozenset[Element]:
     """All x in the left module with pairing(x, y) = 0 for every y.
 
     The pairing must return values already reduced mod n.  This is the
     brute-force ground truth, kept as an oracle: no library route calls it.
     """
-    right = enumerate_module(right_shape, cap)
-    return annihilated(enumerate_module(left_shape, cap), right, pairing)
+    right = enumerate_module(right_shape)
+    return annihilated(enumerate_module(left_shape), right, pairing)

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobring.catalog import double_nil_ring
-from frobring.cli import COMMANDS, CliError, build_ring, main
+from frobring.cli import COMMANDS, CliError, build_quotient, build_ring, main
+from frobring.finring import TABLE_CHECKS, FiniteRing
+from frobring.skewpoly import SkewQuotient
+from frobring.znmod import DEFAULT_CAP, EnumerationCapError, ZnLinearForm, enumeration_cap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -326,6 +329,18 @@ def test_build_ring_rejects_deep_nesting():
     assert caught.value.code == 2
 
 
+def test_builders_build_under_their_cap():
+    m2 = {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "size": 2}
+    with pytest.raises(EnumerationCapError, match="matrix ring has 2\\^4 entries, cap is 8"):
+        build_ring(m2, 8)
+    z8_quotient = {"kind": "skew_quotient", "base": {"kind": "zn", "n": 8}, "modulus": [1, 1]}
+    with pytest.raises(EnumerationCapError, match="module has 8 entries, cap is 4"):
+        build_quotient(z8_quotient, 4)
+    with enumeration_cap(4):  # the argument, not the enclosing setting, applies
+        assert build_ring(m2, 16).cardinality == 16
+        assert build_quotient(z8_quotient, 8).cardinality == 8
+
+
 def test_huge_ambient_exits_1_with_the_cap_message(tmp_path, capsys):
     z2 = write(tmp_path, "z2.json", {"kind": "zn", "n": 2})
     code = write(tmp_path, "huge.json", {"m": 1000000, "generators": [[1]]})
@@ -357,6 +372,48 @@ def test_cap_flag_limits_enumeration(tmp_path, capsys):
     spec = write(tmp_path, "z64.json", {"kind": "zn", "n": 64})
     assert main(["ring", "frobenius", spec, "--cap", "32"]) == 1
     capsys.readouterr()
+
+
+def test_cap_does_not_depend_on_the_spec_kind(tmp_path, capsys):
+    # Z8 written as a zn spec and as a table spec meets the same --cap
+    bases = [{"kind": "zn", "n": 8},
+             {"kind": "table", "n": 8, "orders": [8], "mul": [[[1]]], "one": [1]}]
+    outs = []
+    for index, base in enumerate(bases):
+        spec = write(tmp_path, f"q{index}.json",
+                     {"kind": "skew_quotient", "base": base, "modulus": [1, 1]})
+        assert main(["skew", "build", spec, "--cap", "4"]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs == ["command: skew build\nerror: module has 8 entries, cap is 4\n"] * 2
+
+
+def test_ring_validate_does_not_rerun_the_checks(tmp_path, monkeypatch, capsys):
+    spec = {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "size": 2}
+    path = write(tmp_path, "m2z2.json", spec)
+    calls = [0]
+    mul = FiniteRing.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteRing, "mul", counted)
+    build_ring(spec, DEFAULT_CAP)
+    building, calls[0] = calls[0], 0
+    assert main(["ring", "validate", path, "--json"]) == 0
+    assert calls[0] == building
+    assert json.loads(capsys.readouterr().out)["checks"] == dict.fromkeys(TABLE_CHECKS, True)
+
+
+def test_degenerate_lift_exits_1(gf4_quotient_spec, monkeypatch, capsys):
+    # a lifted form that fails the constructor's check is a library error
+    def zero_form(self, base_functional):
+        ring = self.as_finite_ring()
+        return ZnLinearForm(ring.shape, (0,) * ring.rank)
+
+    monkeypatch.setattr(SkewQuotient, "lifted_form", zero_form)
+    assert main(["skew", "frobenius", gf4_quotient_spec]) == 1
+    assert capsys.readouterr().err.startswith("error: pairing is degenerate")
 
 
 def test_bad_subcommand_exits_via_argparse(capsys):

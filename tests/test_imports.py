@@ -1,8 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""Source scans of the package.
 
-The package re-exports its API from __init__.py, so that file is exempt.
-A name counts as used when it appears as a bare name anywhere in the
-module, annotations included.
+No module imports a name it never uses.  The package re-exports its API
+from __init__.py, so that file is exempt.  A name counts as used when it
+appears as a bare name anywhere in the module, annotations included.
+
+No function takes a `cap` parameter and no object keeps a `.cap`: the
+enumeration cap is the one enumeration_cap setting.  cli.build_ring and
+cli.build_quotient keep theirs, as the benchmark calls them with a cap.
 """
 
 import ast
@@ -36,3 +40,34 @@ def test_no_unused_imports_in_the_package():
     assert modules
     for path in modules:
         assert unused_imports(path.read_text()) == [], path.name
+
+
+CAP_PARAMETERS_KEPT = ["cli.build_quotient", "cli.build_ring"]
+
+
+def cap_threading(source: str, module: str) -> list[str]:
+    """Functions (module.name) with a parameter named cap, and lines that
+    set an attribute named cap."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(p is not None and p.arg == "cap" for p in params):
+                found.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
+        elif isinstance(node, ast.Attribute) and node.attr == "cap" and isinstance(
+                node.ctx, ast.Store):
+            found.append(f"{module} line {node.lineno}: .cap")
+    return sorted(found)
+
+
+def test_cap_scanner_flags_a_threaded_cap():
+    source = "def f(x, cap=4):\n    y.cap = cap\n    return g(lambda *, cap: 0, y.cap)\n"
+    assert cap_threading(source, "m") == ["m line 2: .cap", "m.<lambda>", "m.f"]
+
+
+def test_no_cap_is_threaded_through_the_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += cap_threading(path.read_text(), path.stem)
+    assert sorted(found) == CAP_PARAMETERS_KEPT

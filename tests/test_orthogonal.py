@@ -25,7 +25,8 @@ from frobring.frobenius import (
     functional_orthogonal,
     orthogonal,
 )
-from frobring.znmod import EnumerationCapError, additive_closure, annihilated, enumerate_forms
+from frobring.znmod import (EnumerationCapError, additive_closure, annihilated, enumerate_forms,
+                            enumeration_cap)
 
 SIDES = ("left", "right")
 
@@ -205,13 +206,15 @@ def test_dual_never_scans_the_ambient(n, m, pairing_calls):
 
 def test_cap_is_checked_before_any_pairing(pairing_calls):
     z4 = ring_zn(4)
-    form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]], cap=15)
+    form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]])
     code = LinearCode.generate(z4, 2, [[(1,), (1,)]])
     eps = find_frobenius_functional(z4)
     calls = [form.left_kernel, form.right_kernel, lambda: dual(code, form),
              lambda: orthogonal(form, code.codewords, "left"),
              lambda: functional_orthogonal(form, eps, code.codewords, "right")]
-    for call in calls:
-        with pytest.raises(EnumerationCapError, match="ambient module has 4\\^2 entries, cap is 15"):
-            call()
+    with enumeration_cap(15):
+        for call in calls:
+            with pytest.raises(EnumerationCapError,
+                               match="ambient module has 4\\^2 entries, cap is 15"):
+                call()
     assert pairing_calls[0] == 0

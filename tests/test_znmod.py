@@ -12,6 +12,7 @@ from frobring.znmod import (
     additive_generators,
     enumerate_forms,
     enumerate_module,
+    enumeration_cap,
     annihilated,
     kernel_elements,
     linear_kernel,
@@ -265,16 +266,39 @@ def test_enumeration_cap():
         list(enumerate_module(big))
     with pytest.raises(EnumerationCapError):
         list(enumerate_forms(big))
-    assert len(list(enumerate_module(big, cap=1 << 21))) == 1 << 21
+    with enumeration_cap(1 << 21):
+        assert len(list(enumerate_module(big))) == 1 << 21
+
+
+def test_enumeration_cap_nests_and_restores():
+    z8 = ModuleShape(8, (8,))
+    with enumeration_cap(16):
+        with pytest.raises(ZeroDivisionError):
+            with enumeration_cap(4):
+                with pytest.raises(EnumerationCapError, match="cap is 4"):
+                    list(enumerate_module(z8))
+                1 // 0
+        assert len(list(enumerate_module(z8))) == 8  # the outer cap is back
+        with enumeration_cap(4), pytest.raises(EnumerationCapError, match="cap is 4"):
+            _check_power_cap(2, 3, "ambient module")
+    with enumeration_cap(7), pytest.raises(EnumerationCapError, match="cap is 7"):
+        list(enumerate_forms(z8))
+    _check_power_cap(2, 20, "ambient module")  # DEFAULT_CAP outside every block
+    with pytest.raises(EnumerationCapError, match="cap is 1048576"):
+        _check_power_cap(2, 21, "ambient module")
 
 
 def test_power_cap_never_forms_the_power():
-    _check_power_cap(4, 2, 16, "ambient module")  # exactly at the cap
-    with pytest.raises(EnumerationCapError, match="has 4\\^2 entries, cap is 15"):
-        _check_power_cap(4, 2, 15, "ambient module")
-    with pytest.raises(EnumerationCapError, match="has 2\\^1000000000 entries"):
-        _check_power_cap(2, 10**9, 1 << 20, "ambient module")
-    _check_power_cap(1, 10**12, 1, "ambient module")  # the zero ring: one vector
+    with enumeration_cap(16):
+        _check_power_cap(4, 2, "ambient module")  # exactly at the cap
+    with enumeration_cap(15), pytest.raises(EnumerationCapError,
+                                            match="has 4\\^2 entries, cap is 15"):
+        _check_power_cap(4, 2, "ambient module")
+    with enumeration_cap(1 << 20), pytest.raises(EnumerationCapError,
+                                                 match="has 2\\^1000000000 entries"):
+        _check_power_cap(2, 10**9, "ambient module")
+    with enumeration_cap(1):
+        _check_power_cap(1, 10**12, "ambient module")  # the zero ring: one vector
 
 
 # -- properties ------------------------------------------------------------
