@@ -87,23 +87,24 @@ class LinearCode:
         side: str = "left",
     ) -> "LinearCode":
         """Close the generators under addition and the requested scalar
-        action.  'additive' skips the scalar action (integer multiples
-        are already sums)."""
+        action: the additive span of act(s, g) over the side's scalars
+        (see _action) and generators g."""
         _check_ambient(alphabet, m, side)
         gens = [tuple(alphabet.element(c) for c in g) for g in generators]
         for g in gens:
             if len(g) != m:
                 raise ValueError(f"generator {g!r} does not have length {m}")
-        if side == "additive":
-            seeds = gens
-        else:
-            S = _scalars(alphabet, side)
-            seeds = [_scale_left(S, a, g) for g in gens for a in S.elements()]
+        scalars, act = _action(alphabet, side)
+        seeds = [act(s, g) for g in gens for s in scalars]
         closed = additive_closure(seeds, partial(_vadd, alphabet), (alphabet.zero,) * m)
         return cls(alphabet, m, side, tuple(gens), closed)
 
     def _validate(self):
         A = self.alphabet
+        for v in self.codewords:
+            if not (isinstance(v, tuple) and len(v) == self.m
+                    and all(A.shape.contains(c) for c in v)):
+                raise ValueError(f"codeword {v!r} is not a vector of A^{self.m}")
         zero = (A.zero,) * self.m
         bad = submodule_violation(self.codewords, partial(_vadd, A), zero,
                                   *_action(A, self.side))
@@ -170,21 +171,13 @@ def _scale_left(A: FiniteRing, a: Element, v: Vector) -> Vector:
     return tuple(A.mul(a, c) for c in v)
 
 
-def _scalars(A: FiniteRing, side: str) -> FiniteRing:
-    """The ring acting on the left for a code of the given module side:
-    A itself for left codes, its opposite for right codes."""
-    return A.opposite() if side == "right" else A
-
-
 def _action(A: FiniteRing, side: str) -> tuple:
-    """(scalars, act) of a code's module side: A or its opposite acting on
-    the left, and for additive codes the prime subring Z_n * 1 of A."""
-    S = _scalars(A, side)
-    if side == "additive":
-        scalars = [A.scale(k, A.one) for k in range(A.characteristic)]
-    else:
-        scalars = S.elements()
-    return scalars, partial(_scale_left, S)
+    """(scalars, act) of a code's module side: A, or its opposite for right
+    codes, acting on the left.  scalars additively generate the acting
+    ring: its basis, or for additive codes 1, which additively generates
+    the prime subring Z_n * 1 acting on a bare subgroup."""
+    S = A.opposite() if side == "right" else A
+    return ((A.one,) if side == "additive" else S.basis_elements), partial(_scale_left, S)
 
 
 # -- weight enumerators ----------------------------------------------------
@@ -366,7 +359,7 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
     words = code.codewords if isinstance(code, LinearCode) else frozenset(code)
     A = quotient.base
     generators = [quotient.shift_generator()] + [
-        quotient.embed_scalar(A.basis(i)) for i in range(A.rank)]
+        quotient.embed_scalar(e) for e in A.basis_elements]
     return submodule_violation(words, quotient.add, quotient.zero, generators,
                                quotient.mul) is None
 

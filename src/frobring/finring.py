@@ -96,7 +96,9 @@ class SocleCertificate:
 
 
 class FiniteRing:
-    """Finite unital ring over Z_n given by structure constants."""
+    """Finite unital ring over Z_n given by structure constants.  Its additive
+    basis, basis_elements, stands in for every scalar wherever a biadditive
+    product is tested or spanned: R * v is the span of e_1 * v, ..., e_k * v."""
 
     def __init__(
         self,
@@ -117,6 +119,9 @@ class FiniteRing:
             tuple(shape.reduce(entry) for entry in row) for row in mul_table
         )
         self.one: Element = shape.reduce(one)
+        # reduce: a coordinate of order 1 has no generator besides 0
+        self.basis_elements: tuple[Element, ...] = tuple(
+            shape.reduce(1 if j == i else 0 for j in range(k)) for i in range(k))
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
         self._elements: tuple[Element, ...] | None = None
@@ -150,8 +155,7 @@ class FiniteRing:
         return self.shape.zero
 
     def basis(self, i: int) -> Element:
-        # reduce: a coordinate of order 1 has no generator besides 0
-        return self.shape.reduce(1 if j == i else 0 for j in range(self.rank))
+        return self.basis_elements[i]
 
     def element(self, coords: Iterable[int]) -> Element:
         return self.shape.reduce(coords)
@@ -343,7 +347,7 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
         return report
 
     witness = None
-    basis = [ring.basis(i) for i in range(k)]
+    basis = ring.basis_elements
     for i, j, l in product(range(k), repeat=3):
         left = ring.mul(ring.mul_table[i][j], basis[l])
         right = ring.mul(basis[i], ring.mul_table[j][l])
@@ -353,8 +357,7 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     report.append((associative, witness is None, witness))
 
     witness = None
-    for i in range(k):
-        e = ring.basis(i)
+    for i, e in enumerate(ring.basis_elements):
         if ring.mul(ring.one, e) != e or ring.mul(e, ring.one) != e:
             witness = i
             break
@@ -477,8 +480,8 @@ def ring_group_algebra(
 def ring_orthogonal(ring: FiniteRing, gens, pairing, codomain) -> frozenset[Element]:
     """{a : pairing(a, g) = 0 for every g in gens}, by rank * |gens| pairings;
     for a biadditive pairing, the orthogonal of everything gens span."""
-    basis = [ring.basis(i) for i in range(ring.rank)]
-    return frozenset(orthogonal_kernel(ring.shape.orders, basis, gens, pairing, codomain))
+    return frozenset(orthogonal_kernel(ring.shape.orders, ring.basis_elements, gens, pairing,
+                                       codomain))
 
 
 def submodule_violation(elems, add, zero, scalars, act):
@@ -487,7 +490,8 @@ def submodule_violation(elems, add, zero, scalars, act):
     The one submodule test: ('zero', zero) when zero is missing, then
     ('sum', (a, b)) for a + b outside, then ('scalar', (r, a)) for
     act(r, a) outside, with r running over scalars (none for a bare
-    additive subgroup).
+    additive subgroup).  As the action is biadditive, scalars may be any
+    additive generating set of the acting ring; callers pass its basis.
     """
     if zero not in elems:
         return ("zero", zero)
@@ -501,26 +505,28 @@ def submodule_violation(elems, add, zero, scalars, act):
 
 
 def is_left_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
-    return submodule_violation(elems, ring.add, ring.zero, ring.elements(), ring.mul) is None
+    return submodule_violation(elems, ring.add, ring.zero, ring.basis_elements, ring.mul) is None
 
 
 def is_right_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
     return is_left_ideal(ring.opposite(), elems)
 
 
-def _cyclic_submodules(scalars, vectors, act) -> set[frozenset]:
-    """The cyclic submodules {act(r, v) : r in scalars}, one per vector."""
-    scalars = list(scalars)
-    return {frozenset(act(r, v) for r in scalars) for v in vectors}
+def _cyclic_submodules(vectors, add, zero, scalars, act) -> set[frozenset]:
+    """The cyclic submodules, one per vector: the additive span of the
+    act(g, v), g in scalars (an additive generating set)."""
+    return {additive_closure([act(g, v) for g in scalars], add, zero) for v in vectors}
 
 
 def submodule_lattice(vectors, add, zero, scalars, act) -> list[frozenset]:
     """Every submodule spanned by vectors under the scalar action, sorted
-    by size: the one lattice closure.
+    by size: the one lattice closure.  As the action is biadditive,
+    scalars may be any additive generating set of the acting ring;
+    callers pass its basis.
 
-    Each submodule is the sum of the cyclic submodules {act(r, v)} of its
-    members (cf. Wood, Amer. J. Math. 121, 1999), so the lattice is the
-    additive closure of the cyclic submodules under I + C, from {zero}.
+    Each submodule is the sum of the cyclic submodules of its members
+    (cf. Wood, Amer. J. Math. 121, 1999), each the span of the act(g, v),
+    so the lattice is their additive closure under I + C, from {zero}.
     A sum is built one coset I + c at a time, skipping every c already in
     it: I is a subgroup, so if c = i + c' then I + c = I + c'.  That makes
     |I + C| additions instead of |I| * |C|.
@@ -534,15 +540,15 @@ def submodule_lattice(vectors, add, zero, scalars, act) -> list[frozenset]:
                 out.update(add(i, c) for i in I)
         return frozenset(out)
 
-    lattice = additive_closure(_cyclic_submodules(scalars, vectors, act), plus,
+    lattice = additive_closure(_cyclic_submodules(vectors, add, zero, scalars, act), plus,
                                frozenset({zero}))
     return sorted(lattice, key=lambda s: (len(s), sorted(s)))
 
 
 def cyclic_left_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
     """The principal left ideals R*a for every a (images of right mult)."""
-    elems = ring.elements()
-    return _cyclic_submodules(elems, elems, ring.mul)
+    return _cyclic_submodules(ring.elements(), ring.add, ring.zero, ring.basis_elements,
+                              ring.mul)
 
 
 def cyclic_right_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
@@ -555,9 +561,8 @@ def left_ideals(ring: FiniteRing) -> list[Ideal]:
 
     Intended for rings up to a hundred or so elements.
     """
-    elems = ring.elements()
-    return [Ideal("left", s)
-            for s in submodule_lattice(elems, ring.add, ring.zero, elems, ring.mul)]
+    return [Ideal("left", s) for s in submodule_lattice(
+        ring.elements(), ring.add, ring.zero, ring.basis_elements, ring.mul)]
 
 
 def right_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -601,9 +606,8 @@ def _right_generator(ring: FiniteRing, socle: frozenset[Element]) -> Element | N
 
     s * R is the additive span of s * e_1, ..., s * e_k, and it lies in
     the socle (a right ideal) when s does, so comparing sizes suffices."""
-    basis = [ring.basis(j) for j in range(ring.rank)]
     for s in sorted(socle):
-        s_R = additive_closure((ring.mul(s, e) for e in basis), ring.add, ring.zero)
+        s_R = additive_closure((ring.mul(s, e) for e in ring.basis_elements), ring.add, ring.zero)
         if len(s_R) == len(socle):
             return s
     return None

@@ -100,7 +100,7 @@ def pairing_kernel(ring: FiniteRing, pairing: Callable, slot: str) -> frozenset[
     pairing must be Z-bilinear: this is _gram_kernel of its basis gram."""
     if slot not in ("first", "second"):
         raise ValueError(f"bad slot {slot!r}")
-    basis = [ring.basis(i) for i in range(ring.rank)]
+    basis = ring.basis_elements
     return frozenset(_gram_kernel(ring, [[pairing(a, b) for b in basis] for a in basis], slot))
 
 
@@ -147,9 +147,9 @@ def associativity_violation(ring: FiniteRing, pairing: Callable):
     Only valid for Z_n-bilinear pairings, where checking basis triples
     suffices.  Returns None when the pairing is associative.
     """
+    e = ring.basis_elements
     for i, j, l in product(range(ring.rank), repeat=3):
-        ei, ej, el = ring.basis(i), ring.basis(j), ring.basis(l)
-        if pairing(ring.mul(ei, ej), el) != pairing(ei, ring.mul(ej, el)):
+        if pairing(ring.mul(e[i], e[j]), e[l]) != pairing(e[i], ring.mul(e[j], e[l])):
             return (i, j, l)
     return None
 
@@ -252,7 +252,7 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
 
     def translate_weights(R: FiniteRing, b: Element) -> tuple[int, ...]:
         """Weights of eps(b * -) on R; on the opposite ring, of eps(- * b)."""
-        return tuple(form.evaluate(R.mul(b, R.basis(j))) for j in range(R.rank))
+        return tuple(form.evaluate(R.mul(b, e)) for e in R.basis_elements)
 
     first_images = [translate_weights(ring, b) for b in elems]
     second_images = [translate_weights(ring.opposite(), b) for b in elems]
@@ -343,8 +343,8 @@ class AmbientForm:
         zero elsewhere), position-major, after the ambient cap check."""
         _check_power_cap(self.ring.cardinality, self.m, "ambient module")
         zero = self.ring.zero
-        return [tuple(self.ring.basis(i) if q == p else zero for q in range(self.m))
-                for p in range(self.m) for i in range(self.ring.rank)]
+        return [tuple(e if q == p else zero for q in range(self.m))
+                for p in range(self.m) for e in self.ring.basis_elements]
 
     def left_kernel(self) -> frozenset[Vector]:
         """First-slot kernel {x : <x, y> = 0 for all y}: by biadditivity,

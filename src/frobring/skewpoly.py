@@ -88,7 +88,7 @@ class RingAutomorphism:
 
     @classmethod
     def identity(cls, ring: FiniteRing) -> "RingAutomorphism":
-        return cls(ring, [ring.basis(i) for i in range(ring.rank)])
+        return cls(ring, ring.basis_elements)
 
     def _extend(self, images: tuple[Element, ...], a: Element) -> Element:
         out = self.ring.zero
@@ -108,7 +108,7 @@ class RingAutomorphism:
     def _tables(self) -> list[tuple[Element, ...]]:
         # every automorphism is validated as a bijection, so the walk ends
         if self._power_tables is None:
-            ident = tuple(self.ring.basis(i) for i in range(self.ring.rank))
+            ident = self.ring.basis_elements
             tables = [ident]
             current = self.images
             while current != ident:
@@ -193,8 +193,7 @@ def check_two_sided(
     m = len(modulus) - 1
     if m < 1 or modulus[m] != ring.one:
         raise ValueError("modulus must be monic of degree >= 1")
-    for idx in range(ring.rank):
-        a = ring.basis(idx)
+    for idx, a in enumerate(ring.basis_elements):
         top = aut.apply_power(m, a)
         for i, fi in enumerate(modulus):
             if ring.mul(fi, aut.apply_power(i, a)) != ring.mul(top, fi):
@@ -330,10 +329,9 @@ class SkewQuotient:
         """
         if self._ring is None:
             base = self.base
-            k = base.rank
             shape = ModuleShape(base.characteristic, base.shape.orders * self.m)
-            basis = [[base.basis(i) if d == j else base.zero for d in range(self.m)]
-                     for j in range(self.m) for i in range(k)]  # e_i x^j
+            basis = [[e if d == j else base.zero for d in range(self.m)]
+                     for j in range(self.m) for e in base.basis_elements]  # e_i x^j
             table = [[self.flatten(self.reduce_poly(poly_mul(base, self.aut, g, h)))
                       for h in basis] for g in basis]
             self._ring = FiniteRing(

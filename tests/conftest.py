@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from frobring import ring_matrix, ring_product, ring_zn
+from frobring import ring_from_table, ring_matrix, ring_product, ring_zn
 from frobring.catalog import (
     corpus_rings,
     cyclic_cayley,
@@ -16,6 +16,19 @@ from frobring.finring import ring_group_algebra
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
+
+
+def unit_vector(length, at):
+    return [1 if t == at else 0 for t in range(length)]
+
+
+def upper_triangular(n, t):
+    """T_t(Z_n) on the matrix units E_ab, a <= b: not Frobenius for t >= 2."""
+    units = [(a, b) for a in range(t) for b in range(a, t)]
+    r = len(units)
+    mul = [[unit_vector(r, units.index((a, d))) if b == c else [0] * r for (c, d) in units]
+           for (a, b) in units]
+    return ring_from_table(n, [n] * r, mul, [1 if a == b else 0 for (a, b) in units])
 
 
 @pytest.fixture(scope="session")

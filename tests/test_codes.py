@@ -79,6 +79,10 @@ def test_validate_catches_non_codes(z4):
         LinearCode(z4, 1, "left", (), [((1,),)], check=True)  # no zero
     with pytest.raises(ValueError):
         LinearCode(z4, 1, "left", (), [((0,),), ((1,),)], check=True)  # not closed
+    with pytest.raises(ValueError):
+        LinearCode(z4, 2, "left", (), [((0,), (0,)), ((0,),)], check=True)  # short word
+    with pytest.raises(ValueError):
+        LinearCode(z4, 1, "left", (), [((0,),), ((4,),)], check=True)  # unreduced entry
 
 
 # -- weight enumerators ----------------------------------------------------

@@ -7,6 +7,9 @@ appears as a bare name anywhere in the module, annotations included.
 No function takes a `cap` parameter and no object keeps a `.cap`: the
 enumeration cap is the one enumeration_cap setting.  cli.build_ring and
 cli.build_quotient keep theirs, as the benchmark calls them with a cap.
+
+No module rebuilds a ring's basis by calling .basis(i) over a range:
+FiniteRing.basis_elements is the one basis list.
 """
 
 import ast
@@ -71,3 +74,44 @@ def test_no_cap_is_threaded_through_the_package():
     for path in sorted(SRC.glob("*.py")):
         found += cap_threading(path.read_text(), path.stem)
     assert sorted(found) == CAP_PARAMETERS_KEPT
+
+
+def basis_rebuilds(source: str, module: str) -> list[str]:
+    """Lines that call .basis(i) with i bound by a loop or comprehension
+    over range(...), directly or through product(range(...), ...)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For):
+            loops = [(node.target, node.iter)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            loops = [(gen.target, gen.iter) for gen in node.generators]
+        else:
+            continue
+        names = {t.id for target, it in loops
+                 if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "range"
+                        for c in ast.walk(it))
+                 for t in ast.walk(target) if isinstance(t, ast.Name)}
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "basis"
+                    and any(isinstance(a, ast.Name) and a.id in names for a in call.args)):
+                found.add(f"{module} line {call.lineno}")
+    return sorted(found)
+
+
+def test_basis_scanner_flags_a_rebuilt_basis():
+    source = (
+        "b = [r.basis(i) for i in range(r.rank)]\n"
+        "for i, j in product(range(k), repeat=2):\n"
+        "    x = r.basis(j)\n"
+        "y = {r.basis(0)} | set(r.basis_elements)\n"
+        "for e in r.basis_elements:\n"
+        "    z = r.basis(e)\n"
+    )
+    assert basis_rebuilds(source, "m") == ["m line 1", "m line 3"]
+
+
+def test_no_module_rebuilds_a_basis():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += basis_rebuilds(path.read_text(), path.stem)
+    assert found == []

@@ -3,7 +3,8 @@
 Every lattice (ideals of a ring, codes in A^m on each side) comes from one
 closure of cyclic submodules.  The oracle here filters all 2^|M| subsets
 of an ambient M of at most 16 elements, acting directly on the left or on
-the right, with no opposite ring and no closure involved.
+the right, with no opposite ring and no closure involved.  The library
+acts with the basis of the ring, the oracle with every element.
 """
 
 from itertools import product
@@ -13,12 +14,17 @@ import pytest
 from frobring.catalog import gf4
 from frobring.codes import LinearCode, submodule_codes
 from frobring.finring import (
+    is_left_ideal,
+    is_right_ideal,
     left_ideals,
     right_ideals,
     ring_matrix,
+    ring_product,
     ring_zn,
     submodule_violation,
 )
+
+from conftest import upper_triangular
 
 
 def all_subgroups(elements, add, zero):
@@ -59,6 +65,8 @@ AMBIENTS = {
     "Z4^2": (ring_zn(4), 2),
     "GF4^2": (gf4(), 2),
     "M2(F2)^1": (ring_matrix(ring_zn(2), 2), 1),
+    "Z2xZ4^1": (ring_product(ring_zn(2), ring_zn(4)), 1),  # basis orders 2 and 4
+    "T2(Z2)^1": (upper_triangular(2, 2), 1),  # left and right lattices differ
 }
 
 
@@ -104,6 +112,17 @@ def test_ideals_of_matrix_ring_match_brute_force():
 
 
 # -- the one submodule test ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["GF4", "M2(F2)", "T2(Z2)"])
+def test_ideal_tests_match_brute_force(name):
+    """The ideal tests act with the basis, the oracle with every element."""
+    R = {"GF4": gf4(), "M2(F2)": ring_matrix(ring_zn(2), 2),
+         "T2(Z2)": upper_triangular(2, 2)}[name]
+    els = R.elements()
+    for S in all_subgroups(els, R.add, R.zero):
+        assert is_left_ideal(R, S) == all(R.mul(a, x) in S for a in els for x in S), S
+        assert is_right_ideal(R, S) == all(R.mul(x, a) in S for a in els for x in S), S
 
 
 def test_submodule_violation_witnesses():

@@ -45,18 +45,16 @@ from frobring.catalog import (
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
 )
-from frobring.codes import quotient_left_ideal_codes
-from frobring.finring import FiniteRing, left_ideals
+from frobring.codes import LinearCode, quotient_left_ideal_codes
+from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left_ideals
 from frobring.skewpoly import RingAutomorphism, SkewQuotient
 from frobring.frobenius import pairing_kernel
 from frobring.znmod import additive_generators, annihilated
 
+from conftest import unit_vector, upper_triangular
+
 
 # -- constructed rings from the benchmark's families ---------------------------
-
-
-def unit_vector(length, at):
-    return [1 if t == at else 0 for t in range(length)]
 
 
 def truncated(n, k):
@@ -72,15 +70,6 @@ def square_zero(p, k):
     mul = [[unit_vector(r, j) for j in range(r)]]
     mul += [[unit_vector(r, i)] + [[0] * r] * k for i in range(1, r)]
     return ring_from_table(p, [p] * r, mul, unit_vector(r, 0))
-
-
-def upper_triangular(n, t):
-    """T_t(Z_n) on the matrix units E_ab, a <= b: not Frobenius for t >= 2."""
-    units = [(a, b) for a in range(t) for b in range(a, t)]
-    r = len(units)
-    mul = [[unit_vector(r, units.index((a, d))) if b == c else [0] * r for (c, d) in units]
-           for (a, b) in units]
-    return ring_from_table(n, [n] * r, mul, [1 if a == b else 0 for (a, b) in units])
 
 
 def dihedral_cayley(k):
@@ -310,6 +299,30 @@ def test_orthogonals_make_rank_products_per_generator(name, mul_calls):
         mul_calls[0] = 0
         functional_left_orthogonal(ring, eps, ideal.elements)
         assert mul_calls[0] <= bound
+
+
+@pytest.mark.parametrize("name", ["M2(F2)", "T3(Z2)"])
+def test_module_actions_make_rank_products_per_vector(name, mul_calls):
+    """Cyclic ideals, the ideal test and code generation act with the
+    basis, never with every scalar of the ring."""
+    ring = fresh(name)
+    elems = ring.elements()
+    for build in (cyclic_left_ideals, left_ideals):
+        mul_calls[0] = 0
+        build(ring)
+        assert mul_calls[0] <= ring.rank * len(elems)
+    ideals = left_ideals(ring)
+    assert len(ideals) > 2
+    for ideal in ideals:
+        mul_calls[0] = 0
+        assert is_left_ideal(ring, ideal.elements)
+        assert mul_calls[0] <= ring.rank * len(ideal)
+    m = 2
+    gens = list(zip(elems[1:4], elems[-3:]))
+    mul_calls[0] = 0
+    code = LinearCode.generate(ring, m, gens, "left")
+    assert mul_calls[0] <= ring.rank * m * len(gens)
+    assert code.cardinality > len(gens)
 
 
 # -- orthogonals in the ring against the annihilated scan -----------------------
