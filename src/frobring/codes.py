@@ -340,8 +340,8 @@ def submodule_codes(A: FiniteRing, m: int, side: str) -> list[LinearCode]:
     is a sum of the cyclic submodules of its members.
     """
     _check_ambient(A, m, side)
-    vectors = product(A.elements(), repeat=m)
-    lattice = submodule_lattice(vectors, partial(_vadd, A), (A.zero,) * m, *_action(A, side))
+    vectors = product(A.elements(), repeat=m)  # lexicographic in the m * rank coordinates
+    lattice = submodule_lattice(A.shape.orders * m, vectors, *_action(A, side))
     return [LinearCode(A, m, side, (), words) for words in lattice]
 
 

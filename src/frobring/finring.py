@@ -23,7 +23,9 @@ pairs of elements:
   bilinearity is the annihilator of the whole radical (ring_orthogonal);
 * the Frobenius test looks for a single socle generator on each side,
   comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
-  the socle by size.
+  the socle by size;
+* submodule lattices are built on znmod.packed_arithmetic codes, which
+  sort like the tuples and add in five int operations.
 
 Right-handed notions are the left-handed ones of the opposite ring, which
 every ring builds once on demand (FiniteRing.opposite).  Rings cache these
@@ -45,6 +47,7 @@ from .znmod import (
     additive_closure,
     enumerate_module,
     orthogonal_kernel,
+    packed_arithmetic,
 )
 
 
@@ -492,12 +495,20 @@ def submodule_violation(elems, add, zero, scalars, act):
     act(r, a) outside, with r running over scalars (none for a bare
     additive subgroup).  As the action is biadditive, scalars may be any
     additive generating set of the acting ring; callers pass its basis.
+    Sums are tested against generators only: in sorted order, each b
+    outside the span of those before must keep elems + b inside elems, so
+    elems is closed under its own span, at about |elems| log|elems| adds.
     """
     if zero not in elems:
         return ("zero", zero)
-    for a, b in product(elems, repeat=2):
-        if add(a, b) not in elems:
-            return ("sum", (a, b))
+    ordered, gens, spanned = sorted(elems), [], {zero}
+    for b in ordered:
+        if b not in spanned:
+            for a in ordered:
+                if add(a, b) not in elems:
+                    return ("sum", (a, b))
+            gens.append(b)
+            spanned = additive_closure(gens, add, zero)
     for r, a in product(scalars, elems):
         if act(r, a) not in elems:
             return ("scalar", (r, a))
@@ -512,25 +523,34 @@ def is_right_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
     return is_left_ideal(ring.opposite(), elems)
 
 
-def _cyclic_submodules(vectors, add, zero, scalars, act) -> set[frozenset]:
-    """The cyclic submodules, one per vector: the additive span of the
+def _cyclic_submodules(orders, vectors, scalars, act) -> tuple:
+    """(cyclic submodules, add, decode) on the packed codes of vectors
+    (see submodule_lattice), one per vector: the additive span of the
     act(g, v), g in scalars (an additive generating set)."""
-    return {additive_closure([act(g, v) for g in scalars], add, zero) for v in vectors}
+    encode, add = packed_arithmetic(orders)
+    code = {v: encode(c) for v, c in zip(vectors, product(*map(range, orders)), strict=True)}
+    cyclic = {additive_closure([code[act(g, v)] for g in scalars], add, 0) for v in code}
+    return cyclic, add, {c: v for v, c in code.items()}
 
 
-def submodule_lattice(vectors, add, zero, scalars, act) -> list[frozenset]:
+def submodule_lattice(orders, vectors, scalars, act) -> list[frozenset]:
     """Every submodule spanned by vectors under the scalar action, sorted
-    by size: the one lattice closure.  As the action is biadditive,
-    scalars may be any additive generating set of the acting ring;
-    callers pass its basis.
+    by size, then members: the one lattice closure.  As the action is
+    biadditive, scalars may be any additive generating set of the acting
+    ring; callers pass its basis.  vectors must list the module, flattened
+    to coordinates of the given orders, in lexicographic coordinate order.
+    It is built on their packed codes (znmod.packed_arithmetic), which
+    sort the same way, and decoded once, at the end.
 
     Each submodule is the sum of the cyclic submodules of its members
     (cf. Wood, Amer. J. Math. 121, 1999), each the span of the act(g, v),
-    so the lattice is their additive closure under I + C, from {zero}.
+    so the lattice is their additive closure under I + C, from {0}.
     A sum is built one coset I + c at a time, skipping every c already in
     it: I is a subgroup, so if c = i + c' then I + c = I + c'.  That makes
-    |I + C| additions instead of |I| * |C|.
+    |I + C| packed additions, five int operations each, not |I| * |C|.
     """
+    cyclic, add, decode = _cyclic_submodules(orders, vectors, scalars, act)
+
     def plus(I: frozenset, C: frozenset) -> frozenset:
         if C <= I:  # every member is a subgroup, so I + C = I
             return I
@@ -540,15 +560,16 @@ def submodule_lattice(vectors, add, zero, scalars, act) -> list[frozenset]:
                 out.update(add(i, c) for i in I)
         return frozenset(out)
 
-    lattice = additive_closure(_cyclic_submodules(vectors, add, zero, scalars, act), plus,
-                               frozenset({zero}))
-    return sorted(lattice, key=lambda s: (len(s), sorted(s)))
+    lattice = additive_closure(cyclic, plus, frozenset({0}))
+    return [frozenset(map(decode.__getitem__, s))
+            for s in sorted(lattice, key=lambda s: (len(s), sorted(s)))]
 
 
 def cyclic_left_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
     """The principal left ideals R*a for every a (images of right mult)."""
-    return _cyclic_submodules(ring.elements(), ring.add, ring.zero, ring.basis_elements,
-                              ring.mul)
+    cyclic, _, decode = _cyclic_submodules(ring.shape.orders, ring.elements(),
+                                           ring.basis_elements, ring.mul)
+    return {frozenset(map(decode.__getitem__, s)) for s in cyclic}
 
 
 def cyclic_right_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
@@ -562,7 +583,7 @@ def left_ideals(ring: FiniteRing) -> list[Ideal]:
     Intended for rings up to a hundred or so elements.
     """
     return [Ideal("left", s) for s in submodule_lattice(
-        ring.elements(), ring.add, ring.zero, ring.basis_elements, ring.mul)]
+        ring.shape.orders, ring.elements(), ring.basis_elements, ring.mul)]
 
 
 def right_ideals(ring: FiniteRing) -> list[Ideal]:

@@ -195,6 +195,34 @@ def additive_closure(seeds: Iterable, add: Callable, zero) -> frozenset:
     return frozenset(closed)
 
 
+def packed_arithmetic(orders: Sequence[int]) -> tuple[Callable, Callable]:
+    """(encode, add) for Z_{d_1} x ... x Z_{d_K}, each element one int.
+
+    encode packs the coordinates most significant first into fields of
+    B + 1 bits, 2^B > max d_j, so codes sort as the tuples do.  A field
+    sum x_j + y_j < 2^(B+1) never carries; adding 2^B - d_j sets its top
+    bit exactly when x_j + y_j >= d_j, and those guard bits, spread into
+    masks, pick the d_j to subtract: five int operations, no table.
+    """
+    low = max(orders, default=1).bit_length()
+
+    def encode(coords: Iterable[int]) -> int:
+        code = 0
+        for c in coords:
+            code = code << (low + 1) | c
+        return code
+
+    moduli, bias = encode(orders), encode((1 << low) - d for d in orders)
+    guards = encode((1 << low,) * len(orders))
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        u = (s + bias) & guards
+        return s - ((u - (u >> low)) & moduli)
+
+    return encode, add
+
+
 def linear_kernel(domain: Sequence[int], images: Sequence[Element],
                   codomain: Sequence[int]) -> Iterator[Element]:
     """Every x in Z_{d_1} x ... x Z_{d_k}, in lexicographic order, with

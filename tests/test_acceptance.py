@@ -2,11 +2,15 @@
 
 The two big sweeps (monomial positive sweep, non-monomial converse search)
 run once and are shared: criterion 6 consumes the cardinality records they
-collect instead of recomputing duals.
+collect instead of recomputing duals.  The budget tests at the end pin
+sizes that the packed submodule lattice and the subgroup test by
+generators brought into reach.
 """
 
+import json
 import time
 from functools import lru_cache
+from itertools import product
 
 from frobring.catalog import (
     corpus_rings,
@@ -15,6 +19,7 @@ from frobring.catalog import (
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
 )
+from frobring.cli import main
 from frobring.codes import (
     LinearCode,
     is_monomial,
@@ -262,3 +267,50 @@ def test_criterion_10_form_count_equals_ring_size():
     for name, ring in corpus().items():
         count = sum(1 for _ in enumerate_forms(ring.shape))
         assert count == ring.cardinality, name
+
+
+# -- budgets at sizes the packed lattice reaches ---------------------------
+
+
+def gaussian_binomial_sum(n, q):
+    """Number of subspaces of F_q^n: the sum over k of [n choose k]_q."""
+    total, term = 0, 1  # term = [n choose k]_q
+    for k in range(n + 1):
+        total += term
+        term = term * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
+    return total
+
+
+def test_budget_left_lattice_of_z2_to_the_6():
+    t0 = time.perf_counter()
+    codes = submodule_codes(ring_zn(2), 6, "left")
+    elapsed = time.perf_counter() - t0
+    assert len(codes) == gaussian_binomial_sum(6, 2) == 2825
+    assert elapsed < 5, f"lattice took {elapsed:.1f} s"
+
+
+def test_budget_checked_code_of_every_word_of_z4_to_the_5():
+    z4 = ring_zn(4)
+    words = [tuple((c,) for c in v) for v in product(range(4), repeat=5)]
+    t0 = time.perf_counter()
+    code = LinearCode(z4, 5, "left", (), words, check=True)
+    elapsed = time.perf_counter() - t0
+    assert code.cardinality == 1024
+    assert elapsed < 2, f"submodule check took {elapsed:.1f} s"
+
+
+def test_budget_skew_sweep_of_gf4_squaring_mod_x4_minus_1(tmp_path, capsys):
+    spec = tmp_path / "quotient.json"
+    spec.write_text(json.dumps({
+        "kind": "skew_quotient",
+        "base": {"kind": "table", "n": 2, "orders": [2, 2],
+                 "mul": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], "one": [1, 0]},
+        "aut_images": [[1, 0], [1, 1]],
+        "modulus": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0]],
+    }))
+    t0 = time.perf_counter()
+    assert main(["skew", "sweep", str(spec), "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert report["left_ideals"] == 15 and report["all_ok"] is True
+    assert elapsed < 4, f"sweep took {elapsed:.1f} s"

@@ -5,24 +5,32 @@ closure of cyclic submodules.  The oracle here filters all 2^|M| subsets
 of an ambient M of at most 16 elements, acting directly on the left or on
 the right, with no opposite ring and no closure involved.  The library
 acts with the basis of the ring, the oracle with every element.
+
+On larger ambients the library's lattice, built on packed integer codes,
+must equal member for member and in order the same closure built on tuple
+vectors (tuple_lattice).
 """
 
 from itertools import product
+from math import lcm
 
 import pytest
 
-from frobring.catalog import gf4
+from frobring.catalog import gf4, gf4_frobenius
 from frobring.codes import LinearCode, submodule_codes
 from frobring.finring import (
     is_left_ideal,
     is_right_ideal,
     left_ideals,
     right_ideals,
+    ring_from_table,
     ring_matrix,
     ring_product,
     ring_zn,
     submodule_violation,
 )
+from frobring.skewpoly import RingAutomorphism, SkewQuotient
+from frobring.znmod import ModuleShape, additive_closure, enumerate_module
 
 from conftest import upper_triangular
 
@@ -111,6 +119,77 @@ def test_ideals_of_matrix_ring_match_brute_force():
         assert all(I.side == side for I in found)
 
 
+# -- the packed lattice against the tuple lattice ---------------------------
+
+
+def tuple_lattice(vectors, add, zero, scalars, act):
+    """The lattice closure on tuple vectors: every submodule, sorted by
+    size and then by sorted members.  The cyclic submodules are the spans
+    of the act(g, v); I + C is built one coset I + c at a time."""
+    def plus(I, C):
+        if C <= I:
+            return I
+        out = set(I)
+        for c in C:
+            if c not in out:
+                out.update(add(i, c) for i in I)
+        return frozenset(out)
+
+    cyclic = {additive_closure([act(g, v) for g in scalars], add, zero) for v in vectors}
+    lattice = additive_closure(cyclic, plus, frozenset({zero}))
+    return sorted(lattice, key=lambda s: (len(s), sorted(s)))
+
+
+ORACLE_AMBIENTS = {
+    "Z4^3": (ring_zn(4), 3),
+    "GF4^3": (gf4(), 3),
+    "Z8^2": (ring_zn(8), 2),
+    "Z9^2": (ring_zn(9), 2),
+    "(Z2xZ4)^2": (ring_product(ring_zn(2), ring_zn(4)), 2),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(ORACLE_AMBIENTS))
+def test_packed_code_lattice_equals_the_tuple_lattice(name, side):
+    A, m = ORACLE_AMBIENTS[name]
+    act = (left_vector_action if side == "left" else right_vector_action)(A)
+    expected = tuple_lattice(product(A.elements(), repeat=m), vadd(A), (A.zero,) * m,
+                             A.basis_elements, act)
+    assert [code.codewords for code in submodule_codes(A, m, side)] == expected
+
+
+def plain_quotient(n, *coefficients):
+    """Z_n[x]/(f) for f = sum_i coefficients[i] x^i."""
+    base = ring_zn(n)
+    return SkewQuotient(base, RingAutomorphism.identity(base), [[c] for c in coefficients])
+
+
+GF4 = gf4()
+F9 = ring_from_table(3, [3, 3], [[[1, 0], [0, 1]], [[0, 1], [2, 0]]], [1, 0])  # i^2 = -1
+Z2XZ2 = ring_product(ring_zn(2), ring_zn(2))
+SKEW_QUOTIENTS = {  # the quotients A[x; aut]/(x^m - 1) of the skew benchmark sweep
+    "Z2[x]/(x^6-1)": plain_quotient(2, 1, 0, 0, 0, 0, 0, 1),
+    "Z3[x]/(x^4-1)": plain_quotient(3, 2, 0, 0, 0, 1),
+    "Z4[x]/(x^3-1)": plain_quotient(4, 3, 0, 0, 1),
+    "GF4[x]/(x^3-1)": SkewQuotient(GF4, RingAutomorphism.identity(GF4),
+                                   [[1, 0], [0, 0], [0, 0], [1, 0]]),
+    "GF4[x;sq]/(x^2-1)": SkewQuotient(GF4, gf4_frobenius(GF4), [[1, 0], [0, 0], [1, 0]]),
+    "F9[x;conj]/(x^2-1)": SkewQuotient(F9, RingAutomorphism(F9, [[1, 0], [0, 2]]),
+                                       [[2, 0], [0, 0], [1, 0]]),
+    "(Z2xZ2)[x;swap]/(x^2-1)": SkewQuotient(Z2XZ2, RingAutomorphism(Z2XZ2, [[0, 1], [1, 0]]),
+                                            [[1, 1], [0, 0], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_QUOTIENTS))
+def test_packed_ideal_lattices_equal_the_tuple_lattices(name):
+    R = SKEW_QUOTIENTS[name].as_finite_ring()
+    for found, act in ((left_ideals(R), R.mul), (right_ideals(R), lambda a, x: R.mul(x, a))):
+        expected = tuple_lattice(R.elements(), R.add, R.zero, R.basis_elements, act)
+        assert [ideal.elements for ideal in found] == expected
+
+
 # -- the one submodule test ------------------------------------------------
 
 
@@ -140,6 +219,23 @@ def test_submodule_violation_witnesses():
     kind, (r, a) = submodule_violation(first_row, R.add, R.zero, R.elements(), R.mul)
     assert kind == "scalar" and R.mul(r, a) not in first_row
     assert submodule_violation(first_row, R.add, R.zero, (), None) is None
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2), (4, 2)])
+def test_sum_check_by_generators_matches_all_pairs(orders):
+    """On every subset holding zero of an 8-element group, the sum check
+    by generators fails exactly when some pair sums outside, with such a
+    pair as its witness."""
+    shape = ModuleShape(lcm(*orders), orders)
+    els = list(enumerate_module(shape))
+    for mask in range(1, 1 << len(els), 2):  # bit 0 is the zero element
+        S = frozenset(e for i, e in enumerate(els) if mask >> i & 1)
+        found = submodule_violation(S, shape.add, shape.zero, (), None)
+        if all(shape.add(a, b) in S for a in S for b in S):
+            assert found is None, S
+        else:
+            kind, (a, b) = found
+            assert kind == "sum" and a in S and b in S and shape.add(a, b) not in S
 
 
 def test_code_validation_keeps_its_messages():

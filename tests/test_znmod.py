@@ -16,6 +16,7 @@ from frobring.znmod import (
     annihilated,
     kernel_elements,
     linear_kernel,
+    packed_arithmetic,
     span,
     _check_power_cap,
 )
@@ -143,6 +144,22 @@ def test_enumeration_is_lexicographic():
     assert len(els) == 8
     weights = [f.weights for f in enumerate_forms(shape)]
     assert weights[:5] == [(0, 0), (0, 1), (0, 2), (0, 3), (2, 0)]
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (3, 9), (8,), (5, 5), (1, 2), (4, 1, 3)])
+def test_packed_arithmetic_matches_the_tuples(orders):
+    """Codes are distinct, sort as the tuples do, and add as the tuples do,
+    for every pair.  Coordinates of order 1 come from the zero ring and
+    from products with Z_1."""
+    shape = ModuleShape(lcm(*orders), orders)
+    encode, add = packed_arithmetic(orders)
+    elements = list(enumerate_module(shape))  # lexicographic
+    decode = {encode(x): x for x in elements}
+    assert len(decode) == len(elements)
+    assert [decode[c] for c in sorted(decode)] == elements
+    for x in elements:
+        for y in elements:
+            assert decode.get(add(encode(x), encode(y))) == shape.add(x, y), (x, y)
 
 
 # -- span ------------------------------------------------------------------
