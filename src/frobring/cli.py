@@ -35,6 +35,7 @@ spec a ring, code, form or quotient comes from, it meets the same cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -409,7 +410,10 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parse_args keeps no state
+    between calls, each returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="frobring",
         description="finite rings over Z_n, Frobenius structure, ring-linear codes",

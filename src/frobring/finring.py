@@ -9,16 +9,21 @@ every table entry.  Construction validates well-definedness, associativity
 and the unit laws on the basis, and that the additive order of 1 equals n,
 so the characteristic really is n.
 
+Products run on packed structure constants: each table entry is one int
+with a field per coordinate, wide enough that a product's field sums never
+carry, so a * b costs rank^2 int multiply-adds (FiniteRing.mul).
+
 Structural computations enumerate the element list, sized for rings of a
-few hundred elements, but use the ring structure to avoid scanning all
+few thousand elements, but use the ring structure to avoid scanning all
 pairs of elements:
 
 * units and nilpotents come from one walk of powers a, a^2, ..., since
   a is a unit (nilpotent) iff any power a^i, i >= 1, is one;
-* the Jacobson radical is nil, so only nilpotent candidates get the
-  quasi-regularity test (x is in the radical iff 1 - a*x is a unit for
-  every a), and candidates inside the additive span of the members found
-  so far are skipped; that span's generators are kept;
+* the Jacobson radical holds every nil one-sided ideal and is nil, so x
+  is in it iff the left ideal R x is nil; only nilpotent candidates are
+  tested, R x is spanned lazily from e_1 x, ..., e_k x until a member is
+  not nilpotent, and candidates inside the additive span of the members
+  found so far are skipped; that span's generators are kept;
 * socles are the annihilators of those radical generators, which by
   bilinearity is the annihilator of the whole radical (ring_orthogonal);
 * the Frobenius test looks for a single socle generator on each side,
@@ -34,6 +39,7 @@ computations; treat constructed rings as immutable.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 from itertools import product
@@ -42,10 +48,12 @@ from typing import Iterable, Sequence
 
 from .znmod import (
     Element,
+    EnumerationCapError,
     ModuleShape,
     _check_power_cap,
     additive_closure,
     enumerate_module,
+    extend_span,
     orthogonal_kernel,
     packed_arithmetic,
 )
@@ -125,6 +133,15 @@ class FiniteRing:
         # reduce: a coordinate of order 1 has no generator besides 0
         self.basis_elements: tuple[Element, ...] = tuple(
             shape.reduce(1 if j == i else 0 for j in range(k)) for i in range(k))
+        # each table entry as one int, coordinate l in bits [W l, W (l + 1)):
+        # a field of a product sums k^2 terms a_i b_j e_ij[l] < n^3, so with
+        # 2^W > k^2 n^3 it never carries into the next
+        width = (k * k * shape.n ** 3).bit_length()
+        self._packed_table = tuple(
+            tuple(sum(c << width * l for l, c in enumerate(e)) for e in row)
+            for row in self.mul_table)
+        self._fields = tuple((width * l, d) for l, d in enumerate(shape.orders))
+        self._field_mask = (1 << width) - 1
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
         self._elements: tuple[Element, ...] | None = None
@@ -183,22 +200,15 @@ class FiniteRing:
         return self.shape.scale(c, a)
 
     def mul(self, a: Element, b: Element) -> Element:
-        """Product by Z-bilinear extension of the basis table."""
-        k = self.rank
-        acc = [0] * k
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = self.mul_table[i]
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                c = ai * bj
-                e = row[j]
-                for l in range(k):
-                    acc[l] += c * e[l]
-        orders = self.shape.orders
-        return tuple(acc[l] % orders[l] for l in range(k))
+        """Product by Z-bilinear extension of the basis table, on packed
+        entries: a * b = sum_i a_i (sum_j b_j e_i e_j), rank^2 int
+        multiply-adds, then one shift, mask and reduction per coordinate."""
+        acc = 0
+        for ai, row in zip(a, self._packed_table):
+            if ai:
+                acc += ai * sum(map(operator.mul, b, row))
+        mask = self._field_mask
+        return tuple([((acc >> shift) & mask) % d for shift, d in self._fields])
 
     def units(self) -> frozenset[Element]:
         """Units by one walk of powers per undecided element.
@@ -243,24 +253,30 @@ class FiniteRing:
     # -- radical and socle -------------------------------------------------
 
     def jacobson_radical(self) -> Ideal:
-        """Radical by quasi-regularity: x with 1 - a*x a unit for every a.
+        """Radical as the x whose left ideal R x is nil.
 
-        The radical is nil, so only nilpotents are tested, in sorted order,
-        and one already in the additive span of the members found is not
-        tested again.  Those members are kept as the radical's additive
-        generators (radical_generators)."""
+        Every nil one-sided ideal lies in the radical, and the radical is
+        nil, so x is in it iff each member of R x is nilpotent (Lam, A First
+        Course in Noncommutative Rings, GTM 131).  R x is the additive span
+        of e_1 x, ..., e_k x, grown lazily (extend_span) until a member is
+        not nilpotent: rank products and at most |R x| additions.  Only
+        nilpotents are candidates, in sorted order, and one already in the
+        span of the members found is not tested again.  Those members are
+        kept as the radical's additive generators (radical_generators)."""
         if self._radical is None:
-            elems = self.elements()
-            units = self.units()
+            nil = self.nilpotents()
             gens: list[Element] = []
-            rad = frozenset({self.zero})
-            for x in sorted(self.nilpotents()):
+            rad = {self.zero}
+            for x in sorted(nil):
                 if x in rad:
                     continue
-                if all(self.sub(self.one, self.mul(a, x)) in units for a in elems):
+                rx = {self.zero}
+                if all(y in nil for e in self.basis_elements
+                       for y in extend_span(rx, self.mul(e, x), self.add)):
                     gens.append(x)
-                    rad = additive_closure(gens, self.add, self.zero)
-            self._radical = Ideal("two-sided", rad)
+                    for _ in extend_span(rad, x, self.add):
+                        pass
+            self._radical = Ideal("two-sided", frozenset(rad))
             self._radical_generators = tuple(gens)
         return self._radical
 
@@ -420,6 +436,14 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> Finite
     _check_power_cap(base.cardinality, t * t, "matrix ring")
     k0 = base.rank
     k = t * t * k0
+    # The table holds k^3 ints, charged to the cap once 2^k exceeds it: a
+    # base without coordinates of order 1 has |R| >= 2^k, which the check
+    # above bounds, so only a base like the zero ring, of one element at
+    # any k, reaches the charge.
+    try:
+        _check_power_cap(2, k, "matrix ring")
+    except EnumerationCapError:
+        _check_power_cap(k, 3, "matrix ring table")
     orders = tuple(base.shape.orders[i] for _ in range(t * t) for i in range(k0))
     shape = ModuleShape(base.characteristic, orders)
 
@@ -501,14 +525,14 @@ def submodule_violation(elems, add, zero, scalars, act):
     """
     if zero not in elems:
         return ("zero", zero)
-    ordered, gens, spanned = sorted(elems), [], {zero}
+    ordered, spanned = sorted(elems), {zero}
     for b in ordered:
         if b not in spanned:
             for a in ordered:
                 if add(a, b) not in elems:
                     return ("sum", (a, b))
-            gens.append(b)
-            spanned = additive_closure(gens, add, zero)
+            for _ in extend_span(spanned, b, add):
+                pass
     for r, a in product(scalars, elems):
         if act(r, a) not in elems:
             return ("scalar", (r, a))

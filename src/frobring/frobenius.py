@@ -24,7 +24,8 @@ the Z-linear map x |-> (<x, s>)_s over an additive generating set of S:
 annihilators, functional orthogonals, and for ambient forms on A^m the
 orthogonals and kernels are each one znmod.orthogonal_kernel call on the
 images of the basis vectors.  Pairing kernels in the ring are read off the
-pairing's gram (_gram_kernel), lazily, as the search stops early.
+pairing's gram (_gram_kernel).  The functional search reads only the right
+socle, where every nonzero first-slot kernel shows up.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .znmod import (
@@ -199,14 +201,27 @@ class FrobeniusFunctional:
 def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     """First form, in weight-lexicographic order, that is Frobenius.
 
-    Tests the first-slot kernel of each form's gram (see _degeneracy),
-    stopping at its first nonzero member, without a ring product; returns
-    the form found through the verifying constructor, or None.
+    The first-slot kernel {a : eps(a * b) = 0 for all b} is a right ideal;
+    if it is nonzero it holds a minimal right ideal M, and M J = 0, so it
+    meets the right socle {x : x J = 0}.  A form is therefore Frobenius iff
+    no nonzero socle element s has eps(s * e_j) = 0 for every j (see
+    _degeneracy for the second slot).  The s * e_j are computed on the
+    first visit to each s, at most rank * |Soc| products in all.  The form
+    found is returned through the verifying constructor, which scans the
+    whole kernel again, or None.
     """
-    zero = ring.zero
-    for form in enumerate_forms(ring.shape):
-        gram = _functional_gram(ring, form)
-        if all(x == zero for x in _gram_kernel(ring, gram, "first")):
+    forms = enumerate_forms(ring.shape)
+    socle = sorted(ring.socle("right").elements - {ring.zero})
+    images: list[list[Element]] = []  # s * e_1, ..., s * e_k for the socle visited so far
+    n = ring.characteristic
+    for form in forms:
+        w = form.weights
+        for t, s in enumerate(socle):
+            if t == len(images):
+                images.append([ring.mul(s, e) for e in ring.basis_elements])
+            if all(sum(map(mul, w, v)) % n == 0 for v in images[t]):
+                break  # s is in the first-slot kernel
+        else:
             return FrobeniusFunctional(ring, form)
     return None
 

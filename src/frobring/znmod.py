@@ -162,37 +162,51 @@ def enumerate_module(shape: ModuleShape) -> Iterator[Element]:
 
 
 def enumerate_forms(shape: ModuleShape) -> Iterator[ZnLinearForm]:
-    """Yield every linear form into Z_n, ordered by weight tuples.
+    """Every linear form into Z_n, ordered by weight tuples, after the cap
+    check (made on the call, as enumerate_module makes it).
 
     Coordinate i of order d contributes the d weights 0, n/d, 2n/d, ...,
     so exactly as many forms are produced as the module has elements.
     """
     _check_cap(shape.cardinality, "form space")
     steps = [shape.n // d for d in shape.orders]
-    for js in product(*(range(d) for d in shape.orders)):
-        yield ZnLinearForm(shape, tuple(j * s for j, s in zip(js, steps)))
+    return (ZnLinearForm(shape, tuple(j * s for j, s in zip(js, steps)))
+            for js in product(*(range(d) for d in shape.orders)))
+
+
+def extend_span(span: set, x, add) -> Iterator:
+    """Grow span, a set closed under add, to its closure with x, in place:
+    the one additive closure.  Adds the cosets span + x, span + 2x, ...
+    until a multiple of x is already in span, and yields each new member
+    as it is added, so a caller may stop early (span then holds part of
+    the closure).
+
+    In a group a coset is new until the first multiple that falls in span,
+    so a full run costs one addition per new member and one per coset:
+    |new span| in all, not |new span| * |generators| for a closure taken
+    again from scratch.  add must be commutative and associative; it need
+    not have inverses (sums of submodules repeat, and x + x = x stops it).
+    """
+    base = tuple(span)
+    kx = x
+    while kx not in span:
+        for s in base:
+            y = add(s, kx)
+            if y not in span:
+                span.add(y)
+                yield y
+        kx = add(kx, x)
 
 
 def additive_closure(seeds: Iterable, add: Callable, zero) -> frozenset:
-    """Every finite sum of seeds (zero included): the one additive closure.
-
-    Each element found is added to every seed exactly once, so the cost is
-    |closure| * |seeds| additions; it serves elements of a module and
-    vectors of A^m alike.
-    """
-    seeds = list(seeds)
-    closed = {zero}
-    frontier = [zero]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in seeds:
-                s = add(a, g)
-                if s not in closed:
-                    closed.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    return frozenset(closed)
+    """Every finite sum of seeds (zero included), one seed at a time by
+    extend_span; it serves elements of a module, vectors of A^m and sums
+    of submodules alike."""
+    span = {zero}
+    for x in seeds:
+        for _ in extend_span(span, x, add):
+            pass
+    return frozenset(span)
 
 
 def packed_arithmetic(orders: Sequence[int]) -> tuple[Callable, Callable]:
@@ -274,11 +288,12 @@ def orthogonal_kernel(domain: Sequence[int], basis: Sequence, against: Iterable,
 def additive_generators(elements: Iterable, add: Callable, zero) -> list:
     """The elements, in sorted order, each kept when outside the additive
     closure of those kept before: an additive generating set of their span."""
-    gens, spanned = [], frozenset({zero})
+    gens, spanned = [], {zero}
     for x in sorted(elements):
         if x not in spanned:
             gens.append(x)
-            spanned = additive_closure(gens, add, zero)
+            for _ in extend_span(spanned, x, add):
+                pass
     return gens
 
 

@@ -22,6 +22,25 @@ def unit_vector(length, at):
     return [1 if t == at else 0 for t in range(length)]
 
 
+def table_product(ring, a, b):
+    """a * b by the tuple loop over the basis table: the oracle for the
+    packed FiniteRing.mul, sharing nothing with it but mul_table."""
+    k = ring.rank
+    acc = [0] * k
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        row = ring.mul_table[i]
+        for j, bj in enumerate(b):
+            if bj == 0:
+                continue
+            c = ai * bj
+            e = row[j]
+            for l in range(k):
+                acc[l] += c * e[l]
+    return tuple(acc[l] % ring.shape.orders[l] for l in range(k))
+
+
 def upper_triangular(n, t):
     """T_t(Z_n) on the matrix units E_ab, a <= b: not Frobenius for t >= 2."""
     units = [(a, b) for a in range(t) for b in range(a, t)]

@@ -314,3 +314,21 @@ def test_budget_skew_sweep_of_gf4_squaring_mod_x4_minus_1(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["left_ideals"] == 15 and report["all_ok"] is True
     assert elapsed < 4, f"sweep took {elapsed:.1f} s"
+
+
+def test_budget_frobenius_verdict_on_z2_with_twelve_square_zero_variables(tmp_path, capsys):
+    """Z2[u_1..u_12]/(u)^2, 8192 elements: its radical and right socle are
+    4096 elements each, so both routes run at socle, not ring, size."""
+    r = 13
+    mul = [[[int(t == j) for t in range(r)] for j in range(r)]]
+    mul += [[[int(t == i) for t in range(r)]] + [[0] * r] * (r - 1) for i in range(1, r)]
+    spec = tmp_path / "square_zero.json"
+    spec.write_text(json.dumps({"kind": "table", "n": 2, "orders": [2] * r, "mul": mul,
+                                "one": [1] + [0] * (r - 1)}))
+    t0 = time.perf_counter()
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 1
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert report["frobenius"] is False and report["routes_agree"] is True
+    assert report["radical_size"] == report["right_socle_size"] == 4096
+    assert elapsed < 4, f"verdict took {elapsed:.1f} s"

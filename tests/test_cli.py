@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobring.catalog import double_nil_ring
-from frobring.cli import COMMANDS, CliError, build_quotient, build_ring, main
+from frobring.cli import COMMANDS, CliError, build_quotient, build_ring, main, make_parser
 from frobring.finring import TABLE_CHECKS, FiniteRing
 from frobring.skewpoly import SkewQuotient
 from frobring.znmod import DEFAULT_CAP, EnumerationCapError, ZnLinearForm, enumeration_cap
@@ -347,6 +347,19 @@ def test_huge_ambient_exits_1_with_the_cap_message(tmp_path, capsys):
     assert main(["code", "wenum", z2, code]) == 1
     assert capsys.readouterr().err.startswith(
         "error: ambient module has 2^1000000 entries, cap is 1048576")
+
+
+def test_zero_ring_matrix_over_the_table_cap_exits_1(tmp_path, capsys):
+    spec = write(tmp_path, "m40.json", {"kind": "matrix", "base": {"kind": "zn", "n": 1},
+                                        "size": 40})
+    for cmd in ("validate", "frobenius"):
+        assert main(["ring", cmd, spec]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: matrix ring table has 1600^3 entries, cap is 1048576"), cmd
+
+
+def test_parser_is_built_once():
+    assert make_parser() is make_parser()
 
 
 def test_skew_build_over_the_cap_exits_1(tmp_path, capsys):

@@ -26,7 +26,7 @@ from frobring.finring import (
 )
 from frobring.catalog import gf4_skew_quotient
 from frobring.frobenius import right_annihilator
-from frobring.znmod import EnumerationCapError, span
+from frobring.znmod import EnumerationCapError, enumeration_cap, span
 
 
 def mat(ring, a, b, c, d):
@@ -311,6 +311,18 @@ def test_huge_matrix_ring_hits_the_cap_without_forming_its_size():
                        match="matrix ring has 2\\^2250000 entries, cap is 1048576"):
         ring_matrix(ring_zn(2), 1500)
     assert time.perf_counter() - started < 1.0
+
+
+def test_matrix_ring_over_the_zero_ring_hits_the_table_cap():
+    """Z1 has one element at any size, so its table of k^3 ints is charged."""
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError,
+                       match="matrix ring table has 1600\\^3 entries, cap is 1048576"):
+        ring_matrix(ring_zn(1), 40)
+    assert time.perf_counter() - started < 0.05
+    assert ring_matrix(ring_zn(1), 3).cardinality == 1  # 9^3 ints fit
+    with enumeration_cap(16):  # a nonzero base: the element count alone decides
+        assert ring_matrix(ring_zn(2), 2).cardinality == 16
 
 
 @given(st.data())

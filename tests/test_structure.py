@@ -51,7 +51,7 @@ from frobring.skewpoly import RingAutomorphism, SkewQuotient
 from frobring.frobenius import pairing_kernel
 from frobring.znmod import additive_generators, annihilated
 
-from conftest import unit_vector, upper_triangular
+from conftest import table_product, unit_vector, upper_triangular
 
 
 # -- constructed rings from the benchmark's families ---------------------------
@@ -139,9 +139,11 @@ def nilpotents_oracle(ring):
 
 
 def radical_oracle(ring, units):
+    """Quasi-regularity: x with 1 - a x a unit for every a."""
     elems = ring.elements()
     return frozenset(x for x in elems
-                     if all(ring.sub(ring.one, ring.mul(a, x)) in units for a in elems))
+                     if all(ring.sub(ring.one, table_product(ring, a, x)) in units
+                            for a in elems))
 
 
 def socle_oracle(ring, radical, side):
@@ -182,17 +184,43 @@ def degeneracy_oracle(ring, form):
 def functional_oracle(ring):
     """The all-pairs search, with early exit on each kernel."""
     elems, zero = ring.elements(), ring.zero
+
+    def eps(a, b):
+        return form.evaluate(table_product(ring, a, b))
+
     for form in enumerate_forms(ring.shape):
-        if any(a != zero and all(form.evaluate(ring.mul(a, b)) == 0 for b in elems)
-               for a in elems):
+        if any(a != zero and all(eps(a, b) == 0 for b in elems) for a in elems):
             continue
-        if not any(b != zero and all(form.evaluate(ring.mul(a, b)) == 0 for a in elems)
-                   for b in elems):
+        if not any(b != zero and all(eps(a, b) == 0 for a in elems) for b in elems):
             return form.weights
     return None
 
 
 # -- the structural routes agree ---------------------------------------------
+
+
+LARGE = [name for name in NAMES if name not in SMALL]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_packed_product_matches_the_table_on_all_pairs(name):
+    ring = RINGS[name]  # Z1, the zero ring, and Z2xZ4 among them
+    els = ring.elements()
+    assert all(ring.mul(a, b) == table_product(ring, a, b) for a in els for b in els)
+
+
+@pytest.mark.parametrize("ring", [RINGS[name] for name in LARGE] + [square_zero(2, 12)],
+                         ids=LARGE + ["Z2[u1..u12]/(u)^2"])
+def test_packed_product_matches_the_table_on_seeded_pairs(ring):
+    els = ring.elements()
+    rng = random.Random(ring.cardinality)
+    for _ in range(2000):
+        a, b = rng.choice(els), rng.choice(els)
+        assert ring.mul(a, b) == table_product(ring, a, b), (a, b)
+    # every basis product and the extreme coordinates, where fields fill up
+    top = tuple(d - 1 for d in ring.shape.orders)
+    for a, b in [(top, top), *product(ring.basis_elements, repeat=2)]:
+        assert ring.mul(a, b) == table_product(ring, a, b), (a, b)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -249,6 +277,48 @@ def test_power_walk_in_any_visiting_order(seed):
     assert ring.nilpotents() == nilpotents_oracle(ring)
 
 
+def rotated(ring, r):
+    """The same ring on its basis rotated by r places: e'_i = e_(i + r mod k)."""
+    k = ring.rank
+    old = [(i + r) % k for i in range(k)]
+
+    def move(v):
+        return [v[i] for i in old]
+
+    table = [[move(ring.mul_table[i][j]) for j in old] for i in old]
+    return ring_from_table(ring.characteristic, move(ring.shape.orders), table, move(ring.one))
+
+
+@pytest.mark.parametrize("name", ["M2(F2)", "T3(Z2)", "Z2[D3]", "GF4[x;sq]/(x^2-1)",
+                                  "Z3 x T2(Z2)"])
+def test_radical_and_socles_on_every_rotation_of_the_basis(name):
+    """R x must be spanned by every e_i x: on some rotation of M2(F2)'s
+    basis the one e_i x that is not nilpotent comes last."""
+    for r in range(RINGS[name].rank):
+        ring = rotated(RINGS[name], r)
+        radical = radical_oracle(ring, units_oracle(ring))
+        assert ring.jacobson_radical().elements == radical, r
+        for side in ("right", "left"):
+            assert ring.socle(side).elements == socle_oracle(ring, radical, side), (r, side)
+
+
+def full_fields(n):
+    """Z_n on the basis -1, and Z_n x Z_n on (0, -1), (1, -1): each
+    product of the largest elements sums to near k^2 (n - 1)^3 in one field."""
+    minus_one = ring_from_table(n, [n], [[[n - 1]]], [n - 1])
+    pair = ring_from_table(n, [n, n], [[[n - 1, 0], [n - 1, 0]], [[n - 1, 0], [n - 2, 1]]],
+                           [n - 2, 1])
+    return [minus_one, pair]
+
+
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_packed_product_fields_hold_the_largest_sums(n):
+    for ring in full_fields(n):
+        edge = [c for c in range(n) if c < 2 or c > n - 3]
+        els = list(product(edge, repeat=ring.rank))
+        assert all(ring.mul(a, b) == table_product(ring, a, b) for a in els for b in els)
+
+
 # -- work regression ---------------------------------------------------------
 
 
@@ -266,15 +336,37 @@ def mul_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])
+def radical_candidates(ring):
+    """The nilpotents the radical tests: in sorted order, skipping those in
+    the span of the members found before (read off the radical oracle)."""
+    radical = radical_oracle(ring, units_oracle(ring))
+    tested, found = 0, []
+    for x in sorted(nilpotents_oracle(ring)):
+        if x not in span(found, ring.shape):
+            tested += 1
+            if x in radical:
+                found.append(x)
+    return tested
+
+
+@pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]", "T3(Z2)", "Z3 x T2(Z2)"])
 def test_no_quadratic_product_scan(name, mul_calls):
+    """Units take at most |R| products, the radical rank per candidate it
+    tests, and the form search, with the right socle known, rank per
+    socle element: none scans pairs of elements."""
+    candidates = radical_candidates(fresh(name))
     ring = fresh(name)  # validation multiplies basis elements
     mul_calls[0] = 0
     ring.units()
     assert mul_calls[0] <= ring.cardinality
     mul_calls[0] = 0
-    assert find_frobenius_functional(ring) is not None
-    assert mul_calls[0] == 0
+    ring.jacobson_radical()
+    assert mul_calls[0] <= ring.rank * candidates
+    socle = ring.socle("right")
+    mul_calls[0] = 0
+    found = find_frobenius_functional(ring)
+    assert mul_calls[0] <= ring.rank * len(socle)
+    assert (found is not None) == (name in ("M2(Z4)", "Z2[D4]"))
 
 
 @pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])

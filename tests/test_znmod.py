@@ -1,5 +1,6 @@
 """Module shapes, linear forms, spans and brute-force kernels."""
 
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -9,10 +10,12 @@ from frobring.znmod import (
     EnumerationCapError,
     ModuleShape,
     ZnLinearForm,
+    additive_closure,
     additive_generators,
     enumerate_forms,
     enumerate_module,
     enumeration_cap,
+    extend_span,
     annihilated,
     kernel_elements,
     linear_kernel,
@@ -209,6 +212,48 @@ def test_additive_generators_span_the_same_subgroup(elements):
         assert g not in span(gens[:i], s)
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+        max_size=4,
+    ),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1)),
+)
+def test_extend_span_adds_each_new_member_once_by_cosets(elements, x):
+    s = ModuleShape(4, (4, 4, 2))
+    before = set(span(elements, s))
+    adds = [0]
+
+    def add(a, b):
+        adds[0] += 1
+        return s.add(a, b)
+
+    grown = set(before)
+    new = list(extend_span(grown, x, add))
+    assert grown == span([*elements, x], s)
+    assert len(new) == len(set(new)) and set(new) == grown - before
+    # one addition per new member and one per coset: the cosets split the
+    # new members into |<x> + span : span| - 1 blocks of |span| each
+    assert adds[0] == len(new) + len(new) // len(before)
+
+
+def test_extend_span_stops_where_its_caller_stops():
+    s = ModuleShape(8, (8, 8))
+    grown = {s.zero}
+    members = extend_span(grown, (1, 0), s.add)
+    first = [next(members) for _ in range(3)]
+    assert grown == {s.zero, *first} and len(grown) == 4
+
+
+def test_additive_closure_under_an_idempotent_sum():
+    """Sums of subgroups have no inverses: x + x = x ends each seed."""
+    seeds = [frozenset({0, 2}), frozenset({0, 3}), frozenset({0, 2, 4})]
+    closure = additive_closure(seeds, frozenset.union, frozenset({0}))
+    unions = {frozenset({0}).union(*pick) for r in range(4)
+              for pick in combinations(seeds, r)}
+    assert closure == unions and len(closure) == 6
+
+
 # -- kernels ---------------------------------------------------------------
 
 
@@ -281,8 +326,8 @@ def test_enumeration_cap():
     big = ModuleShape(2, (2,) * 21)
     with pytest.raises(EnumerationCapError):
         list(enumerate_module(big))
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_forms(big))
+    with pytest.raises(EnumerationCapError, match="form space has 2097152 entries"):
+        enumerate_forms(big)  # on the call, before any form is drawn
     with enumeration_cap(1 << 21):
         assert len(list(enumerate_module(big))) == 1 << 21
 
