@@ -1,13 +1,15 @@
 """Structural routes of finring and frobenius against brute-force oracles.
 
-The power walk for units and nilpotents, the radical from nilpotent
-candidates, socles through the radical's generators, socle generators by
-the size of span{s e_j}, and the functional search on the form's gram all
-replace scans over pairs of elements.  Annihilators, functional
+The power walk for units and nilpotents, the radical as the nilpotent x
+with R x nil, socles through the radical's generators, socle generators
+by the size of span{s e_j}, and the functional search on the right socle
+all replace scans over pairs of elements.  Annihilators, functional
 orthogonals and the skew and group-algebra duality reports solve one
 linear map over an additive generating set, and pairing kernels read the
 pairing's gram.  Each scan is kept here as the oracle, and both must give
-the same sets, witnesses and first form.
+the same sets, witnesses and first form.  The packed product is checked
+against the tuple loop over the table (conftest.table_product), which the
+radical and functional oracles use in its place.
 """
 
 import random
