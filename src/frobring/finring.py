@@ -367,7 +367,8 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
 
     witness = None
     basis = ring.basis_elements
-    for i, j, l in product(range(k), repeat=3):
+    live = [i for i in range(k) if orders[i] > 1]  # e_i = 0 if d_i = 1; its products are 0
+    for i, j, l in product(live, repeat=3):
         left = ring.mul(ring.mul_table[i][j], basis[l])
         right = ring.mul(basis[i], ring.mul_table[j][l])
         if left != right:

@@ -23,9 +23,10 @@ A pairing is biadditive, so the orthogonal of a subset S is the kernel of
 the Z-linear map x |-> (<x, s>)_s over an additive generating set of S:
 annihilators, functional orthogonals, and for ambient forms on A^m the
 orthogonals and kernels are each one znmod.orthogonal_kernel call on the
-images of the basis vectors.  Pairing kernels in the ring are read off the
-pairing's gram (_gram_kernel).  The functional search reads only the right
-socle, where every nonzero first-slot kernel shows up.
+images of the basis vectors.  Pairing kernels in the ring are one
+znmod.linear_kernel call on the pairing's gram (_gram_kernel).  The
+functional search reads only the right socle, where every nonzero
+first-slot kernel shows up.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .znmod import (
     ZnLinearForm,
     additive_generators,
     enumerate_forms,
+    linear_kernel,
     orthogonal_kernel,
     _check_power_cap,
 )
@@ -122,18 +124,14 @@ def _degeneracy(side: str, kernels: tuple[Callable, Callable], zero):
 
 
 def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> Iterator[Element]:
-    """Kernel of the pairing (a, b) |-> a^T G b mod n in the named slot,
-    lazily and in element order: {a : aG = 0} in the first slot and
-    {b : Gb = 0} in the second, since b (or a) may be any basis vector.
+    """Kernel of the pairing (a, b) |-> a^T G b mod n in the named slot, in
+    element order: {a : aG = 0} in the first slot and {b : Gb = 0} in the
+    second, one linear_kernel call on the rows or the columns of G.
 
     For a functional's gram G_ij = eps(e_i e_j) this is the kernel of
-    eps(a * b) without a ring product; a search stops at its first
-    nonzero member, a check takes them all."""
-    lines = list(zip(*gram)) if slot == "first" else gram  # columns or rows of G
-    n = ring.characteristic
-    for a in ring.elements():
-        if all(sum(c * g for c, g in zip(a, line)) % n == 0 for line in lines):
-            yield a
+    eps(a * b) without a ring product."""
+    lines = gram if slot == "first" else list(zip(*gram))
+    return linear_kernel(ring.shape.orders, lines, (ring.characteristic,) * ring.rank)
 
 
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
@@ -158,11 +156,6 @@ def associativity_violation(ring: FiniteRing, pairing: Callable):
 
 def is_associative(ring: FiniteRing, pairing: Callable) -> bool:
     return associativity_violation(ring, pairing) is None
-
-
-def _functional_gram(ring: FiniteRing, form: ZnLinearForm) -> tuple[tuple[int, ...], ...]:
-    """Matrix of eps(e_i * e_j) over Z_n, read off the basis table."""
-    return tuple(tuple(form.evaluate(e) for e in row) for row in ring.mul_table)
 
 
 class FrobeniusFunctional:
@@ -191,8 +184,8 @@ class FrobeniusFunctional:
         return self.form.evaluate(self.ring.mul(a, b))
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix of eps(e_i * e_j) over Z_n."""
-        return _functional_gram(self.ring, self.form)
+        """Matrix of eps(e_i * e_j) over Z_n, read off the basis table."""
+        return tuple(tuple(self.form.evaluate(e) for e in row) for row in self.ring.mul_table)
 
     def __repr__(self) -> str:
         return f"FrobeniusFunctional(weights={self.weights})"
@@ -207,8 +200,8 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     no nonzero socle element s has eps(s * e_j) = 0 for every j (see
     _degeneracy for the second slot).  The s * e_j are computed on the
     first visit to each s, at most rank * |Soc| products in all.  The form
-    found is returned through the verifying constructor, which scans the
-    whole kernel again, or None.
+    found is returned through the verifying constructor, which reads the
+    whole kernel off the gram, or None.
     """
     forms = enumerate_forms(ring.shape)
     socle = sorted(ring.socle("right").elements - {ring.zero})

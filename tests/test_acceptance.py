@@ -332,3 +332,20 @@ def test_budget_frobenius_verdict_on_z2_with_twelve_square_zero_variables(tmp_pa
     assert report["frobenius"] is False and report["routes_agree"] is True
     assert report["radical_size"] == report["right_socle_size"] == 4096
     assert elapsed < 4, f"verdict took {elapsed:.1f} s"
+
+
+def test_budget_validate_of_one_hundred_zero_ring_factors(tmp_path, capsys):
+    """Z1^100 has rank 100 but one element: every basis element is 0, so
+    the associativity check has no triple to multiply."""
+    spec = tmp_path / "z1_power.json"
+    spec.write_text(json.dumps({"kind": "product", "factors": [{"kind": "zn", "n": 1}] * 100}))
+    t0 = time.perf_counter()
+    assert main(["ring", "validate", str(spec)]) == 0
+    elapsed = time.perf_counter() - t0
+    assert capsys.readouterr().out == (
+        "command: ring validate\nvalid: true\n"
+        f"ring: char 1, orders {[1] * 100}, 1 elements\n"
+        "characteristic: 1\ncardinality: 1\n"
+        'checks: {"associativity": true, "bilinear-well-defined": true, '
+        '"characteristic": true, "unit-laws": true}\n')
+    assert elapsed < 3, f"validation took {elapsed:.1f} s"

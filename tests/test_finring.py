@@ -3,12 +3,14 @@
 import gc
 import time
 import weakref
-from itertools import combinations
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from frobring.finring import (
+    FiniteRing,
     RingValidationError,
     cyclic_left_ideals,
     cyclic_right_ideals,
@@ -24,9 +26,11 @@ from frobring.finring import (
     ring_zn,
     table_validation_report,
 )
-from frobring.catalog import gf4_skew_quotient
+from frobring.catalog import gf4, gf4_skew_quotient
 from frobring.frobenius import right_annihilator
 from frobring.znmod import EnumerationCapError, enumeration_cap, span
+
+from conftest import table_product, upper_triangular
 
 
 def mat(ring, a, b, c, d):
@@ -140,6 +144,34 @@ def test_rejects_nonassociative_table():
         ring_from_table(2, (2, 2, 2), table, (1, 0, 0))
     assert exc.value.check == "associativity"
     assert exc.value.witness == (1, 1, 1)
+
+
+def test_associativity_witness_matches_every_triple():
+    """Bilinear but broken tables, a coordinate of order 1 among the basis:
+    the first failing triple over the nonzero basis elements is the first
+    over all of them."""
+    z1 = ring_zn(1)
+    seen = 0
+    for base in (ring_product(z1, upper_triangular(2, 2), z1),
+                 ring_product(gf4(), z1, ring_zn(2))):
+        k, orders, e = base.rank, base.shape.orders, base.basis_elements
+        live = [i for i in range(k) if orders[i] > 1]
+        for i, j, l in product(live, repeat=3):
+            table = [list(row) for row in base.mul_table]
+            table[i][j] = base.add(table[i][j], e[l])
+            broken = SimpleNamespace(rank=k, shape=base.shape, mul_table=table)
+            expected = next(((a, b, c) for a, b, c in product(range(k), repeat=3)
+                             if table_product(broken, table_product(broken, e[a], e[b]), e[c])
+                             != table_product(broken, e[a], table_product(broken, e[b], e[c]))),
+                            None)
+            try:
+                FiniteRing(base.shape, table, base.one)
+                witness = None
+            except RingValidationError as exc:
+                witness = exc.witness if exc.check == "associativity" else None
+            assert witness == expected, (base, i, j, l)
+            seen += expected is not None
+    assert seen
 
 
 def test_rejects_ill_defined_bilinear_extension():

@@ -10,6 +10,10 @@ cli.build_quotient keep theirs, as the benchmark calls them with a cap.
 
 No module rebuilds a ring's basis by calling .basis(i) over a range:
 FiniteRing.basis_elements is the one basis list.
+
+Only the functions in ELEMENT_SCANS_KEPT call .elements() or
+enumerate_module: kernels and bijections are decided by linear_kernel,
+and element scans live on as oracles in the tests.
 """
 
 import ast
@@ -115,3 +119,58 @@ def test_no_module_rebuilds_a_basis():
     for path in sorted(SRC.glob("*.py")):
         found += basis_rebuilds(path.read_text(), path.stem)
     assert found == []
+
+
+ELEMENT_SCANS_KEPT = [
+    "codes.submodule_codes",
+    "finring.FiniteRing.elements",
+    "finring.FiniteRing.units",
+    "finring.cyclic_left_ideals",
+    "finring.left_ideals",
+    "frobenius.AmbientForm.vectors",
+    "frobenius.verify_generator_equivalences",
+    "skewpoly.SkewQuotient.elements",
+    "znmod.kernel_elements",
+]
+
+
+def element_scans(source: str, module: str) -> list[str]:
+    """Functions (module.Class.name) that call .elements() or
+    enumerate_module; a call in a lambda counts for its function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Attribute) and f.attr == "elements"
+                        or getattr(f, "id", getattr(f, "attr", None)) == "enumerate_module"):
+                    found.add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_element_scanner_flags_a_planted_scan():
+    source = (
+        "def f(ring):\n"
+        "    return {g(a) for a in ring.elements()}\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return max(map(len, znmod.enumerate_module(self.shape)))\n"
+        "    def n(self):\n"
+        "        return sorted(self.socle.elements), lambda: enumerate_module(s)\n"
+        "x = ring.elements\n"
+    )
+    assert element_scans(source, "m") == ["m.C.m", "m.C.n", "m.f"]
+
+
+def test_only_the_kept_functions_scan_elements():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += element_scans(path.read_text(), path.stem)
+    assert found == ELEMENT_SCANS_KEPT

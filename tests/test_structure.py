@@ -5,9 +5,10 @@ with R x nil, socles through the radical's generators, socle generators
 by the size of span{s e_j}, and the functional search on the right socle
 all replace scans over pairs of elements.  Annihilators, functional
 orthogonals and the skew and group-algebra duality reports solve one
-linear map over an additive generating set, and pairing kernels read the
-pairing's gram.  Each scan is kept here as the oracle, and both must give
-the same sets, witnesses and first form.  The packed product is checked
+linear map over an additive generating set, and pairing kernels and the
+bijectivity of automorphisms are one linear map kernel each.  Each scan
+is kept here as the oracle, and both must give the same sets, witnesses,
+first form and error message.  The packed product is checked
 against the tuple loop over the table (conftest.table_product), which the
 radical and functional oracles use in its place.
 """
@@ -49,9 +50,9 @@ from frobring.catalog import (
 )
 from frobring.codes import LinearCode, quotient_left_ideal_codes
 from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left_ideals
-from frobring.skewpoly import RingAutomorphism, SkewQuotient
-from frobring.frobenius import pairing_kernel
-from frobring.znmod import additive_generators, annihilated
+from frobring.skewpoly import AutomorphismError, RingAutomorphism, SkewQuotient
+from frobring.frobenius import is_nondegenerate, pairing_kernel
+from frobring.znmod import ZnLinearForm, additive_generators, annihilated
 
 from conftest import table_product, unit_vector, upper_triangular
 
@@ -195,6 +196,29 @@ def functional_oracle(ring):
             continue
         if not any(b != zero and all(eps(a, b) == 0 for a in elems) for b in elems):
             return form.weights
+    return None
+
+
+def automorphism_oracle(ring, images):
+    """The AutomorphismError message for the basis images, or None, with
+    bijectivity decided by the scan of the image of every element."""
+    shape, orders = ring.shape, ring.shape.orders
+    for i, im in enumerate(images):
+        if shape.element_order(im) > orders[i]:
+            return (f"image of basis {i} has additive order larger than {orders[i]}, "
+                    "map is not well defined")
+
+    def apply(a):
+        return tuple(sum(c * im[l] for c, im in zip(a, images)) % d
+                     for l, d in enumerate(orders))
+
+    if len({apply(a) for a in ring.elements()}) != ring.cardinality:
+        return "map is not a bijection"
+    if apply(ring.one) != ring.one:
+        return "map does not fix the identity"
+    for i, j in product(range(ring.rank), repeat=2):
+        if apply(ring.mul_table[i][j]) != table_product(ring, images[i], images[j]):
+            return f"map is not multiplicative on basis pair ({i}, {j})"
     return None
 
 
@@ -488,6 +512,61 @@ def test_pairing_kernels_match_the_scan(name, data):
         assert second == annihilated(elems, elems, lambda b, a: pairing(a, b))
         # character duality: 'both' may read the first slot alone
         assert len(first) == len(second)
+
+
+def test_automorphism_validation_matches_the_scan():
+    """Every basis-image list of six rings, images whose additive order is
+    below their basis element's among them: the same verdict and message."""
+    z2, z4, z6 = ring_zn(2), ring_zn(4), ring_zn(6)
+    rings = [ring_product(z2, z4), ring_product(z4, ring_zn(3)), gf4(),
+             ring_product(z2, z2, z2), ring_product(z6, z2), ring_zn(12)]
+    lists = below = 0
+    for ring in rings:
+        for images in product(ring.elements(), repeat=ring.rank):
+            lists += 1
+            below += any(ring.shape.element_order(im) < d
+                         for im, d in zip(images, ring.shape.orders))
+            try:
+                RingAutomorphism(ring, images)
+                message = None
+            except AutomorphismError as exc:
+                message = str(exc)
+            assert message == automorphism_oracle(ring, images), (ring, images)
+    assert (lists, below) == (892, 362)
+
+
+def test_big_rings_decide_kernels_and_bijections_without_listing(monkeypatch):
+    """On Z2[x]/(x^16) and GF4^8, 2^16 elements each, the verifying
+    constructor, both pairing kernels, nondegeneracy on every side and
+    automorphism validation never list the ring's elements."""
+    poly, gf4s = truncated(2, 16), ring_product(*[gf4()] * 8)
+    y = poly.add(poly.basis_elements[1], poly.basis_elements[2])  # x -> x + x^2
+    powers = [poly.one]
+    for _ in range(15):
+        powers.append(poly.mul(powers[-1], y))
+    squaring = [unit_vector(16, i) if i % 2 == 0 else [int(t in (i - 1, i)) for t in range(16)]
+                for i in range(16)]  # 1 -> 1 and w -> 1 + w in every factor
+
+    def listed(self):
+        raise AssertionError("the ring's elements were listed")
+
+    monkeypatch.setattr(FiniteRing, "elements", listed)
+    for ring, weights, images in ((poly, unit_vector(16, 15), powers),
+                                  (gf4s, (0, 1) * 8, squaring)):
+        pairing = FrobeniusFunctional(ring, ZnLinearForm(ring.shape, weights)).pairing
+        for slot in ("first", "second"):
+            assert pairing_kernel(ring, pairing, slot) == {ring.zero}
+        assert all(is_nondegenerate(ring, pairing, side) for side in ("right", "left", "both"))
+        RingAutomorphism(ring, images)
+    top = tuple(unit_vector(16, 15))
+    with pytest.raises(DegenerateFormError) as exc:
+        FrobeniusFunctional(poly, ZnLinearForm(poly.shape, unit_vector(16, 14)))
+    assert (exc.value.side, exc.value.witness) == ("right", top)
+    degenerate = pairing_of_functional(poly, ZnLinearForm(poly.shape, unit_vector(16, 14)))
+    for slot in ("first", "second"):
+        assert pairing_kernel(poly, degenerate, slot) == {poly.zero, top}
+    with pytest.raises(AutomorphismError, match="map is not a bijection"):
+        RingAutomorphism(poly, [poly.one] + [poly.zero] * 15)
 
 
 # -- the duality reports against the annihilated scan ---------------------------
