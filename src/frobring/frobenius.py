@@ -31,9 +31,8 @@ first-slot kernel shows up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from dataclasses import astuple, dataclass
+from itertools import islice, product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,6 +43,7 @@ from .znmod import (
     enumerate_forms,
     linear_kernel,
     orthogonal_kernel,
+    _check_cap,
     _check_power_cap,
 )
 from .finring import FiniteRing, Ideal, ring_orthogonal
@@ -119,8 +119,8 @@ def _degeneracy(side: str, kernels: tuple[Callable, Callable], zero):
     slot = {"right": 0, "both": 0, "left": 1}.get(side)
     if slot is None:
         raise ValueError(f"bad side {side!r}")
-    witnesses = set(kernels[slot]()) - {zero}
-    return (("right", "left")[slot], min(witnesses)) if witnesses else None
+    witness = min((x for x in kernels[slot]() if x != zero), default=None)
+    return (("right", "left")[slot], witness) if witness is not None else None
 
 
 def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> Iterator[Element]:
@@ -130,15 +130,22 @@ def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> 
 
     For a functional's gram G_ij = eps(e_i e_j) this is the kernel of
     eps(a * b) without a ring product."""
+    _check_cap(ring.cardinality, "module")  # a linear_kernel half may list the ring
     lines = gram if slot == "first" else list(zip(*gram))
     return linear_kernel(ring.shape.orders, lines, (ring.characteristic,) * ring.rank)
+
+
+def _gram_degeneracy(ring: FiniteRing, gram: Sequence[Sequence[int]], side: str):
+    """_degeneracy of the gram's pairing; _gram_kernel lists zero, then the witness."""
+    kernels = [lambda s=s: islice(_gram_kernel(ring, gram, s), 2) for s in ("first", "second")]
+    return _degeneracy(side, kernels, ring.zero)
 
 
 def is_nondegenerate(ring: FiniteRing, pairing: Callable, side: str = "both") -> bool:
     """side='right' reads the first-slot kernel, 'left' the second, 'both'
     the first (see _degeneracy).  The pairing must be Z-bilinear."""
-    kernels = [partial(pairing_kernel, ring, pairing, slot) for slot in ("first", "second")]
-    return _degeneracy(side, kernels, ring.zero) is None
+    basis = ring.basis_elements
+    return _gram_degeneracy(ring, [[pairing(a, b) for b in basis] for a in basis], side) is None
 
 
 def associativity_violation(ring: FiniteRing, pairing: Callable):
@@ -165,9 +172,7 @@ class FrobeniusFunctional:
     def __init__(self, ring: FiniteRing, form: ZnLinearForm):
         self.ring = ring
         self.form = _as_form(ring, form)
-        gram = self.gram()
-        kernels = [partial(_gram_kernel, ring, gram, slot) for slot in ("first", "second")]
-        bad = _degeneracy("both", kernels, ring.zero)
+        bad = _gram_degeneracy(ring, self.gram(), "both")
         if bad is not None:
             raise DegenerateFormError(*bad)
 
@@ -200,8 +205,8 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     no nonzero socle element s has eps(s * e_j) = 0 for every j (see
     _degeneracy for the second slot).  The s * e_j are computed on the
     first visit to each s, at most rank * |Soc| products in all.  The form
-    found is returned through the verifying constructor, which reads the
-    whole kernel off the gram, or None.
+    found is returned through the verifying constructor, which decides
+    its kernel off the gram again, or None.
     """
     forms = enumerate_forms(ring.shape)
     socle = sorted(ring.socle("right").elements - {ring.zero})
@@ -238,13 +243,7 @@ class GeneratorEquivalenceReport:
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.right_orbit_full
-            and self.left_orbit_full
-            and self.first_slot_bijective
-            and self.second_slot_bijective
-            and self.pairing_associative
-        )
+        return all(astuple(self))
 
 
 def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEquivalenceReport:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .znmod import Element, ModuleShape, ZnLinearForm, _check_power_cap, linear_kernel
+from .znmod import Element, ModuleShape, ZnLinearForm, _check_cap, _check_power_cap, linear_kernel
 from .finring import FiniteRing
 from .frobenius import FrobeniusFunctional, _as_form
 
@@ -72,8 +72,9 @@ class RingAutomorphism:
                     f"image of basis {i} has additive order larger than {orders[i]}, "
                     "map is not well defined"
                 )
+        _check_cap(ring.cardinality, "module")  # a linear_kernel half may list the ring
         # image i of order o < d_i puts o * e_i in the kernel; else the map is additive
-        if set(linear_kernel(orders, self.images, orders)) != {ring.zero}:
+        if any(map(any, linear_kernel(orders, self.images, orders))):
             raise AutomorphismError("map is not a bijection")
         if self.apply(ring.one) != ring.one:
             raise AutomorphismError("map does not fix the identity")

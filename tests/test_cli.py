@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,26 @@ def test_skew_build_over_the_cap_exits_1(tmp_path, capsys):
     assert main(["skew", "build", spec, "--cap", "4"]) == 1
     assert capsys.readouterr().err.startswith("error: skew quotient has 2^3 entries")
     assert main(["skew", "build", spec, "--cap", "8"]) == 0
+
+
+def test_degenerate_map_on_a_big_base_exits_1_quickly(tmp_path, capsys):
+    """Z2[x]/(x^24) with 1 -> 1, x^i -> 0: the base is over the default cap,
+    and under a cap of 2^24 the bijection check stops at the first nonzero
+    member of a 2^23-element kernel."""
+    unit = [[int(t == i) for t in range(24)] for i in range(24)]
+    base = {"kind": "table", "n": 2, "orders": [2] * 24, "one": unit[0],
+            "mul": [[unit[i + j] if i + j < 24 else [0] * 24 for j in range(24)]
+                    for i in range(24)]}
+    spec = write(tmp_path, "shift.json", {
+        "kind": "skew_quotient", "base": base, "modulus": [unit[0], unit[0]],
+        "aut_images": [unit[0]] + [[0] * 24] * 23})
+    t0 = time.perf_counter()
+    assert main(["skew", "build", spec]) == 1
+    assert capsys.readouterr().out == (
+        "command: skew build\nerror: module has 16777216 entries, cap is 1048576\n")
+    assert main(["skew", "build", spec, "--cap", str(1 << 24)]) == 1
+    assert capsys.readouterr().out == "command: skew build\nerror: map is not a bijection\n"
+    assert time.perf_counter() - t0 < 10
 
 
 def test_huge_skew_quotient_exits_1_with_the_cap_message(tmp_path, capsys):

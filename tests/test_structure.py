@@ -52,7 +52,9 @@ from frobring.codes import LinearCode, quotient_left_ideal_codes
 from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left_ideals
 from frobring.skewpoly import AutomorphismError, RingAutomorphism, SkewQuotient
 from frobring.frobenius import is_nondegenerate, pairing_kernel
-from frobring.znmod import ZnLinearForm, additive_generators, annihilated
+from frobring import frobenius, skewpoly
+from frobring.znmod import (EnumerationCapError, ZnLinearForm, additive_generators, annihilated,
+                            enumeration_cap, linear_kernel)
 
 from conftest import table_product, unit_vector, upper_triangular
 
@@ -567,6 +569,48 @@ def test_big_rings_decide_kernels_and_bijections_without_listing(monkeypatch):
         assert pairing_kernel(poly, degenerate, slot) == {poly.zero, top}
     with pytest.raises(AutomorphismError, match="map is not a bijection"):
         RingAutomorphism(poly, [poly.one] + [poly.zero] * 15)
+
+
+def test_degenerate_kernels_stop_at_their_witness(monkeypatch):
+    """The zero form on Z2[x]/(x^28) has all 2^28 elements in its kernel:
+    the witness x^27, the kernel's second member, is read without listing
+    the ring or the rest of the kernel.  Under the default cap every kernel
+    route and automorphism validation meet the cap, as Z_(2^21) does, whose
+    one coordinate makes a linear_kernel half the whole ring."""
+    poly = truncated(2, 28)
+    zero_form = ZnLinearForm(poly.shape, (0,) * 28)
+    pairing = pairing_of_functional(poly, zero_form)
+    shift = [unit_vector(28, 0)] + [[0] * 28] * 27  # 1 -> 1, x^i -> 0
+
+    def listed(self):
+        raise AssertionError("the ring's elements were listed")
+
+    def two_members(*args):
+        for count, x in enumerate(linear_kernel(*args)):
+            assert count < 2, "the kernel was read past its witness"
+            yield x
+
+    with monkeypatch.context() as patched, enumeration_cap(1 << 28):
+        patched.setattr(FiniteRing, "elements", listed)
+        patched.setattr(frobenius, "linear_kernel", two_members)
+        patched.setattr(skewpoly, "linear_kernel", two_members)
+        with pytest.raises(DegenerateFormError) as exc:
+            FrobeniusFunctional(poly, zero_form)
+        assert (exc.value.side, exc.value.witness) == ("right", tuple(unit_vector(28, 27)))
+        assert not any(is_nondegenerate(poly, pairing, side) for side in ("right", "left", "both"))
+        with pytest.raises(AutomorphismError, match="map is not a bijection"):
+            RingAutomorphism(poly, shift)
+    cap = "module has 268435456 entries, cap is 1048576"
+    with pytest.raises(EnumerationCapError, match=cap):
+        FrobeniusFunctional(poly, zero_form)
+    with pytest.raises(EnumerationCapError, match=cap):
+        is_nondegenerate(poly, pairing)
+    with pytest.raises(EnumerationCapError, match=cap):
+        pairing_kernel(poly, pairing, "first")
+    with pytest.raises(EnumerationCapError, match=cap):
+        RingAutomorphism(poly, shift)
+    with pytest.raises(EnumerationCapError, match="module has 2097152 entries"):
+        FrobeniusFunctional(ring_zn(1 << 21), ZnLinearForm(ring_zn(1 << 21).shape, (1,)))
 
 
 # -- the duality reports against the annihilated scan ---------------------------
