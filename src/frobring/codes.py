@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import comb
 from typing import Iterable, Sequence
 
 from .znmod import (Element, ZnLinearForm, _check_power_cap, additive_closure,
-                    additive_generators)
+                    additive_generators, packed_arithmetic)
 from .finring import (
     FiniteRing,
     is_left_ideal,
@@ -216,7 +216,7 @@ class WeightEnumerator:
 
 
 def hamming_weight(v: Vector, zero: Element) -> int:
-    return sum(1 for c in v if c != zero)
+    return len(v) - v.count(zero)
 
 
 def weight_enumerator(code: LinearCode) -> WeightEnumerator:
@@ -236,7 +236,9 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     Defaults to the side that pairs against the code's module structure:
     right orthogonal for a left code, left orthogonal for a right code.
     The form must be nondegenerate (first-slot kernel, cached).  The
-    orthogonal is taken of an additive generating set of the codewords.
+    orthogonal is taken of an additive generating set of the codewords,
+    picked on their packed codes (znmod.packed_arithmetic), which sort as
+    the vectors do; only the generators are decoded.
     """
     if form.ring != code.alphabet or form.m != code.m:
         raise ValueError("form and code live in different ambients")
@@ -247,7 +249,9 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
-    gens = additive_generators(code.codewords, partial(_vadd, code.alphabet), zero_vec)
+    encode, add = packed_arithmetic(code.alphabet.shape.orders * code.m)
+    decode = {encode(chain.from_iterable(v)): v for v in code.codewords}
+    gens = [decode[g] for g in additive_generators(decode, add, 0)]
     return LinearCode(code.alphabet, code.m, orth_side, (), orthogonal(form, gens, orth_side))
 
 

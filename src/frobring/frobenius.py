@@ -21,17 +21,20 @@ Side conventions, fixed once here and used everywhere:
 
 A pairing is biadditive, so the orthogonal of a subset S is the kernel of
 the Z-linear map x |-> (<x, s>)_s over an additive generating set of S:
-annihilators, functional orthogonals, and for ambient forms on A^m the
-orthogonals and kernels are each one znmod.orthogonal_kernel call on the
-images of the basis vectors.  Pairing kernels in the ring are one
-znmod.linear_kernel call on the pairing's gram (_gram_kernel).  The
-functional search reads only the right socle, where every nonzero
-first-slot kernel shows up.
+annihilators and functional orthogonals in the ring are each one
+znmod.orthogonal_kernel call on the images of the basis vectors.  For
+ambient forms on A^m the orthogonals and kernels are one
+znmod.linear_kernel call on images read off the gram matrix by
+bilinearity (_linear_orthogonal), so no route calls AmbientForm.pairing.
+Pairing kernels in the ring are one znmod.linear_kernel call on the
+pairing's gram (_gram_kernel).  The functional search reads only the
+right socle, where every nonzero first-slot kernel shows up.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import reduce
 from itertools import islice, product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,7 +45,6 @@ from .znmod import (
     additive_generators,
     enumerate_forms,
     linear_kernel,
-    orthogonal_kernel,
     _check_cap,
     _check_power_cap,
 )
@@ -87,16 +89,6 @@ def pairing_from_gram(ring: FiniteRing, gram: Sequence[Sequence[int]]) -> Callab
         return sum(ai * g[i][j] * bj for i, ai in enumerate(a) for j, bj in enumerate(b)) % n
 
     return pairing
-
-
-def _oriented(pairing: Callable, side: str) -> Callable:
-    """The pairing with the candidate in the named slot: 'left' keeps
-    pairing(x, s), 'right' reads it as pairing(s, x)."""
-    if side == "left":
-        return pairing
-    if side == "right":
-        return lambda x, s: pairing(s, x)
-    raise ValueError(f"bad side {side!r}")
 
 
 def pairing_kernel(ring: FiniteRing, pairing: Callable, slot: str) -> frozenset[Element]:
@@ -375,14 +367,34 @@ class AmbientForm:
 
 def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
                        value: Callable, orders: tuple[int, ...]) -> frozenset[Vector]:
-    """{x : value(<x, s>) = 0 for all s}, with x in the named slot: the
-    orthogonal_kernel over the r*m basis vectors of A^m, cut back into m
-    ring elements.  value is additive, with values in the given orders."""
-    pairing = _oriented(form.pairing, side)
-    R, m = form.ring, form.m
-    flat = orthogonal_kernel(R.shape.orders * m, form.basis_vectors(), subset,
-                             lambda b, s: value(pairing(b, s)), orders)
-    return frozenset(tuple(x[p * R.rank:(p + 1) * R.rank] for p in range(m)) for x in flat)
+    """{x : value(<x, s>) = 0 for all s}, with x in the named slot: one
+    linear_kernel call over the r*m basis vectors of A^m, cut back into m
+    ring elements.  value is additive, with values in the given orders.
+
+    By bilinearity the basis vector e_k at position p pairs with s to
+    e_k (Qs)_p in the first slot and to (sQ)_p e_k in the second, so each
+    s costs m^2 + r*m ring products, read off Q (or its transpose) and
+    the product in the slot's order."""
+    if side not in ("left", "right"):
+        raise ValueError(f"bad side {side!r}")
+    R, m, r = form.ring, form.m, form.ring.rank
+    _check_power_cap(R.cardinality, m, "ambient module")
+    if side == "left":
+        Q, times = form.matrix, R.mul
+    else:
+        Q, times = tuple(zip(*form.matrix)), lambda a, b: R.mul(b, a)
+    subset = list(subset)
+    if any(len(s) != m for s in subset):
+        raise ValueError(f"every vector paired must have length {m}")
+    images: list[list[int]] = [[] for _ in range(r * m)]  # position-major, as basis_vectors
+    for s in subset:
+        qs = [reduce(R.add, map(times, row, s)) for row in Q]
+        for image, (v, e) in zip(images, product(qs, R.basis_elements)):
+            image.extend(value(times(e, v)))
+    flat = linear_kernel(R.shape.orders * m, images, orders * len(subset))
+    if r == 0:
+        return frozenset(((),) * m for _ in flat)
+    return frozenset(tuple(zip(*[iter(x)] * r)) for x in flat)
 
 
 def orthogonal(

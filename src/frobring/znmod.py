@@ -21,7 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -246,8 +246,11 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
     middle: the coordinates are split where the two halves have about
     equal size, the second half's elements are indexed by their image,
     and each first-half prefix, in order, is joined to the second-half
-    entries with the negated image.  The cost is about 2 * sqrt(|domain|)
-    + |kernel| tuple operations, against |domain| for a scan.
+    entries with the negated image.  Images are reduced on entry and held
+    as packed codomain codes (packed_arithmetic): each element's image is
+    one int, its predecessor's plus one packed add, so the cost is about
+    2 * sqrt(|domain|) + |kernel| int operations, against |domain| for a
+    scan.
     """
     domain, codomain = tuple(domain), tuple(codomain)
     images = [tuple(v) for v in images]
@@ -257,20 +260,23 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
     while cut < len(domain) and size * size < cardinality:
         size *= domain[cut]
         cut += 1
+    encode, add = packed_arithmetic(codomain)
+    moduli = encode(codomain)
+    packed = [encode(g % q for g, q in zip(v, codomain)) for v in images]
 
-    def running_sums(orders, imgs) -> list[tuple[Element, Element]]:
-        # (x, image of x) for every x over the orders, lexicographically
-        out = [((), (0,) * len(codomain))]
-        for d, img in zip(orders, imgs):
-            out = [(x + (c,), tuple((s + c * g) % q for s, g, q in zip(total, img, codomain)))
-                   for x, total in out for c in range(d)]
-        return out
+    def half(orders, gens) -> Iterator[tuple[Element, int]]:
+        # (x, packed image of x) for every x over the orders, lexicographically
+        totals = [0]
+        for d, g in zip(orders, gens):
+            totals = [t for s in totals for t in accumulate(repeat(g, d - 1), add, initial=s)]
+        return zip(product(*map(range, orders)), totals)
 
-    by_image: dict[Element, list[Element]] = {}
-    for y, total in running_sums(domain[cut:], images[cut:]):
-        by_image.setdefault(total, []).append(y)
-    for x, total in running_sums(domain[:cut], images[:cut]):
-        for y in by_image.get(tuple(-s % q for s, q in zip(total, codomain)), ()):
+    by_image: dict[int, list[Element]] = {}
+    for y, t in half(domain[cut:], packed[cut:]):
+        by_image.setdefault(t, []).append(y)
+    for x, t in half(domain[:cut], packed[:cut]):
+        # moduli - t has fields q_j - t_j in [1, q_j]: adding 0 reduces q_j to 0
+        for y in by_image.get(add(moduli - t, 0), ()):
             yield x + y
 
 

@@ -12,15 +12,15 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobring import ring_from_table, ring_matrix, ring_zn
+from frobring import FiniteRing, ring_from_table, ring_matrix, ring_zn
 from frobring.catalog import gf4
 from frobring.codes import LinearCode, _vadd, dual, submodule_codes
 from frobring.frobenius import (
     AmbientForm,
     DegenerateFormError,
     _degeneracy,
-    _oriented,
     find_frobenius_functional,
     functional_orthogonal,
     orthogonal,
@@ -29,6 +29,16 @@ from frobring.znmod import (EnumerationCapError, additive_closure, annihilated, 
                             enumeration_cap)
 
 SIDES = ("left", "right")
+
+
+def _oriented(pairing, side):
+    """The pairing with the candidate in the named slot: 'left' keeps
+    pairing(x, s), 'right' reads it as pairing(s, x)."""
+    if side == "left":
+        return pairing
+    if side == "right":
+        return lambda x, s: pairing(s, x)
+    raise ValueError(f"bad side {side!r}")
 
 
 def orthogonal_oracle(form, subset, side, value=lambda a: a):
@@ -172,39 +182,119 @@ def test_degenerate_grams_are_covered():
     assert (len(form.left_kernel()), len(form.right_kernel())) == (4, 2)
 
 
+# -- random grams --------------------------------------------------------------
+
+
+@st.composite
+def forms_and_subsets(draw, label):
+    """(form, subset, code side) over the named ambient: a gram of random
+    alphabet entries (often degenerate) and up to four random vectors."""
+    ring, m, _ = AMBIENTS[label]
+    entry = st.sampled_from(ring.elements())
+    row = st.lists(entry, min_size=m, max_size=m)
+    gram = draw(st.lists(row, min_size=m, max_size=m))
+    subset = draw(st.lists(st.tuples(*[entry] * m), max_size=4))
+    return AmbientForm(ring, m, gram), subset, draw(st.sampled_from(("left", "right", "additive")))
+
+
+@pytest.mark.parametrize("label", AMBIENTS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_orthogonals_under_random_grams_match_the_full_scan(label, data):
+    form, subset, code_side = data.draw(forms_and_subsets(label))
+    ring, m = form.ring, form.m
+    eps = find_frobenius_functional(ring) or max(enumerate_forms(ring.shape),
+                                                 key=lambda f: f.weights)
+    for side in SIDES:
+        assert orthogonal(form, subset, side) == orthogonal_oracle(form, subset, side)
+        assert functional_orthogonal(form, eps, subset, side) == orthogonal_oracle(
+            form, subset, side, eps.evaluate)
+    everything = list(form.vectors())
+    assert form.left_kernel() == orthogonal_oracle(form, everything, "left")
+    assert form.right_kernel() == orthogonal_oracle(form, everything, "right")
+    bad = degeneracy_oracle(form)
+    code = LinearCode.generate(ring, m, subset or [(ring.zero,) * m], code_side)
+    for side in SIDES:
+        if bad is not None:
+            with pytest.raises(DegenerateFormError) as err:
+                dual(code, form, side)
+            assert (err.value.side, err.value.witness) == bad
+        else:
+            words = orthogonal_oracle(form, sorted(code.codewords), side)
+            assert dual(code, form, side).codewords == words
+
+
+@pytest.mark.parametrize("ring", [ring_from_table(1, (), [], ()), ring_zn(1)],
+                         ids=["rank 0", "Z1"])
+def test_duals_over_one_element_alphabets(ring):
+    """A^2 is {0} over the rank-0 ring and over Z1: every orthogonal,
+    kernel and dual is that one vector."""
+    zero = (ring.zero,) * 2
+    form = AmbientForm(ring, 2, [[ring.one, ring.zero], [ring.zero, ring.one]])
+    code = LinearCode.generate(ring, 2, [zero])
+    assert form.left_kernel() == form.right_kernel() == {zero}
+    assert form.is_nondegenerate()
+    for side in SIDES:
+        assert orthogonal(form, [], side) == orthogonal(form, [zero], side) == {zero}
+        d = dual(code, form, side)
+        assert (d.side, d.codewords) == (side, {zero})
+
+
+def test_vectors_of_another_length_are_refused():
+    """A vector shorter or longer than m is a ValueError on both sides,
+    not a silently wrong orthogonal."""
+    z4 = ring_zn(4)
+    form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]])
+    eps = find_frobenius_functional(z4)
+    for vector in [((1,),), ((1,), (1,), (1,))]:
+        for side in SIDES:
+            with pytest.raises(ValueError, match="length 2"):
+                orthogonal(form, [vector], side)
+            with pytest.raises(ValueError, match="length 2"):
+                functional_orthogonal(form, eps, [vector], side)
+
+
 # -- work regression -----------------------------------------------------------
 
 
 @pytest.fixture
-def pairing_calls(monkeypatch):
-    """Counts AmbientForm.pairing calls; monkeypatch restores the method."""
-    calls = [0]
-    original = AmbientForm.pairing
+def work(monkeypatch):
+    """Counts AmbientForm.pairing and FiniteRing.mul calls; monkeypatch
+    restores both methods."""
+    calls = {"pairing": 0, "mul": 0}
 
-    def counting(self, x, y):
-        calls[0] += 1
-        return original(self, x, y)
+    def counting(name, original):
+        def wrapper(self, x, y):
+            calls[name] += 1
+            return original(self, x, y)
+        return wrapper
 
-    monkeypatch.setattr(AmbientForm, "pairing", counting)
+    monkeypatch.setattr(AmbientForm, "pairing", counting("pairing", AmbientForm.pairing))
+    monkeypatch.setattr(FiniteRing, "mul", counting("mul", FiniteRing.mul))
     return calls
 
 
 @pytest.mark.parametrize("n, m", [(4, 6), (2, 12)])
-def test_dual_never_scans_the_ambient(n, m, pairing_calls):
+def test_dual_never_scans_the_ambient(n, m, work):
     ring = ring_zn(n)
     gens = [[(1,)] * m, [(0,), (1,)] * (m // 2)]
     code = LinearCode.generate(ring, m, gens, "left")
     identity = [[(1,) if i == j else (0,) for j in range(m)] for i in range(m)]
-    d = dual(code, AmbientForm(ring, m, identity))
-    assert pairing_calls[0] < n ** m // 8
+    form = AmbientForm(ring, m, identity)
+    work["mul"] = 0
+    d = dual(code, form)
+    assert work["pairing"] < n ** m // 8
     assert d.cardinality == n ** m // code.cardinality
-    # both kernels pair basis against basis; each additive generator the
-    # greedy choice keeps at least doubles the span, so there are at most
-    # log2 |C| of them, each paired with every basis vector
-    assert pairing_calls[0] <= 2 * m * m + m * (code.cardinality.bit_length() - 1)
+    # each member s of an orthogonal's subset costs m^2 + r*m products
+    # (Qs or sQ, then e_k times each entry); both kernels take the r*m
+    # basis vectors, and each additive generator the greedy choice keeps
+    # at least doubles the span, so there are at most log2 |C| of them
+    members = 2 * ring.rank * m + code.cardinality.bit_length() - 1
+    assert 0 < work["mul"] <= (m * m + ring.rank * m) * members
+    assert work["pairing"] <= 2 * m * m + m * (code.cardinality.bit_length() - 1)
 
 
-def test_cap_is_checked_before_any_pairing(pairing_calls):
+def test_cap_is_checked_before_any_pairing(work):
     z4 = ring_zn(4)
     form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]])
     code = LinearCode.generate(z4, 2, [[(1,), (1,)]])
@@ -212,9 +302,10 @@ def test_cap_is_checked_before_any_pairing(pairing_calls):
     calls = [form.left_kernel, form.right_kernel, lambda: dual(code, form),
              lambda: orthogonal(form, code.codewords, "left"),
              lambda: functional_orthogonal(form, eps, code.codewords, "right")]
+    work["mul"] = 0
     with enumeration_cap(15):
         for call in calls:
             with pytest.raises(EnumerationCapError,
                                match="ambient module has 4\\^2 entries, cap is 15"):
                 call()
-    assert pairing_calls[0] == 0
+    assert work == {"pairing": 0, "mul": 0}

@@ -1,7 +1,7 @@
 """Module shapes, linear forms, spans and brute-force kernels."""
 
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -275,14 +275,28 @@ def test_kernel_with_distinct_shapes():
 
 @st.composite
 def linear_maps(draw):
-    """(domain orders, images, codomain orders) with orders dividing one n;
-    order-1 coordinates, rank 0 on either side and zero images included."""
+    """(domain orders, images, codomain orders): domain orders dividing one
+    n; up to 16 codomain orders, either divisors of n or anything up to
+    256, so wide packed fields sit beside order-1 and 1-bit ones; image
+    entries unreduced and negative.  Half the maps are well defined
+    (d * g = 0 mod q), which keeps their kernels large even on wide
+    codomains.  Order-1 coordinates, rank 0 on either side and zero
+    images included."""
     n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     domain = draw(st.lists(st.sampled_from(divisors), max_size=6))
-    codomain = draw(st.lists(st.sampled_from(divisors), max_size=3))
-    image = st.tuples(*(st.integers(0, q - 1) for q in codomain))
-    images = draw(st.lists(image, min_size=len(domain), max_size=len(domain)))
+    order = st.one_of(st.sampled_from(divisors), st.sampled_from([1, 2, 255, 256]),
+                      st.integers(1, 256))
+    codomain = draw(st.lists(order, max_size=16))
+    well_defined = draw(st.booleans())
+
+    def entry(d, q):
+        if not well_defined:
+            return st.integers(-2 * q, 2 * q)
+        return st.builds(lambda c, w: c * (q // gcd(q, d)) + w * q,
+                         st.integers(0, d), st.integers(-2, 1))
+
+    images = [draw(st.tuples(*(entry(d, q) for q in codomain))) for d in domain]
     return domain, images, codomain
 
 
@@ -307,6 +321,11 @@ def test_linear_kernel_matches_the_scan(case):
     ((4, 1, 2), [(0, 0), (0, 0), (0, 0)], (4, 2)),  # zero images
     ((4,), [(2,)], (4,)),                       # rank 1
     ((2, 2, 4), [(1, 1), (0, 1), (2, 2)], (2, 4)),
+    ((4, 2), [(-1, 3), (2, -2)], (4, 2)),          # negative and unreduced images
+    ((256, 2), [(1, 1), (128, 0)], (256, 2)),   # a wide field beside a 1-bit one
+    ((2, 256), [(1, 0), (1, 128)], (2, 256)),
+    ((4, 4, 2), [(64, 1, 1), (192, 0, 1), (128, 1, 0)], (256, 1, 2)),  # ... and order 1
+    ((2, 2), [(255, 1), (-255, 255)], (1, 256)),
 ])
 def test_linear_kernel_edge_cases(case):
     assert list(linear_kernel(*case)) == kernel_oracle(*case)
