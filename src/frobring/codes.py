@@ -56,27 +56,25 @@ _ORTH_FOR_SIDE = {"left": "right", "right": "left", "additive": "right"}
 
 
 class LinearCode:
-    """A submodule (or additive subgroup) of A^m with explicit codewords."""
+    """A submodule (or additive subgroup) of A^m with explicit codewords,
+    verified on construction (_validate).  generate, dual and
+    submodule_codes build submodules by construction through _built."""
 
-    def __init__(
-        self,
-        alphabet: FiniteRing,
-        m: int,
-        side: str,
-        generators: Sequence[Vector],
-        codewords: Iterable[Vector],
-        *,
-        check: bool = False,
-    ):
+    def __init__(self, alphabet: FiniteRing, m: int, side: str, codewords: Iterable[Vector]):
         if side not in _SIDES:
             raise ValueError(f"bad code side {side!r}")
-        self.alphabet = alphabet
-        self.m = m
-        self.side = side
-        self.generators = tuple(generators)
+        self.alphabet, self.m, self.side = alphabet, m, side
         self.codewords = frozenset(codewords)
-        if check:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def _built(cls, alphabet: FiniteRing, m: int, side: str, codewords) -> "LinearCode":
+        """The code of words that are a submodule on the side by
+        construction, without _validate."""
+        code = cls.__new__(cls)
+        code.alphabet, code.m, code.side = alphabet, m, side
+        code.codewords = frozenset(codewords)
+        return code
 
     @classmethod
     def generate(
@@ -97,9 +95,11 @@ class LinearCode:
         scalars, act = _action(alphabet, side)
         seeds = [act(s, g) for g in gens for s in scalars]
         closed = additive_closure(seeds, partial(_vadd, alphabet), (alphabet.zero,) * m)
-        return cls(alphabet, m, side, tuple(gens), closed)
+        return cls._built(alphabet, m, side, closed)
 
     def _validate(self):
+        """ValueError unless every word is a vector of A^m and the words
+        are a submodule on the side, naming the first witness."""
         A = self.alphabet
         for v in self.codewords:
             if not (isinstance(v, tuple) and len(v) == self.m
@@ -252,7 +252,7 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     encode, add = packed_arithmetic(code.alphabet.shape.orders * code.m)
     decode = {encode(chain.from_iterable(v)): v for v in code.codewords}
     gens = [decode[g] for g in additive_generators(decode, add, 0)]
-    return LinearCode(code.alphabet, code.m, orth_side, (), orthogonal(form, gens, orth_side))
+    return LinearCode._built(code.alphabet, code.m, orth_side, orthogonal(form, gens, orth_side))
 
 
 def identity_form(A: FiniteRing, m: int) -> AmbientForm:
@@ -346,7 +346,7 @@ def submodule_codes(A: FiniteRing, m: int, side: str) -> list[LinearCode]:
     _check_ambient(A, m, side)
     vectors = product(A.elements(), repeat=m)  # lexicographic in the m * rank coordinates
     lattice = submodule_lattice(A.shape.orders * m, vectors, *_action(A, side))
-    return [LinearCode(A, m, side, (), words) for words in lattice]
+    return [LinearCode._built(A, m, side, words) for words in lattice]
 
 
 # -- skew-cyclic codes -----------------------------------------------------

@@ -54,7 +54,7 @@ from .znmod import (
     additive_closure,
     enumerate_module,
     extend_span,
-    orthogonal_kernel,
+    linear_kernel,
     packed_arithmetic,
 )
 
@@ -506,10 +506,13 @@ def ring_group_algebra(
 
 
 def ring_orthogonal(ring: FiniteRing, gens, pairing, codomain) -> frozenset[Element]:
-    """{a : pairing(a, g) = 0 for every g in gens}, by rank * |gens| pairings;
-    for a biadditive pairing, the orthogonal of everything gens span."""
-    return frozenset(orthogonal_kernel(ring.shape.orders, ring.basis_elements, gens, pairing,
-                                       codomain))
+    """{a : pairing(a, g) = 0 for every g in gens}: one linear_kernel call on
+    the pairing's values at the basis, rank * |gens| pairings.  pairing must
+    be additive in its first slot, with values in the codomain's orders;
+    for a biadditive pairing this is the orthogonal of everything gens span."""
+    gens = list(gens)
+    images = [tuple(c for g in gens for c in pairing(e, g)) for e in ring.basis_elements]
+    return frozenset(linear_kernel(ring.shape.orders, images, tuple(codomain) * len(gens)))
 
 
 def submodule_violation(elems, add, zero, scalars, act):

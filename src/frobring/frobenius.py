@@ -20,15 +20,15 @@ Side conventions, fixed once here and used everywhere:
   ring are the left-handed ones of the opposite ring.
 
 A pairing is biadditive, so the orthogonal of a subset S is the kernel of
-the Z-linear map x |-> (<x, s>)_s over an additive generating set of S:
-annihilators and functional orthogonals in the ring are each one
-znmod.orthogonal_kernel call on the images of the basis vectors.  For
-ambient forms on A^m the orthogonals and kernels are one
-znmod.linear_kernel call on images read off the gram matrix by
-bilinearity (_linear_orthogonal), so no route calls AmbientForm.pairing.
-Pairing kernels in the ring are one znmod.linear_kernel call on the
-pairing's gram (_gram_kernel).  The functional search reads only the
-right socle, where every nonzero first-slot kernel shows up.
+the Z-linear map x |-> (<x, s>)_s over an additive generating set of S.
+Every orthogonal and kernel is one znmod.linear_kernel call, which holds
+its domain to the enumeration cap: annihilators and functional
+orthogonals in the ring through finring.ring_orthogonal, on the images of
+the basis vectors; pairing kernels in the ring on the pairing's gram
+(_gram_kernel); orthogonals and kernels of ambient forms on A^m on images
+read off the gram matrix by bilinearity (_linear_orthogonal), so no route
+calls AmbientForm.pairing.  The functional search reads only the right
+socle, where every nonzero first-slot kernel shows up.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .znmod import (
     additive_generators,
     enumerate_forms,
     linear_kernel,
-    _check_cap,
     _check_power_cap,
 )
 from .finring import FiniteRing, Ideal, ring_orthogonal
@@ -122,7 +121,6 @@ def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> 
 
     For a functional's gram G_ij = eps(e_i e_j) this is the kernel of
     eps(a * b) without a ring product."""
-    _check_cap(ring.cardinality, "module")  # a linear_kernel half may list the ring
     lines = gram if slot == "first" else list(zip(*gram))
     return linear_kernel(ring.shape.orders, lines, (ring.characteristic,) * ring.rank)
 
@@ -339,8 +337,7 @@ class AmbientForm:
 
     def basis_vectors(self) -> list[Vector]:
         """The r*m additive basis vectors of A^m (e_i in one position,
-        zero elsewhere), position-major, after the ambient cap check."""
-        _check_power_cap(self.ring.cardinality, self.m, "ambient module")
+        zero elsewhere), position-major."""
         zero = self.ring.zero
         return [tuple(e if q == p else zero for q in range(self.m))
                 for p in range(self.m) for e in self.ring.basis_elements]
@@ -373,11 +370,12 @@ def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
 
     By bilinearity the basis vector e_k at position p pairs with s to
     e_k (Qs)_p in the first slot and to (sQ)_p e_k in the second, so each
-    s costs m^2 + r*m ring products, read off Q (or its transpose) and
-    the product in the slot's order."""
+    s costs at most m^2 + r*m ring products, read off Q (or its transpose)
+    and the product in the slot's order; (Qs)_p sums only the terms with
+    Q_pj and s_j both nonzero."""
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
-    R, m, r = form.ring, form.m, form.ring.rank
+    R, m, r, zero = form.ring, form.m, form.ring.rank, form.ring.zero
     _check_power_cap(R.cardinality, m, "ambient module")
     if side == "left":
         Q, times = form.matrix, R.mul
@@ -388,7 +386,8 @@ def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
         raise ValueError(f"every vector paired must have length {m}")
     images: list[list[int]] = [[] for _ in range(r * m)]  # position-major, as basis_vectors
     for s in subset:
-        qs = [reduce(R.add, map(times, row, s)) for row in Q]
+        qs = [reduce(R.add, (times(q, x) for q, x in zip(row, s) if q != zero and x != zero),
+                     zero) for row in Q]
         for image, (v, e) in zip(images, product(qs, R.basis_elements)):
             image.extend(value(times(e, v)))
     flat = linear_kernel(R.shape.orders * m, images, orders * len(subset))

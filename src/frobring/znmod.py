@@ -250,13 +250,15 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
     as packed codomain codes (packed_arithmetic): each element's image is
     one int, its predecessor's plus one packed add, so the cost is about
     2 * sqrt(|domain|) + |kernel| int operations, against |domain| for a
-    scan.
+    scan.  A half may list the whole domain, so its size is held to the
+    cap on the call, as enumerate_module holds a module's.
     """
     domain, codomain = tuple(domain), tuple(codomain)
     images = [tuple(v) for v in images]
     if len(images) != len(domain) or any(len(v) != len(codomain) for v in images):
         raise ValueError("need one image in the codomain per domain coordinate")
     cut, size, cardinality = 0, 1, prod(domain)
+    _check_cap(cardinality, "module")
     while cut < len(domain) and size * size < cardinality:
         size *= domain[cut]
         cut += 1
@@ -274,21 +276,9 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
     by_image: dict[int, list[Element]] = {}
     for y, t in half(domain[cut:], packed[cut:]):
         by_image.setdefault(t, []).append(y)
-    for x, t in half(domain[:cut], packed[:cut]):
-        # moduli - t has fields q_j - t_j in [1, q_j]: adding 0 reduces q_j to 0
-        for y in by_image.get(add(moduli - t, 0), ()):
-            yield x + y
-
-
-def orthogonal_kernel(domain: Sequence[int], basis: Sequence, against: Iterable,
-                      pairing: Callable, codomain: Sequence[int]) -> Iterator[Element]:
-    """Every x in Z_{d_1} x ... x Z_{d_k}, in lexicographic order, with
-    pairing(sum_i x_i * basis[i], s) = 0 for every s: the one orthogonal.
-    pairing must be additive in its first slot, with values in the
-    codomain's orders: one linear_kernel call on its values at the basis."""
-    against = list(against)
-    images = [tuple(c for s in against for c in pairing(b, s)) for b in basis]
-    return linear_kernel(domain, images, tuple(codomain) * len(against))
+    # moduli - t has fields q_j - t_j in [1, q_j]: adding 0 reduces q_j to 0
+    return (x + y for x, t in half(domain[:cut], packed[:cut])
+            for y in by_image.get(add(moduli - t, 0), ()))
 
 
 def additive_generators(elements: Iterable, add: Callable, zero) -> list:
@@ -309,7 +299,7 @@ def annihilated(candidates: Iterable, against: Iterable, pairing: Callable,
 
     The brute-force orthogonality scan over an explicit candidate list,
     kept as the oracle (kernel_elements and the tests) for every
-    orthogonal_kernel route.
+    linear_kernel route.
     """
     against = list(against)
     return frozenset(x for x in candidates if all(pairing(x, s) == zero for s in against))

@@ -293,7 +293,7 @@ def test_budget_checked_code_of_every_word_of_z4_to_the_5():
     z4 = ring_zn(4)
     words = [tuple((c,) for c in v) for v in product(range(4), repeat=5)]
     t0 = time.perf_counter()
-    code = LinearCode(z4, 5, "left", (), words, check=True)
+    code = LinearCode(z4, 5, "left", words)
     elapsed = time.perf_counter() - t0
     assert code.cardinality == 1024
     assert elapsed < 2, f"submodule check took {elapsed:.1f} s"

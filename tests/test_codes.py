@@ -76,13 +76,13 @@ def test_code_equality_and_side_blindness(z4):
 
 def test_validate_catches_non_codes(z4):
     with pytest.raises(ValueError):
-        LinearCode(z4, 1, "left", (), [((1,),)], check=True)  # no zero
+        LinearCode(z4, 1, "left", [((1,),)])  # no zero
     with pytest.raises(ValueError):
-        LinearCode(z4, 1, "left", (), [((0,),), ((1,),)], check=True)  # not closed
+        LinearCode(z4, 1, "left", [((0,),), ((1,),)])  # not closed
     with pytest.raises(ValueError):
-        LinearCode(z4, 2, "left", (), [((0,), (0,)), ((0,),)], check=True)  # short word
+        LinearCode(z4, 2, "left", [((0,), (0,)), ((0,),)])  # short word
     with pytest.raises(ValueError):
-        LinearCode(z4, 1, "left", (), [((0,),), ((4,),)], check=True)  # unreduced entry
+        LinearCode(z4, 1, "left", [((0,),), ((4,),)])  # unreduced entry
 
 
 # -- weight enumerators ----------------------------------------------------
@@ -168,7 +168,7 @@ def test_is_monomial(z4):
 def test_transform_of_full_code_is_point_mass():
     for n, m in ((2, 2), (3, 2), (4, 3), (5, 1)):
         A = ring_zn(n)
-        full = LinearCode(A, m, "left", (), identity_form(A, m).vectors())
+        full = LinearCode(A, m, "left", identity_form(A, m).vectors())
         enum = weight_enumerator(full)
         out = macwilliams_transform(enum, n, full.cardinality)
         assert out.counts == (1,) + (0,) * m

@@ -14,6 +14,10 @@ FiniteRing.basis_elements is the one basis list.
 Only the functions in ELEMENT_SCANS_KEPT call .elements() or
 enumerate_module: kernels and bijections are decided by linear_kernel,
 and element scans live on as oracles in the tests.
+
+No function has a parameter with a boolean default: objects are verified
+on construction, with no check= switch, and one setting per concept
+leaves no flag to thread.
 """
 
 import ast
@@ -174,3 +178,34 @@ def test_only_the_kept_functions_scan_elements():
     for path in sorted(SRC.glob("*.py")):
         found += element_scans(path.read_text(), path.stem)
     assert found == ELEMENT_SCANS_KEPT
+
+
+def boolean_defaults(source: str, module: str) -> list[str]:
+    """Functions (module.name) with a parameter whose default is True or False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = [*node.args.defaults, *node.args.kw_defaults]
+            if any(isinstance(d, ast.Constant) and isinstance(d.value, bool) for d in defaults):
+                found.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
+    return sorted(found)
+
+
+def test_boolean_default_scanner_flags_a_planted_knob():
+    source = (
+        "def f(x, check=False):\n"
+        "    return x\n"
+        "class C:\n"
+        "    def g(self, *, strict=True, n=1):\n"
+        "        return lambda v=True: v\n"
+        "def h(x=None, y=0, z='', *, w):\n"
+        "    return g(flag=True)\n"
+    )
+    assert boolean_defaults(source, "m") == ["m.<lambda>", "m.f", "m.g"]
+
+
+def test_no_function_has_a_boolean_default():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += boolean_defaults(path.read_text(), path.stem)
+    assert found == []

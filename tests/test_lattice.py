@@ -17,7 +17,7 @@ from math import lcm
 import pytest
 
 from frobring.catalog import gf4, gf4_frobenius
-from frobring.codes import LinearCode, submodule_codes
+from frobring.codes import LinearCode, dual, identity_form, submodule_codes
 from frobring.finring import (
     is_left_ideal,
     is_right_ideal,
@@ -103,6 +103,22 @@ def test_submodule_codes_match_brute_force(ambient):
         assert set(found) == expected, side
         assert len(found) == len(expected), side
         assert [len(c) for c in found] == sorted(len(c) for c in found), side
+
+
+def test_library_built_codes_pass_validation(ambient):
+    """generate, dual and submodule_codes skip _validate, as their codes
+    are submodules by construction: each one, rebuilt through the
+    verifying constructor, is the same code."""
+    A, m, _ = ambient
+    form = identity_form(A, m)
+    built = []
+    for side in ("left", "right", "additive"):
+        codes = submodule_codes(A, m, side)
+        built += codes
+        built += [LinearCode.generate(A, m, [v], side) for v in product(A.elements(), repeat=m)]
+        built += [dual(code, form, orth) for code in codes for orth in ("left", "right")]
+    for code in built:
+        assert LinearCode(A, m, code.side, code.codewords) == code
 
 
 def test_ideals_of_matrix_ring_match_brute_force():
@@ -241,11 +257,11 @@ def test_sum_check_by_generators_matches_all_pairs(orders):
 def test_code_validation_keeps_its_messages():
     z4 = ring_zn(4)
     with pytest.raises(ValueError, match="does not contain the zero word"):
-        LinearCode(z4, 1, "left", (), [((1,),)], check=True)
+        LinearCode(z4, 1, "left", [((1,),)])
     with pytest.raises(ValueError, match=r"not closed under addition at \(\(1,\),\) \+"):
-        LinearCode(z4, 1, "additive", (), [((0,),), ((1,),)], check=True)
+        LinearCode(z4, 1, "additive", [((0,),), ((1,),)])
     R = ring_matrix(ring_zn(2), 2)
     first_row = [(R.element((a, b, 0, 0)),) for a in (0, 1) for b in (0, 1)]
-    LinearCode(R, 1, "right", (), first_row, check=True)
+    LinearCode(R, 1, "right", first_row)
     with pytest.raises(ValueError, match="not closed under left scalar"):
-        LinearCode(R, 1, "left", (), first_row, check=True)
+        LinearCode(R, 1, "left", first_row)

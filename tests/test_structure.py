@@ -43,6 +43,7 @@ from frobring import (
 )
 from frobring.catalog import (
     corpus_rings,
+    cyclic_cayley,
     gf4,
     gf4_skew_quotient,
     z2_quotient_x3_minus_1,
@@ -611,6 +612,27 @@ def test_degenerate_kernels_stop_at_their_witness(monkeypatch):
         RingAutomorphism(poly, shift)
     with pytest.raises(EnumerationCapError, match="module has 2097152 entries"):
         FrobeniusFunctional(ring_zn(1 << 21), ZnLinearForm(ring_zn(1 << 21).shape, (1,)))
+
+
+def test_every_kernel_route_meets_the_cap():
+    """A kernel may be its whole domain, so linear_kernel holds the domain
+    to the cap on the call: under a cap of 16, the orthogonals of the zero
+    subset (all 64 elements) and the kernels of a pairing on Z64 and
+    Z2[C6] raise instead of listing the ring."""
+    z64, z2c6 = ring_zn(64), ring_group_algebra(2, cyclic_cayley(6))
+    eps = ZnLinearForm(z64.shape, (1,))
+    pairing = pairing_of_functional(z64, eps)
+    routes = [lambda: left_annihilator(z64, [z64.zero]),
+              lambda: right_annihilator(z64, [z64.zero]),
+              lambda: functional_left_orthogonal(z64, eps, [z64.zero]),
+              lambda: functional_right_orthogonal(z64, eps, [z64.zero]),
+              lambda: group_algebra_dual_report(z2c6, [z2c6.zero]),
+              lambda: pairing_kernel(z64, pairing, "first"),
+              lambda: pairing_kernel(z64, pairing, "second")]
+    with enumeration_cap(16):
+        for route in routes:
+            with pytest.raises(EnumerationCapError, match="module has 64 entries, cap is 16"):
+                route()
 
 
 # -- the duality reports against the annihilated scan ---------------------------

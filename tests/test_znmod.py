@@ -341,6 +341,15 @@ def test_linear_kernel_needs_an_image_per_coordinate():
 # -- caps ------------------------------------------------------------------
 
 
+def test_linear_kernel_meets_the_cap_on_the_call():
+    """The kernel may be the whole domain, so the cap fires on the call,
+    before any iteration."""
+    with enumeration_cap(16):
+        with pytest.raises(EnumerationCapError, match="module has 64 entries, cap is 16"):
+            linear_kernel((64,), [(0,)], (1,))
+        assert list(linear_kernel((16,), [(0,)], (1,))) == [(x,) for x in range(16)]
+
+
 def test_enumeration_cap():
     big = ModuleShape(2, (2,) * 21)
     with pytest.raises(EnumerationCapError):
