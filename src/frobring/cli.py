@@ -30,6 +30,10 @@ with its own code, every library ValueError with 1.
 
 main runs each command inside enumeration_cap(--cap): whatever kind of
 spec a ring, code, form or quotient comes from, it meets the same cap.
+
+A reader that closes stdout early (frobring ... | head) ends the report
+quietly: main points stdout at os.devnull and returns the command's own
+exit code, with no traceback.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -446,7 +451,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit({"command": f"{args.group} {args.cmd}", **report}, args.json)
+    try:
+        _emit({"command": f"{args.group} {args.cmd}", **report}, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone; the flush at shutdown must find a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return rc
 

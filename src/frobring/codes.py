@@ -56,13 +56,12 @@ _ORTH_FOR_SIDE = {"left": "right", "right": "left", "additive": "right"}
 
 
 class LinearCode:
-    """A submodule (or additive subgroup) of A^m with explicit codewords,
-    verified on construction (_validate).  generate, dual and
+    """A submodule (or additive subgroup) of A^m, m >= 1, with explicit
+    codewords, verified on construction (_validate).  generate, dual and
     submodule_codes build submodules by construction through _built."""
 
     def __init__(self, alphabet: FiniteRing, m: int, side: str, codewords: Iterable[Vector]):
-        if side not in _SIDES:
-            raise ValueError(f"bad code side {side!r}")
+        _check_ambient(m, side)
         self.alphabet, self.m, self.side = alphabet, m, side
         self.codewords = frozenset(codewords)
         self._validate()
@@ -87,7 +86,8 @@ class LinearCode:
         """Close the generators under addition and the requested scalar
         action: the additive span of act(s, g) over the side's scalars
         (see _action) and generators g."""
-        _check_ambient(alphabet, m, side)
+        _check_ambient(m, side)
+        _check_power_cap(alphabet.cardinality, m, "ambient module")
         gens = [tuple(alphabet.element(c) for c in g) for g in generators]
         for g in gens:
             if len(g) != m:
@@ -155,12 +155,11 @@ class LinearCode:
         return f"<LinearCode side={self.side} |C|={self.cardinality} m={self.m}>"
 
 
-def _check_ambient(A: FiniteRing, m: int, side: str) -> None:
+def _check_ambient(m: int, side: str) -> None:
     if side not in _SIDES:
         raise ValueError(f"bad code side {side!r}")
     if m < 1:
         raise ValueError("code length must be positive")
-    _check_power_cap(A.cardinality, m, "ambient module")
 
 
 def _vadd(A: FiniteRing, v: Vector, w: Vector) -> Vector:
@@ -343,7 +342,8 @@ def submodule_codes(A: FiniteRing, m: int, side: str) -> list[LinearCode]:
     Exhaustive by the same argument as ideal enumeration: every submodule
     is a sum of the cyclic submodules of its members.
     """
-    _check_ambient(A, m, side)
+    _check_ambient(m, side)
+    _check_power_cap(A.cardinality, m, "ambient module")
     vectors = product(A.elements(), repeat=m)  # lexicographic in the m * rank coordinates
     lattice = submodule_lattice(A.shape.orders * m, vectors, *_action(A, side))
     return [LinearCode._built(A, m, side, words) for words in lattice]
@@ -358,14 +358,13 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
     The quotient is generated as a ring by x and the basis scalars of A,
     so a subgroup closed under left multiplication by those generators is
     closed under every left multiple (the shift-closure of Boucher,
-    Geiselmann and Ulmer, AAECC 18, 2007).
+    Geiselmann and Ulmer, AAECC 18, 2007), tested on flattened words in
+    the uncapped table ring of SkewQuotient.mul, whose basis opens with A's.
     """
-    words = code.codewords if isinstance(code, LinearCode) else frozenset(code)
-    A = quotient.base
-    generators = [quotient.shift_generator()] + [
-        quotient.embed_scalar(e) for e in A.basis_elements]
-    return submodule_violation(words, quotient.add, quotient.zero, generators,
-                               quotient.mul) is None
+    ring, flat = quotient._table_ring(), quotient.flatten
+    words = frozenset(map(flat, code.codewords if isinstance(code, LinearCode) else code))
+    generators = [flat(quotient.shift_generator()), *ring.basis_elements[:quotient.base.rank]]
+    return submodule_violation(words, ring.add, ring.zero, generators, ring.mul) is None
 
 
 def quotient_left_ideal_codes(quotient: SkewQuotient) -> list[frozenset[Vector]]:
@@ -394,15 +393,16 @@ def skew_cyclic_dual_report(
     The Euclidean dual here is {f : sum_i f_i g_i = 0 for all g in V},
     i.e. the first-slot orthogonal under the identity form; it must equal
     the first-slot orthogonal of reversal(V) under the pairing
-    (g, t) |-> eps((g t)_0), and must itself be skew-cyclic.
+    (g, t) |-> eps((g t)_0), and must itself be skew-cyclic.  V's additive
+    generators are picked on its flattened words, in the table ring.
     """
-    lifted = quotient.lifted_form(base_functional)
-    V = frozenset(V)
-    gens = additive_generators(V, quotient.add, quotient.zero)
+    lifted, ring = quotient.lifted_form(base_functional), quotient.as_finite_ring()
+    V = frozenset(map(quotient.flatten, V))
+    gens = [quotient.unflatten(g) for g in additive_generators(V, ring.add, ring.zero)]
     e_dual = orthogonal(identity_form(quotient.base, quotient.m), gens, "left")
     reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
-    r_orth = frozenset(quotient.unflatten(g) for g in functional_left_orthogonal(
-        quotient.as_finite_ring(), lifted, reversed_gens))
+    r_orth = frozenset(map(quotient.unflatten, functional_left_orthogonal(
+        ring, lifted, reversed_gens)))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
         dual_is_skew_cyclic=is_skew_cyclic(e_dual, quotient),

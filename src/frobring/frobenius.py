@@ -125,6 +125,10 @@ def _gram_kernel(ring: FiniteRing, gram: Sequence[Sequence[int]], slot: str) -> 
     return linear_kernel(ring.shape.orders, lines, (ring.characteristic,) * ring.rank)
 
 
+def _functional_gram(ring: FiniteRing, form: ZnLinearForm) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(form.evaluate(e) for e in row) for row in ring.mul_table)
+
+
 def _gram_degeneracy(ring: FiniteRing, gram: Sequence[Sequence[int]], side: str):
     """_degeneracy of the gram's pairing; _gram_kernel lists zero, then the witness."""
     kernels = [lambda s=s: islice(_gram_kernel(ring, gram, s), 2) for s in ("first", "second")]
@@ -180,7 +184,7 @@ class FrobeniusFunctional:
 
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Matrix of eps(e_i * e_j) over Z_n, read off the basis table."""
-        return tuple(tuple(self.form.evaluate(e) for e in row) for row in self.ring.mul_table)
+        return _functional_gram(self.ring, self.form)
 
     def __repr__(self) -> str:
         return f"FrobeniusFunctional(weights={self.weights})"
@@ -239,27 +243,21 @@ class GeneratorEquivalenceReport:
 def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEquivalenceReport:
     """Check each dual-generation property of a candidate functional.
 
-    Degenerate forms fail the orbit and bijectivity items coherently; the
-    associativity item depends only on associativity of the ring product,
-    so it holds even for degenerate forms.
+    Each slot's bijectivity is _gram_degeneracy of the functional's gram.
+    Every translate is a form and R has as many forms as elements, so a
+    translation map reaches every form iff it is injective: each orbit
+    item is its slot's bijectivity.  The pairing is associative for every
+    form, as the ring product is.
     """
     form = _as_form(ring, functional)
-    elems = ring.elements()
-    all_weights = {f.weights for f in enumerate_forms(ring.shape)}
-
-    def translate_weights(R: FiniteRing, b: Element) -> tuple[int, ...]:
-        """Weights of eps(b * -) on R; on the opposite ring, of eps(- * b)."""
-        return tuple(form.evaluate(R.mul(b, e)) for e in R.basis_elements)
-
-    first_images = [translate_weights(ring, b) for b in elems]
-    second_images = [translate_weights(ring.opposite(), b) for b in elems]
-    pairing = pairing_of_functional(ring, form)
+    gram = _functional_gram(ring, form)
+    first, second = (_gram_degeneracy(ring, gram, side) is None for side in ("right", "left"))
     return GeneratorEquivalenceReport(
-        right_orbit_full=set(first_images) == all_weights,
-        left_orbit_full=set(second_images) == all_weights,
-        first_slot_bijective=len(set(first_images)) == len(elems),
-        second_slot_bijective=len(set(second_images)) == len(elems),
-        pairing_associative=is_associative(ring, pairing),
+        right_orbit_full=first,
+        left_orbit_full=second,
+        first_slot_bijective=first,
+        second_slot_bijective=second,
+        pairing_associative=is_associative(ring, pairing_of_functional(ring, form)),
     )
 
 

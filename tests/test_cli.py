@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from frobring.skewpoly import SkewQuotient
 from frobring.znmod import DEFAULT_CAP, EnumerationCapError, ZnLinearForm, enumeration_cap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, obj):
@@ -107,23 +111,44 @@ def test_ring_frobenius_positive(z4_spec, capsys):
 
 
 def test_ring_frobenius_negative(tmp_path, capsys):
-    dn = double_nil_ring()
-    spec = write(
-        tmp_path,
-        "dn.json",
-        {
-            "kind": "table",
-            "n": 2,
-            "orders": list(dn.shape.orders),
-            "mul": [[list(e) for e in row] for row in dn.mul_table],
-            "one": list(dn.one),
-        },
-    )
+    spec = dn_spec(tmp_path)
     assert main(["ring", "frobenius", spec, "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["frobenius"] is False
     assert report["functional_weights"] is None
     assert report["routes_agree"] is True
+
+
+def dn_spec(tmp_path):
+    dn = double_nil_ring()
+    return write(tmp_path, "dn.json", {"kind": "table", "n": 2, "orders": list(dn.shape.orders),
+                                       "mul": [[list(e) for e in row] for row in dn.mul_table],
+                                       "one": list(dn.one)})
+
+
+@pytest.mark.parametrize("spec, rc, buffered", [("z4", 0, True), ("z4", 0, False),
+                                               ("dn", 1, True)])
+def test_closed_stdout_ends_quietly_with_the_verdict(tmp_path, spec, rc, buffered):
+    """frobring ... | head: the reader is gone before the report is
+    written.  Its read end is closed before the start, so the write meets
+    EPIPE every time: in print when stdout is unbuffered, else in the
+    flush at the end."""
+    path = write(tmp_path, "z4.json", {"kind": "zn", "n": 4}) if spec == "z4" else dn_spec(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "frobring.cli", "ring", "frobenius", path],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == rc, stderr
+    for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert marker not in stderr
 
 
 def test_code_dual_counterexample(z2_spec, tmp_path, capsys):

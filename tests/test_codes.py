@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from frobring.catalog import gf4_skew_quotient
 from frobring.finring import left_ideals, ring_zn
 from frobring.frobenius import AmbientForm, DegenerateFormError, find_frobenius_functional
 from frobring.skewpoly import RingAutomorphism, poly_left_divmod
+from frobring.znmod import enumeration_cap
 from frobring.codes import (
     LinearCode,
     TransformError,
@@ -65,6 +67,8 @@ def test_generate_rejects_bad_input(z4):
             LinearCode.generate(z4, m, [])
         with pytest.raises(ValueError, match="length must be positive"):
             submodule_codes(z4, m, "left")
+        with pytest.raises(ValueError, match="length must be positive"):
+            LinearCode(z4, m, "left", [()])
 
 
 def test_code_equality_and_side_blindness(z4):
@@ -271,6 +275,16 @@ def test_is_skew_cyclic_matches_full_closure(q_gf4, q_z4, q_z2_cubic):
     for q in (q_gf4, q_z4):  # every additive subgroup
         for code in submodule_codes(q.base, q.m, "additive"):
             assert is_skew_cyclic(code, q) == left_ideal_oracle(code.codewords, q)
+
+
+def test_is_skew_cyclic_answers_above_the_cap(q_gf4):
+    """It reads the uncapped table ring behind SkewQuotient.mul, built here
+    under the cap on a fresh quotient."""
+    ideals = quotient_left_ideal_codes(q_gf4)
+    q = gf4_skew_quotient()
+    with enumeration_cap(4):  # the quotient has 16 elements
+        assert [is_skew_cyclic(V, q) for V in ideals] == [True] * len(ideals)
+        assert not is_skew_cyclic({q.zero, q.shift_generator()}, q)
 
 
 def test_quotient_ideal_census(q_gf4, q_z4, q_z2_cubic):

@@ -13,7 +13,9 @@ FiniteRing.basis_elements is the one basis list.
 
 Only the functions in ELEMENT_SCANS_KEPT call .elements() or
 enumerate_module: kernels and bijections are decided by linear_kernel,
-and element scans live on as oracles in the tests.
+and element scans live on as oracles in the tests.  Likewise only the
+functions in FORM_SCANS_KEPT call enumerate_forms: the form search walks
+the forms, and every other question about forms is read off a gram.
 
 No function has a parameter with a boolean default: objects are verified
 on construction, with no check= switch, and one setting per concept
@@ -132,15 +134,14 @@ ELEMENT_SCANS_KEPT = [
     "finring.cyclic_left_ideals",
     "finring.left_ideals",
     "frobenius.AmbientForm.vectors",
-    "frobenius.verify_generator_equivalences",
     "skewpoly.SkewQuotient.elements",
     "znmod.kernel_elements",
 ]
 
 
-def element_scans(source: str, module: str) -> list[str]:
-    """Functions (module.Class.name) that call .elements() or
-    enumerate_module; a call in a lambda counts for its function."""
+def callers(source: str, module: str, called) -> list[str]:
+    """Functions (module.Class.name) that make a call whose func node
+    satisfies called; a call in a lambda counts for its function."""
     found = set()
 
     def visit(node, scope):
@@ -148,15 +149,23 @@ def element_scans(source: str, module: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, [*scope, child.name])
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if (isinstance(f, ast.Attribute) and f.attr == "elements"
-                        or getattr(f, "id", getattr(f, "attr", None)) == "enumerate_module"):
-                    found.add(".".join([module, *scope]))
+            if isinstance(child, ast.Call) and called(child.func):
+                found.add(".".join([module, *scope]))
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return sorted(found)
+
+
+def called_name(func) -> str | None:
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def element_scans(source: str, module: str) -> list[str]:
+    """Functions (module.Class.name) that call .elements() or
+    enumerate_module; a call in a lambda counts for its function."""
+    return callers(source, module, lambda f: isinstance(f, ast.Attribute) and f.attr == "elements"
+                   or called_name(f) == "enumerate_module")
 
 
 def test_element_scanner_flags_a_planted_scan():
@@ -178,6 +187,34 @@ def test_only_the_kept_functions_scan_elements():
     for path in sorted(SRC.glob("*.py")):
         found += element_scans(path.read_text(), path.stem)
     assert found == ELEMENT_SCANS_KEPT
+
+
+FORM_SCANS_KEPT = ["frobenius.find_frobenius_functional"]
+
+
+def form_scans(source: str, module: str) -> list[str]:
+    """Functions (module.Class.name) that call enumerate_forms; a call in
+    a lambda counts for its function."""
+    return callers(source, module, lambda f: called_name(f) == "enumerate_forms")
+
+
+def test_form_scanner_flags_a_planted_scan():
+    source = (
+        "def f(ring):\n"
+        "    return {g.weights for g in enumerate_forms(ring.shape)}\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return lambda: znmod.enumerate_forms(self.shape)\n"
+        "x = enumerate_forms\n"
+    )
+    assert form_scans(source, "m") == ["m.C.m", "m.f"]
+
+
+def test_only_the_form_search_enumerates_forms():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += form_scans(path.read_text(), path.stem)
+    assert found == FORM_SCANS_KEPT
 
 
 def boolean_defaults(source: str, module: str) -> list[str]:

@@ -5,8 +5,9 @@ with R x nil, socles through the radical's generators, socle generators
 by the size of span{s e_j}, and the functional search on the right socle
 all replace scans over pairs of elements.  Annihilators, functional
 orthogonals and the skew and group-algebra duality reports solve one
-linear map over an additive generating set, and pairing kernels and the
-bijectivity of automorphisms are one linear map kernel each.  Each scan
+linear map over an additive generating set, and pairing kernels, the
+generator-orbit equivalences of a functional and the bijectivity of
+automorphisms are one linear map kernel each.  Each scan
 is kept here as the oracle, and both must give the same sets, witnesses,
 first form and error message.  The packed product is checked
 against the tuple loop over the table (conftest.table_product), which the
@@ -14,6 +15,7 @@ radical and functional oracles use in its place.
 """
 
 import random
+from dataclasses import astuple
 from itertools import product
 from math import lcm
 
@@ -40,6 +42,7 @@ from frobring import (
     ring_zn,
     skew_cyclic_dual_report,
     span,
+    verify_generator_equivalences,
 )
 from frobring.catalog import (
     corpus_rings,
@@ -49,7 +52,7 @@ from frobring.catalog import (
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
 )
-from frobring.codes import LinearCode, quotient_left_ideal_codes
+from frobring.codes import LinearCode, is_skew_cyclic, quotient_left_ideal_codes
 from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left_ideals
 from frobring.skewpoly import AutomorphismError, RingAutomorphism, SkewQuotient
 from frobring.frobenius import is_nondegenerate, pairing_kernel
@@ -202,6 +205,18 @@ def functional_oracle(ring):
     return None
 
 
+def generator_equivalences_oracle(ring, form):
+    """The orbit and bijectivity items by scans, in report order: the
+    translates eps(b * -) and eps(- * b) of every element b, against the
+    list of every form."""
+    elems = ring.elements()
+    all_weights = {f.weights for f in enumerate_forms(ring.shape)}
+    first = {tuple(form.evaluate(ring.mul(b, e)) for e in ring.basis_elements) for b in elems}
+    second = {tuple(form.evaluate(ring.mul(e, b)) for e in ring.basis_elements) for b in elems}
+    return (first == all_weights, second == all_weights,
+            len(first) == len(elems), len(second) == len(elems))
+
+
 def automorphism_oracle(ring, images):
     """The AutomorphismError message for the basis images, or None, with
     bijectivity decided by the scan of the image of every element."""
@@ -292,6 +307,20 @@ def test_degenerate_form_error_matches_all_pairs(name):
             assert (exc.side, exc.witness) == expected, form.weights
         else:
             assert expected is None, form.weights
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_generator_equivalences_match_the_scan(name):
+    """Every form, so every degenerate one too: the zero form on every
+    nonzero ring, and each ring's non-Frobenius forms."""
+    ring = fresh(name)
+    forms = list(enumerate_forms(ring.shape))
+    reports = [verify_generator_equivalences(ring, form) for form in forms]
+    assert [astuple(r)[:4] for r in reports] == [
+        generator_equivalences_oracle(ring, form) for form in forms]
+    assert all(r.pairing_associative for r in reports)  # the ring product is associative
+    assert any(r.all_passed for r in reports) == is_frobenius_socle(ring).is_frobenius
+    assert not reports[0].all_passed or ring.cardinality == 1
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -645,13 +674,21 @@ def t2_quotient_x2_minus_1():
     return SkewQuotient(t2, RingAutomorphism.identity(t2), [t2.one, t2.zero, t2.one])
 
 
-@pytest.mark.parametrize("build", [gf4_skew_quotient, z4_quotient_x2_minus_1,
-                                   z2_quotient_x3_minus_1, t2_quotient_x2_minus_1])
+SKEW_BUILDS = [gf4_skew_quotient, z4_quotient_x2_minus_1, z2_quotient_x3_minus_1,
+               t2_quotient_x2_minus_1]
+
+
+def report_functional(base):
+    """A Frobenius functional of the base, or its last form if it has none."""
+    return find_frobenius_functional(base) or max(enumerate_forms(base.shape),
+                                                  key=lambda f: f.weights)
+
+
+@pytest.mark.parametrize("build", SKEW_BUILDS)
 def test_skew_report_orthogonals_match_the_scan(build):
     q = build()
     base = q.base
-    eps = find_frobenius_functional(base) or max(enumerate_forms(base.shape),
-                                                 key=lambda f: f.weights)
+    eps = report_functional(base)
     vectors = list(q.elements())
 
     def euclid(f, g):
@@ -667,6 +704,31 @@ def test_skew_report_orthogonals_match_the_scan(build):
         reversed_V = [q.reversal(v) for v in V]
         assert rep.reversal_orthogonal == annihilated(
             vectors, reversed_V, lambda g, t: eps.evaluate(q.mul(g, t)[0]))
+
+
+@pytest.mark.parametrize("build", SKEW_BUILDS)
+def test_skew_routes_run_without_quotient_arithmetic(build, monkeypatch):
+    """The ideals, the skew-cyclic verdicts and the duality reports are
+    decided in the quotient's table ring: with SkewQuotient.add, neg and
+    mul made to raise, a fresh quotient gives what it gives without."""
+    def run(q):
+        eps = report_functional(q.base)
+        ideals = quotient_left_ideal_codes(q)
+        x = q.shift_generator()
+        words = ideals + [V | {x} for V in ideals] + [frozenset({q.zero, x})]
+        code = LinearCode.generate(q.base, q.m, [x], side="left")  # an A-module, not an ideal
+        verdicts = [is_skew_cyclic(V, q) for V in words] + [is_skew_cyclic(code, q)]
+        return ideals, verdicts, [skew_cyclic_dual_report(V, q, eps) for V in words]
+
+    expected = run(build())
+    assert True in expected[1] and False in expected[1]
+
+    def refuse(*args):
+        raise AssertionError("SkewQuotient arithmetic on a library route")
+
+    for name in ("add", "neg", "mul"):
+        monkeypatch.setattr(SkewQuotient, name, refuse)
+    assert run(build()) == expected
 
 
 @pytest.mark.parametrize("name", ["Z2C2", "Z3C3", "Z2[D3]"])
