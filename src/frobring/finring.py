@@ -11,7 +11,12 @@ so the characteristic really is n.
 
 Products run on packed structure constants: each table entry is one int
 with a field per coordinate, wide enough that a product's field sums never
-carry, so a * b costs rank^2 int multiply-adds (FiniteRing.mul).
+carry, so a * b costs rank^2 int multiply-adds (FiniteRing.mul).  The
+validation runs on the same packed table: associativity is compared on
+basis triples, all (e_i e_j) e_l against all e_i (e_j e_l) for one pair
+(i, j) at a time as two big-int contractions, so both table checks take
+rank^2 Python steps and construction multiplies only for the unit laws
+(table_validation_report).
 
 Structural computations enumerate the element list, sized for rings of a
 few thousand elements, but use the ring structure to avoid scanning all
@@ -43,7 +48,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .znmod import (
@@ -348,32 +353,71 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
 
     Checks run in dependency order; a bilinearity failure makes the later
     product-based checks meaningless, so they are skipped once it fails.
+    A witness is the first failing index in lexicographic order: (i, j, l)
+    for the table checks, a basis index for the unit laws.
+
+    Both table checks take rank^2 Python steps.  The product is well
+    defined iff every coordinate l of e_i e_j is divisible by d_l /
+    gcd(d_i, d_l) and by d_l / gcd(d_j, d_l), which is 1 for every l when
+    d_i = n.  Associativity is checked on the triples of basis elements of
+    order above 1 (one of order 1 is 0), on the packed table of W-bit
+    fields, all l at once, in blocks of B = W k bits (one packed entry),
+    one block per l.  rows[p] holds e_p e_l in block l, and coeffs[j][q]
+    holds c_jlq, the q-th coordinate of e_j e_l.  Then sum_p c_ijp rows[p]
+    holds (e_i e_j) e_l and sum_q (e_i e_q) coeffs[j][q] holds
+    e_i (e_j e_l) in block l, unreduced.  A field sums at most k products
+    below n^2, so it never carries.  Equal ints settle the pair.
+    Otherwise the blocks are compared field by field mod d, and the first
+    that differs is the witness, so sums that agree only mod d pass.
     """
     bilinear, associative, unital, characteristic = TABLE_CHECKS
     shape = ring.shape
     k = shape.rank
     orders = shape.orders
+    table = ring.mul_table
     report: list[tuple[str, bool, object]] = []
 
     witness = None
-    for i, j, l in product(range(k), repeat=3):
-        e = ring.mul_table[i][j]
-        if (orders[i] * e[l]) % orders[l] or (orders[j] * e[l]) % orders[l]:
-            witness = (i, j, l)
+    # d_i e_ij[l] = 0 in Z_(d_l) iff d_l / gcd(d_i, d_l) divides e_ij[l]; a
+    # divisor 1 checks nothing, so each list stops at its last one above 1
+    divisors = {}
+    for d in set(orders):
+        m = [o // gcd(d, o) for o in orders]
+        while m and m[-1] == 1:
+            m.pop()
+        divisors[d] = m
+    for i, j in product(range(k), repeat=2):
+        e, di, dj = table[i][j], divisors[orders[i]], divisors[orders[j]]
+        if any(map(operator.mod, e, di)) or any(map(operator.mod, e, dj)):
+            witness = (i, j, next(l for l, c in enumerate(e)
+                                  if orders[i] * c % orders[l] or orders[j] * c % orders[l]))
             break
     report.append((bilinear, witness is None, witness))
     if witness is not None:
         return report
 
     witness = None
-    basis = ring.basis_elements
-    live = [i for i in range(k) if orders[i] > 1]  # e_i = 0 if d_i = 1; its products are 0
-    for i, j, l in product(live, repeat=3):
-        left = ring.mul(ring.mul_table[i][j], basis[l])
-        right = ring.mul(basis[i], ring.mul_table[j][l])
+    live = [i for i in range(k) if orders[i] > 1]
+    packed, fields, mask = ring._packed_table, ring._fields, ring._field_mask
+    block = mask.bit_length() * k  # B, the bits of one packed entry
+    rows = [0] * k  # 0 where e_p = 0
+    for p in live:
+        rows[p] = sum(packed[p][l] << block * t for t, l in enumerate(live))
+    spread = sum(mask << block * t for t in range(len(live)))  # field 0 of every block
+    coeffs = {j: [(rows[j] >> shift) & spread for shift, _ in fields] for j in live}
+
+    def reduced(x, t):  # block t of x, reduced field by field
+        x >>= block * t
+        return [(x >> shift & mask) % d for shift, d in fields]
+
+    for i, j in product(live, repeat=2):
+        left = sum(map(operator.mul, table[i][j], rows))
+        right = sum(map(operator.mul, packed[i], coeffs[j]))
         if left != right:
-            witness = (i, j, l)
-            break
+            witness = next(((i, j, l) for t, l in enumerate(live)
+                            if reduced(left, t) != reduced(right, t)), None)
+            if witness is not None:
+                break
     report.append((associative, witness is None, witness))
 
     witness = None
