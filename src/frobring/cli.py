@@ -46,7 +46,7 @@ import sys
 import time
 from typing import Any
 
-from .znmod import DEFAULT_CAP, enumeration_cap
+from .znmod import DEFAULT_CAP, _is_int, enumeration_cap
 from .finring import (
     TABLE_CHECKS,
     FiniteRing,
@@ -90,10 +90,6 @@ def _load_json(path: str) -> Any:
         raise CliError(2, f"{path} is not valid JSON: {exc}")
     except RecursionError:
         raise CliError(2, f"{path}: spec nested too deeply") from None
-
-
-def _is_int(c) -> bool:
-    return isinstance(c, int) and not isinstance(c, bool)  # JSON true is not 1
 
 
 def _int(v, field: str) -> int:

@@ -47,6 +47,7 @@ from .frobenius import (
     _degeneracy,
     functional_left_orthogonal,
     functional_right_orthogonal,
+    identity_form,
     orthogonal,
 )
 from .skewpoly import SkewQuotient
@@ -252,11 +253,6 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     decode = {encode(chain.from_iterable(v)): v for v in code.codewords}
     gens = [decode[g] for g in additive_generators(decode, add, 0)]
     return LinearCode._built(code.alphabet, code.m, orth_side, orthogonal(form, gens, orth_side))
-
-
-def identity_form(A: FiniteRing, m: int) -> AmbientForm:
-    matrix = [[A.one if i == j else A.zero for j in range(m)] for i in range(m)]
-    return AmbientForm(A, m, matrix)
 
 
 def euclidean_dual(code: LinearCode, side: str | None = None) -> LinearCode:

@@ -56,6 +56,7 @@ from .znmod import (
     EnumerationCapError,
     ModuleShape,
     _check_power_cap,
+    _ints,
     additive_closure,
     enumerate_module,
     extend_span,
@@ -183,7 +184,7 @@ class FiniteRing:
         return self.basis_elements[i]
 
     def element(self, coords: Iterable[int]) -> Element:
-        return self.shape.reduce(coords)
+        return self.shape.reduce(_ints(coords, "coordinate"))
 
     def elements(self) -> tuple[Element, ...]:
         if self._elements is None:

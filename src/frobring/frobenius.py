@@ -27,8 +27,11 @@ orthogonals in the ring through finring.ring_orthogonal, on the images of
 the basis vectors; pairing kernels in the ring on the pairing's gram
 (_gram_kernel); orthogonals and kernels of ambient forms on A^m on images
 read off the gram matrix by bilinearity (_linear_orthogonal), so no route
-calls AmbientForm.pairing.  The functional search reads only the right
-socle, where every nonzero first-slot kernel shows up.
+calls AmbientForm.pairing.  An ambient form is A-linear on the left in its
+first slot and on the right in its second, so its kernels are orthogonals
+of the m unit vectors of A^m, and its second-slot products are those of
+the opposite ring.  The functional search reads only the right socle,
+where every nonzero first-slot kernel shows up.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .znmod import (
     Element,
     ZnLinearForm,
+    _ints,
     additive_generators,
     enumerate_forms,
     linear_kernel,
@@ -78,7 +82,7 @@ def pairing_from_gram(ring: FiniteRing, gram: Sequence[Sequence[int]]) -> Callab
     """Z_n-bilinear pairing on the ring's module from a gram matrix, whose
     rows and columns must be ZnLinearForm weights: d_i g_ij = d_j g_ij = 0."""
     n = ring.characteristic
-    g = [tuple(int(v) % n for v in row) for row in gram]
+    g = [tuple(v % n for v in _ints(row, "gram entry")) for row in gram]
     if len(g) != ring.rank or any(len(row) != ring.rank for row in g):
         raise ValueError("gram matrix must be rank x rank")
     for weights in (*g, *zip(*g)):
@@ -310,8 +314,7 @@ class AmbientForm:
         self.matrix: tuple[tuple[Element, ...], ...] = tuple(
             tuple(ring.element(entry) for entry in row) for row in matrix
         )
-        self._left_kernel: frozenset[Vector] | None = None
-        self._right_kernel: frozenset[Vector] | None = None
+        self._kernels: dict[str, frozenset[Vector]] = {}  # by side, as _unit_orthogonal
 
     @property
     def cardinality(self) -> int:
@@ -322,44 +325,36 @@ class AmbientForm:
         return product(self.ring.elements(), repeat=self.m)
 
     def pairing(self, x: Vector, y: Vector) -> Element:
-        out = self.ring.zero
-        for i in range(self.m):
-            xi = x[i]
-            if xi == self.ring.zero:
-                continue
-            row = self.matrix[i]
-            for j in range(self.m):
-                yj = y[j]
-                if yj == self.ring.zero:
-                    continue
-                out = self.ring.add(out, self.ring.mul(self.ring.mul(xi, row[j]), yj))
-        return out
-
-    def basis_vectors(self) -> list[Vector]:
-        """The r*m additive basis vectors of A^m (e_i in one position,
-        zero elsewhere), position-major."""
-        zero = self.ring.zero
-        return [tuple(e if q == p else zero for q in range(self.m))
-                for p in range(self.m) for e in self.ring.basis_elements]
+        """sum x_i Q_ij y_j over the terms with x_i and y_j both nonzero."""
+        R, zero = self.ring, self.ring.zero
+        return reduce(R.add, (R.mul(R.mul(xi, q), yj)
+                              for xi, row in zip(x, self.matrix, strict=True) if xi != zero
+                              for q, yj in zip(row, y, strict=True) if yj != zero), zero)
 
     def left_kernel(self) -> frozenset[Vector]:
-        """First-slot kernel {x : <x, y> = 0 for all y}: by biadditivity,
-        the left orthogonal of the basis vectors."""
-        if self._left_kernel is None:
-            self._left_kernel = orthogonal(self, self.basis_vectors(), "left")
-        return self._left_kernel
+        """First-slot kernel {x : <x, y> = 0 for all y}, which is {x : xQ = 0}
+        as <x, y> = sum_q <x, 1_q> y_q: the left orthogonal of the unit vectors."""
+        return self._unit_orthogonal("left")
 
     def right_kernel(self) -> frozenset[Vector]:
-        """Second-slot kernel {y : <x, y> = 0 for all x}: the right
-        orthogonal of the basis vectors."""
-        if self._right_kernel is None:
-            self._right_kernel = orthogonal(self, self.basis_vectors(), "right")
-        return self._right_kernel
+        """Second-slot kernel {y : <x, y> = 0 for all x}, which is {y : Qy = 0}
+        as <x, y> = sum_p x_p <1_p, y>: the right orthogonal of the unit vectors."""
+        return self._unit_orthogonal("right")
+
+    def _unit_orthogonal(self, side: str) -> frozenset[Vector]:
+        if side not in self._kernels:
+            self._kernels[side] = orthogonal(self, identity_form(self.ring, self.m).matrix, side)
+        return self._kernels[side]
 
     def is_nondegenerate(self, side: str = "both") -> bool:
         """'right' checks the first-slot kernel, 'left' the second, 'both' the first."""
         kernels = (self.left_kernel, self.right_kernel)
         return _degeneracy(side, kernels, (self.ring.zero,) * self.m) is None
+
+
+def identity_form(A: FiniteRing, m: int) -> AmbientForm:
+    """<x, y> = sum x_i y_i, whose gram's rows are the unit vectors of A^m."""
+    return AmbientForm(A, m, [[A.one if i == j else A.zero for j in range(m)] for i in range(m)])
 
 
 def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
@@ -370,21 +365,19 @@ def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
 
     By bilinearity the basis vector e_k at position p pairs with s to
     e_k (Qs)_p in the first slot and to (sQ)_p e_k in the second, so each
-    s costs at most m^2 + r*m ring products, read off Q (or its transpose)
-    and the product in the slot's order; (Qs)_p sums only the terms with
-    Q_pj and s_j both nonzero."""
+    s costs at most m^2 + r*m ring products, read off Q with the ring's
+    product, or off Q^T with the opposite ring's; (Qs)_p sums only the
+    terms with Q_pj and s_j both nonzero."""
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
     R, m, r, zero = form.ring, form.m, form.ring.rank, form.ring.zero
     _check_power_cap(R.cardinality, m, "ambient module")
-    if side == "left":
-        Q, times = form.matrix, R.mul
-    else:
-        Q, times = tuple(zip(*form.matrix)), lambda a, b: R.mul(b, a)
+    Q = form.matrix if side == "left" else tuple(zip(*form.matrix))
+    times = R.mul if side == "left" else R.opposite().mul
     subset = list(subset)
     if any(len(s) != m for s in subset):
         raise ValueError(f"every vector paired must have length {m}")
-    images: list[list[int]] = [[] for _ in range(r * m)]  # position-major, as basis_vectors
+    images: list[list[int]] = [[] for _ in range(r * m)]  # e_k at position p, position-major
     for s in subset:
         qs = [reduce(R.add, (times(q, x) for q, x in zip(row, s) if q != zero and x != zero),
                      zero) for row in Q]

@@ -35,6 +35,18 @@ class EnumerationCapError(ValueError):
     """An enumeration would exceed the configured size cap."""
 
 
+def _is_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)  # True is not 1
+
+
+def _ints(values: Iterable, what: str) -> tuple[int, ...]:
+    values = tuple(values)  # never through int(), which reads 2.9 as 2
+    for v in values:
+        if not _is_int(v):
+            raise ValueError(f"{what} {v!r} is not an int")
+    return values
+
+
 @dataclass(frozen=True)
 class ModuleShape:
     """Coordinate description of a finite abelian group inside char n."""
@@ -43,7 +55,8 @@ class ModuleShape:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
+        object.__setattr__(self, "orders", _ints(self.orders, "order"))
+        _ints((self.n,), "characteristic")
         if self.n < 1:
             raise ValueError(f"characteristic must be positive, got {self.n}")
         for i, d in enumerate(self.orders):
@@ -70,7 +83,7 @@ class ModuleShape:
         return (
             isinstance(x, tuple)
             and len(x) == self.rank
-            and all(isinstance(c, int) and 0 <= c < d for c, d in zip(x, self.orders))
+            and all(_is_int(c) and 0 <= c < d for c, d in zip(x, self.orders))
         )
 
     def reduce(self, coords: Iterable[int]) -> Element:
@@ -105,7 +118,7 @@ class ZnLinearForm:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", _ints(self.weights, "weight"))
         n = self.shape.n
         if len(self.weights) != self.shape.rank:
             raise ValueError(

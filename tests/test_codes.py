@@ -87,6 +87,8 @@ def test_validate_catches_non_codes(z4):
         LinearCode(z4, 2, "left", [((0,), (0,)), ((0,),)])  # short word
     with pytest.raises(ValueError):
         LinearCode(z4, 1, "left", [((0,),), ((4,),)])  # unreduced entry
+    with pytest.raises(ValueError, match="is not a vector"):
+        LinearCode(z4, 1, "left", [((0,),), ((True,),), ((2,),), ((3,),)])  # bool entry
 
 
 # -- weight enumerators ----------------------------------------------------

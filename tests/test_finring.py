@@ -51,6 +51,14 @@ def test_ring_zn_basics():
     assert r.units() == {(1,), (5,)}
 
 
+@pytest.mark.parametrize("coords", [(1.5,), (True,), ("1",), (2.0,)])
+def test_element_refuses_coordinates_that_are_not_ints(coords):
+    """element reduces ints only: (1.5,) is refused, not kept to add up
+    to (2.5,) with (1,)."""
+    with pytest.raises(ValueError, match="coordinate .* is not an int"):
+        ring_zn(4).element(coords)
+
+
 def test_zero_ring():
     r = ring_zn(1)
     assert r.cardinality == 1

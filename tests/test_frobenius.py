@@ -54,6 +54,12 @@ def test_pairing_kernels(z4):
         is_nondegenerate(z4, pair, "bogus")
 
 
+@pytest.mark.parametrize("entry", [2.9, "3", True])
+def test_pairing_from_gram_refuses_entries_that_are_not_ints(z4, entry):
+    with pytest.raises(ValueError, match="gram entry .* is not an int"):
+        pairing_from_gram(z4, [[entry]])
+
+
 def test_pairing_from_gram_shape_check(z4):
     with pytest.raises(ValueError):
         pairing_from_gram(z4, [[1, 0]])

@@ -5,6 +5,10 @@ a linear map over the r*m basis vectors of A^m.  The scan they replace,
 annihilated over every vector of A^m, is kept here as the oracle: each
 route must give the same sets, and a degenerate form the same
 DegenerateFormError side and smallest witness.
+
+The kernels are the orthogonals of the m unit vectors of A^m, by
+A-bilinearity.  The orthogonals of the r*m Z-basis vectors, which need
+biadditivity alone, are the second oracle for them.
 """
 
 import random
@@ -16,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobring import FiniteRing, ring_from_table, ring_matrix, ring_zn
 from frobring.catalog import gf4
-from frobring.codes import LinearCode, _vadd, dual, submodule_codes
+from frobring.codes import LinearCode, _vadd, dual, identity_form, submodule_codes
 from frobring.frobenius import (
     AmbientForm,
     DegenerateFormError,
@@ -45,6 +49,19 @@ def orthogonal_oracle(form, subset, side, value=lambda a: a):
     pairing = _oriented(form.pairing, side)
     zero = value(form.ring.zero)
     return annihilated(form.vectors(), subset, lambda x, s: value(pairing(x, s)), zero)
+
+
+def z_basis(form):
+    """The r*m additive basis vectors of A^m: e_k at position p, zero
+    elsewhere."""
+    zero = form.ring.zero
+    return [tuple(e if q == p else zero for q in range(form.m))
+            for p in range(form.m) for e in form.ring.basis_elements]
+
+
+def assert_kernels_are_z_basis_orthogonals(form):
+    assert form.left_kernel() == orthogonal(form, z_basis(form), "left")
+    assert form.right_kernel() == orthogonal(form, z_basis(form), "right")
 
 
 def degeneracy_oracle(form):
@@ -151,6 +168,7 @@ def test_kernels_and_duals_match_the_full_scan(label, gram_label):
     everything = list(form.vectors())
     assert form.left_kernel() == orthogonal_oracle(form, everything, "left")
     assert form.right_kernel() == orthogonal_oracle(form, everything, "right")
+    assert_kernels_are_z_basis_orthogonals(form)
     bad = degeneracy_oracle(form)
     assert form.is_nondegenerate() is (bad is None)
     for code in subsets(ring, m)[0]:
@@ -180,6 +198,7 @@ def test_degenerate_grams_are_covered():
     ring, m, grams = AMBIENTS["T2(Z2)^1"]
     form = AmbientForm(ring, m, grams["E11"])
     assert (len(form.left_kernel()), len(form.right_kernel())) == (4, 2)
+    assert_kernels_are_z_basis_orthogonals(form)
 
 
 # -- random grams --------------------------------------------------------------
@@ -212,6 +231,7 @@ def test_orthogonals_under_random_grams_match_the_full_scan(label, data):
     everything = list(form.vectors())
     assert form.left_kernel() == orthogonal_oracle(form, everything, "left")
     assert form.right_kernel() == orthogonal_oracle(form, everything, "right")
+    assert_kernels_are_z_basis_orthogonals(form)
     bad = degeneracy_oracle(form)
     code = LinearCode.generate(ring, m, subset or [(ring.zero,) * m], code_side)
     for side in SIDES:
@@ -233,6 +253,7 @@ def test_duals_over_one_element_alphabets(ring):
     form = AmbientForm(ring, 2, [[ring.one, ring.zero], [ring.zero, ring.one]])
     code = LinearCode.generate(ring, 2, [zero])
     assert form.left_kernel() == form.right_kernel() == {zero}
+    assert_kernels_are_z_basis_orthogonals(form)
     assert form.is_nondegenerate()
     for side in SIDES:
         assert orthogonal(form, [], side) == orthogonal(form, [zero], side) == {zero}
@@ -242,7 +263,7 @@ def test_duals_over_one_element_alphabets(ring):
 
 def test_vectors_of_another_length_are_refused():
     """A vector shorter or longer than m is a ValueError on both sides,
-    not a silently wrong orthogonal."""
+    not a silently wrong orthogonal or pairing."""
     z4 = ring_zn(4)
     form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]])
     eps = find_frobenius_functional(z4)
@@ -252,6 +273,10 @@ def test_vectors_of_another_length_are_refused():
                 orthogonal(form, [vector], side)
             with pytest.raises(ValueError, match="length 2"):
                 functional_orthogonal(form, eps, [vector], side)
+        with pytest.raises(ValueError):
+            form.pairing(vector, ((1,), (1,)))
+        with pytest.raises(ValueError):
+            form.pairing(((1,), (1,)), vector)
 
 
 # -- work regression -----------------------------------------------------------
@@ -286,12 +311,36 @@ def test_dual_never_scans_the_ambient(n, m, work):
     assert work["pairing"] < n ** m // 8
     assert d.cardinality == n ** m // code.cardinality
     # each member s of an orthogonal's subset costs m^2 + r*m products
-    # (Qs or sQ, then e_k times each entry); both kernels take the r*m
-    # basis vectors, and each additive generator the greedy choice keeps
-    # at least doubles the span, so there are at most log2 |C| of them
-    members = 2 * ring.rank * m + code.cardinality.bit_length() - 1
+    # (Qs or sQ, then e_k times each entry); both kernels take the m unit
+    # vectors, and each additive generator the greedy choice keeps at
+    # least doubles the span, so there are at most log2 |C| of them
+    members = 2 * m + code.cardinality.bit_length() - 1
     assert 0 < work["mul"] <= (m * m + ring.rank * m) * members
     assert work["pairing"] <= 2 * m * m + m * (code.cardinality.bit_length() - 1)
+
+
+def dense_gram(ring, m):
+    """An m x m gram with every entry the ring's largest unit."""
+    return [[max(ring.units())] * m for _ in range(m)]
+
+
+@pytest.mark.parametrize("label, ring, m", [("GF4^4", gf4(), 4),
+                                            ("M2(F2)^2", ring_matrix(ring_zn(2), 2), 2)])
+@pytest.mark.parametrize("gram", ["identity", "dense"])
+def test_kernels_pair_against_the_unit_vectors_only(label, ring, m, gram, work):
+    """The kernels are orthogonals of the m unit vectors.  A unit vector
+    1_q pairs through column q of Q alone: at most m products for its Qs,
+    then r*m for the e_k times each entry.  So both kernels take at most
+    2*m*(m + r*m) products, within 2*m*(m^2 + r*m); pairing the r*m
+    Z-basis vectors takes r times as many on a dense gram."""
+    matrix = {"identity": identity_form(ring, m).matrix, "dense": dense_gram(ring, m)}[gram]
+    form = AmbientForm(ring, m, matrix)
+    ring.opposite()  # built once per ring; its unit laws are not kernel work
+    work["mul"] = 0
+    form.left_kernel(), form.right_kernel()
+    r = ring.rank
+    assert 0 < work["mul"] <= 2 * m * (m + r * m) <= 2 * m * (m * m + r * m)
+    assert work["pairing"] == 0
 
 
 def test_cap_is_checked_before_any_pairing(work):

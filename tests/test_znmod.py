@@ -57,6 +57,7 @@ def test_shape_basics():
     assert s.contains((1, 3))
     assert not s.contains((2, 0))
     assert not s.contains((0, 0, 0))
+    assert not s.contains((True, 0))
 
 
 def test_shape_arithmetic():
@@ -93,6 +94,14 @@ def test_shape_rejects_non_divisor_order():
         ModuleShape(0, (1,))
 
 
+@pytest.mark.parametrize("n, orders", [(4, (4.9,)), (4.0, (4,)), (4, ("4",)), (True, (1,)),
+                                      (2, (2, True))])
+def test_shape_refuses_values_that_are_not_ints(n, orders):
+    """Nothing passes through int(): 4.9 is not read as 4, nor True as 1."""
+    with pytest.raises(ValueError, match="is not an int"):
+        ModuleShape(n, orders)
+
+
 # -- forms -----------------------------------------------------------------
 
 
@@ -107,6 +116,12 @@ def test_form_weight_constraint():
         ZnLinearForm(s, (2, 4))  # not reduced mod n
     with pytest.raises(ValueError):
         ZnLinearForm(s, (2,))  # rank mismatch
+
+
+@pytest.mark.parametrize("weights", [(2.9,), ("3",), (True,), (1.0,)])
+def test_form_refuses_weights_that_are_not_ints(weights):
+    with pytest.raises(ValueError, match="weight .* is not an int"):
+        ZnLinearForm(ModuleShape(4, (4,)), weights)
 
 
 def test_form_evaluation():
