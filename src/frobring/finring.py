@@ -37,13 +37,14 @@ pairs of elements:
 * submodule lattices are built on znmod.packed_arithmetic codes, which
   sort like the tuples and add in five int operations.
 
-Right-handed notions are the left-handed ones of the opposite ring, which
-every ring builds once on demand (FiniteRing.opposite).  Rings cache these
-computations; treat constructed rings as immutable.
+Right-handed notions are the left-handed ones of the opposite ring: the
+validated table transposed, whose checks carry over, built once on demand
+(FiniteRing.opposite).  Rings cache all this; treat them as immutable.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 import weakref
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from .znmod import (
     EnumerationCapError,
     ModuleShape,
     _check_power_cap,
+    _int_vectors,
     _ints,
     additive_closure,
     enumerate_module,
@@ -133,9 +135,9 @@ class FiniteRing:
                 "table-shape", (len(mul_table), k), f"multiplication table must be {k}x{k}"
             )
         self.mul_table: tuple[tuple[Element, ...], ...] = tuple(
-            tuple(shape.reduce(entry) for entry in row) for row in mul_table
+            tuple(map(shape.reduce, _int_vectors(row, "table entry"))) for row in mul_table
         )
-        self.one: Element = shape.reduce(one)
+        self.one: Element = shape.reduce(_ints(one, "identity"))
         # reduce: a coordinate of order 1 has no generator besides 0
         self.basis_elements: tuple[Element, ...] = tuple(
             shape.reduce(1 if j == i else 0 for j in range(k)) for i in range(k))
@@ -304,25 +306,23 @@ class FiniteRing:
         return self._socles[side]
 
     def opposite(self) -> "FiniteRing":
-        """The same module with a * b computed as b * a, built once through
-        the validating constructor on the transposed basis table.  Its
-        left-handed notions are the right-handed ones of this ring.  The
-        opposite holds this ring weakly (no reference cycle) and builds it
-        again if it is gone."""
+        """The same module with a * b computed as b * a: this ring with the
+        basis table transposed, built once and not validated again, as each
+        check carries over (entry (i, j) tests both d_i and d_j, the
+        opposite's associativity at (i, j, l) is this ring's at (l, j, i),
+        the unit laws swap sides).  It shares the side-free caches: elements,
+        units, nilpotents and the radical, as J(R) = J(R^op).  It holds this
+        ring weakly (no reference cycle) and rebuilds it if it is gone."""
         op = self._opposite
         if isinstance(op, weakref.ref):
             op = op()
         if op is None:
-            k = self.rank
-            cayley = None if self.cayley is None else tuple(zip(*self.cayley))
-            op = FiniteRing(
-                self.shape,
-                [[self.mul_table[j][i] for j in range(k)] for i in range(k)],
-                self.one,
-                label=f"{self.label}^op" if self.label else None,
-                cayley=cayley,
-            )
-            op._elements = self._elements
+            op = copy.copy(self)
+            op.mul_table = tuple(zip(*self.mul_table))
+            op._packed_table = tuple(zip(*self._packed_table))
+            op._socles = {}
+            op.label = f"{self.label}^op" if self.label else None
+            op.cayley = None if self.cayley is None else tuple(zip(*self.cayley))
             op._opposite = weakref.ref(self)
             self._opposite = op
         return op
@@ -363,13 +363,13 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     d_i = n.  Associativity is checked on the triples of basis elements of
     order above 1 (one of order 1 is 0), on the packed table of W-bit
     fields, all l at once, in blocks of B = W k bits (one packed entry),
-    one block per l.  rows[p] holds e_p e_l in block l, and coeffs[j][q]
-    holds c_jlq, the q-th coordinate of e_j e_l.  Then sum_p c_ijp rows[p]
-    holds (e_i e_j) e_l and sum_q (e_i e_q) coeffs[j][q] holds
+    one block per l.  rows[p] holds e_p e_l in block l, and coeffs[q], for
+    one j at a time, c_jlq, the q-th coordinate of e_j e_l.  Then sum_p
+    c_ijp rows[p] holds (e_i e_j) e_l and sum_q (e_i e_q) coeffs[q] holds
     e_i (e_j e_l) in block l, unreduced.  A field sums at most k products
     below n^2, so it never carries.  Equal ints settle the pair.
     Otherwise the blocks are compared field by field mod d, and the first
-    that differs is the witness, so sums that agree only mod d pass.
+    that differs is a witness; only a smaller i can give a lesser one.
     """
     bilinear, associative, unital, characteristic = TABLE_CHECKS
     shape = ring.shape
@@ -405,27 +405,25 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     for p in live:
         rows[p] = sum(packed[p][l] << block * t for t, l in enumerate(live))
     spread = sum(mask << block * t for t in range(len(live)))  # field 0 of every block
-    coeffs = {j: [(rows[j] >> shift) & spread for shift, _ in fields] for j in live}
 
     def reduced(x, t):  # block t of x, reduced field by field
         x >>= block * t
         return [(x >> shift & mask) % d for shift, d in fields]
 
-    for i, j in product(live, repeat=2):
-        left = sum(map(operator.mul, table[i][j], rows))
-        right = sum(map(operator.mul, packed[i], coeffs[j]))
-        if left != right:
-            witness = next(((i, j, l) for t, l in enumerate(live)
-                            if reduced(left, t) != reduced(right, t)), None)
-            if witness is not None:
+    for j in live:
+        coeffs = [(rows[j] >> shift) & spread for shift, _ in fields]
+        for i in live:
+            if witness is not None and i >= witness[0]:
                 break
+            left = sum(map(operator.mul, table[i][j], rows))
+            right = sum(map(operator.mul, packed[i], coeffs))
+            if left != right:
+                witness = next(((i, j, l) for t, l in enumerate(live)
+                                if reduced(left, t) != reduced(right, t)), witness)
     report.append((associative, witness is None, witness))
 
-    witness = None
-    for i, e in enumerate(ring.basis_elements):
-        if ring.mul(ring.one, e) != e or ring.mul(e, ring.one) != e:
-            witness = i
-            break
+    witness = next((i for i, e in enumerate(ring.basis_elements)
+                    if ring.mul(ring.one, e) != e or ring.mul(e, ring.one) != e), None)
     report.append((unital, witness is None, witness))
 
     order_of_one = shape.element_order(ring.one)
@@ -477,7 +475,7 @@ def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
 
 def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> FiniteRing:
     """t x t matrices over base, basis E_pq e_i ordered by (p, q, i)."""
-    if t < 1:
+    if _ints((t,), "matrix size")[0] < 1:
         raise ValueError("matrix size must be positive")
     _check_power_cap(base.cardinality, t * t, "matrix ring")
     k0 = base.rank
@@ -519,19 +517,13 @@ def ring_group_algebra(
     g = len(cayley)
     if g < 1 or any(len(row) != g for row in cayley):
         raise RingValidationError("group-table-shape", g, "Cayley table must be square")
-    rows = [tuple(row) for row in cayley]
-    for idx, row in enumerate(rows):
-        if sorted(row) != list(range(g)):
-            raise RingValidationError("group-table-latin", ("row", idx))
-    for j in range(g):
-        col = [rows[i][j] for i in range(g)]
-        if sorted(col) != list(range(g)):
-            raise RingValidationError("group-table-latin", ("column", j))
-    identity = None
-    for e in range(g):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(g)):
-            identity = e
-            break
+    rows = _int_vectors(cayley, "Cayley entry")
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for idx, line in enumerate(lines):
+            if sorted(line) != list(range(g)):
+                raise RingValidationError("group-table-latin", (kind, idx))
+    identity = next((e for e in range(g)
+                     if all(rows[e][x] == x and rows[x][e] == x for x in range(g))), None)
     if identity is None:
         raise RingValidationError("group-identity", None, "no two-sided identity")
     for a, b, c in product(range(g), repeat=3):

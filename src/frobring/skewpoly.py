@@ -252,12 +252,7 @@ class SkewQuotient:
 
     def shift_generator(self) -> QElement:
         """The class of x (reduced, so for m = 1 it is a scalar)."""
-        if self.m == 1:
-            # x = (x - f) + f reduces to -f_0
-            return (self.base.neg(self.modulus[0]),)
-        out = [self.base.zero] * self.m
-        out[1] = self.base.one
-        return tuple(out)
+        return self.reduce_poly((self.base.zero, self.base.one))
 
     def elements(self) -> Iterator[QElement]:
         _check_power_cap(self.base.cardinality, self.m, "skew quotient")
@@ -265,8 +260,7 @@ class SkewQuotient:
 
     def reduce_poly(self, coeffs: Sequence[Element]) -> QElement:
         _, r = poly_left_divmod(self.base, self.aut, list(coeffs), list(self.modulus))
-        r = list(r) + [self.base.zero] * (self.m - len(r))
-        return tuple(r)
+        return tuple(r) + (self.base.zero,) * (self.m - len(r))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,6 +45,15 @@ def _ints(values: Iterable, what: str) -> tuple[int, ...]:
         if not _is_int(v):
             raise ValueError(f"{what} {v!r} is not an int")
     return values
+
+
+def _int_vectors(vectors: Iterable[Iterable], what: str) -> list[tuple]:
+    """vectors as tuples of ints, typed in one C-level pass (tables come
+    through here); _ints names a stray."""
+    vectors = [tuple(v) for v in vectors]
+    if not set(map(type, chain.from_iterable(vectors))) <= {int}:
+        _ints(chain.from_iterable(vectors), what)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -320,7 +329,8 @@ def annihilated(candidates: Iterable, against: Iterable, pairing: Callable,
 
 def span(gens: Iterable[Element], shape: ModuleShape) -> frozenset[Element]:
     """Additive subgroup generated by gens, as a frozenset."""
-    return additive_closure((shape.reduce(g) for g in gens), shape.add, shape.zero)
+    return additive_closure(map(shape.reduce, _int_vectors(gens, "generator")),
+                            shape.add, shape.zero)
 
 
 def kernel_elements(pairing: Callable[[Element, Element], int], left_shape: ModuleShape,

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from frobring.finring import (
     FiniteRing,
+    Ideal,
     RingValidationError,
     cyclic_left_ideals,
     cyclic_right_ideals,
@@ -57,6 +58,30 @@ def test_element_refuses_coordinates_that_are_not_ints(coords):
     to (2.5,) with (1,)."""
     with pytest.raises(ValueError, match="coordinate .* is not an int"):
         ring_zn(4).element(coords)
+
+
+@pytest.mark.parametrize("mul, one, what", [
+    ([[(1.5,)]], (1,), "table entry"), ([[("1",)]], (1,), "table entry"),
+    ([[(True,)]], (1,), "table entry"), ([[(1,)]], (1.0,), "identity"),
+    ([[(1,)]], (True,), "identity")])
+def test_table_and_identity_refuse_coordinates_that_are_not_ints(mul, one, what):
+    """No table entry or identity is reduced through %: 1.5 is not kept as
+    1.5, and True is not read as 1."""
+    with pytest.raises(ValueError, match=f"{what} .* is not an int"):
+        ring_from_table(2, (2,), mul, one)
+
+
+@pytest.mark.parametrize("cayley", [[[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]],
+                                    [["0", "1"], ["1", "0"]]])
+def test_cayley_entries_must_be_ints(cayley):
+    with pytest.raises(ValueError, match="Cayley entry .* is not an int"):
+        ring_group_algebra(2, cayley)
+
+
+@pytest.mark.parametrize("size", [2.0, True, "2"])
+def test_matrix_size_must_be_an_int(size):
+    with pytest.raises(ValueError, match="matrix size .* is not an int"):
+        ring_matrix(ring_zn(2), size)
 
 
 def test_zero_ring():
@@ -124,6 +149,16 @@ def test_group_algebra_rejects_bad_tables():
     ]
     with pytest.raises(ValueError):
         ring_group_algebra(3, loop)
+
+
+@pytest.mark.parametrize("cayley, check, witness", [
+    ([[0, 0], [1, 1]], "group-table-latin", ("row", 0)),
+    ([[0, 1], [0, 1]], "group-table-latin", ("column", 0)),
+    ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "group-identity", None)])
+def test_group_table_checks_name_their_witness(cayley, check, witness):
+    with pytest.raises(RingValidationError) as exc:
+        ring_group_algebra(2, cayley)
+    assert (exc.value.check, exc.value.witness) == (check, witness)
 
 
 # -- validation ------------------------------------------------------------
@@ -424,6 +459,42 @@ def test_a_ring_and_its_opposite_form_no_reference_cycle():
             gc.enable()
     again = op.opposite()
     assert again == ring_matrix(ring_zn(2), 2) and again.opposite() is op
+
+
+def fresh(ring):
+    """An equal ring with no cache filled and no opposite built."""
+    return FiniteRing(ring.shape, ring.mul_table, ring.one)
+
+
+def test_the_opposite_shares_what_does_not_depend_on_the_side(corpus):
+    """Built after the ring's units, nilpotents and radical, the opposite
+    returns the same objects; built before them, it finds equal ones."""
+    def side_free(r):
+        return r.units(), r.nilpotents(), r.jacobson_radical(), r.radical_generators()
+
+    for name, ring in corpus.items():
+        early = fresh(ring).opposite()
+        ring = fresh(ring)
+        found = side_free(ring)
+        assert all(a is b for a, b in zip(side_free(ring.opposite()), found, strict=True)), name
+        assert side_free(early) == found, name
+
+
+def test_the_opposite_keeps_its_own_socles(corpus):
+    """Its right socle is the ring's left one and conversely, also when the
+    ring found both before the opposite's were asked for."""
+    rings = {**corpus, "T2(Z2)": upper_triangular(2, 2)}
+    differ = []
+    for name, ring in rings.items():
+        ring = fresh(ring)
+        right, left = ring.socle("right"), ring.socle("left")
+        op = ring.opposite()
+        for side, other in (("right", left), ("left", right)):
+            assert op.socle(side) == Ideal(side, other.elements), (name, side)
+        assert ring.socle("right") is right and ring.socle("left") is left, name
+        if right != Ideal("right", left.elements):
+            differ.append(name)
+    assert "T2(Z2)" in differ
 
 
 # Brute-force right-hand scans, kept as the oracle for every right-handed

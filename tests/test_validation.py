@@ -8,6 +8,7 @@ ring, on its opposite and on every table with one entry planted wrong.
 """
 
 import json
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -218,7 +219,7 @@ BUILDS = {
 @pytest.mark.parametrize("kind", BUILDS)
 def test_building_multiplies_only_for_the_unit_laws(kind, monkeypatch):
     """Two products per basis element, 1 e_i and e_i 1, and no more, for
-    the ring and for its opposite; the bases are built beforehand."""
+    the ring, and none for its opposite; the bases are built beforehand."""
     bases = {"Z1": ring_zn(1), "Z2": ring_zn(2), "Z4": ring_zn(4), "GF4": gf4()}
     calls = [0]
     mul = FiniteRing.mul
@@ -232,7 +233,45 @@ def test_building_multiplies_only_for_the_unit_laws(kind, monkeypatch):
     assert 0 < calls[0] <= 2 * ring.rank
     calls[0] = 0
     ring.opposite()
-    assert 0 < calls[0] <= 2 * ring.rank
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("kind", [*BUILDS, "Z1^200"])
+def test_the_opposite_reduces_multiplies_and_validates_nothing(kind, monkeypatch):
+    """The opposite is the validated table transposed: building it makes no
+    product, reduces no vector and runs no presentation check."""
+    bases = {"Z1": ring_zn(1), "Z2": ring_zn(2), "Z4": ring_zn(4), "GF4": gf4()}
+    ring = ring_product(*[bases["Z1"]] * 200) if kind == "Z1^200" else BUILDS[kind](bases)
+    calls = {"mul": 0, "reduce": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    def refused(ring):
+        raise AssertionError("the opposite was validated again")
+
+    monkeypatch.setattr(FiniteRing, "mul", counted("mul", FiniteRing.mul))
+    monkeypatch.setattr(ModuleShape, "reduce", counted("reduce", ModuleShape.reduce))
+    monkeypatch.setattr(finring, "table_validation_report", refused)
+    op = ring.opposite()
+    assert calls == {"mul": 0, "reduce": 0}
+    assert op.mul_table == tuple(zip(*ring.mul_table)) and op.one == ring.one
+
+
+def test_associativity_check_holds_one_j_at_a_time():
+    """The contraction coefficients of one j at a time: rank ints of about
+    rank^2 W bits, not rank^2 of them (all j at once peaked at 1.85 MiB)."""
+    ring = ring_group_algebra(2, cyclic(32))
+    tracemalloc.start()
+    try:
+        table_validation_report(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2 ** 20
 
 
 # -- the pairing's associativity in generator reports ---------------------------

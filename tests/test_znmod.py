@@ -102,6 +102,13 @@ def test_shape_refuses_values_that_are_not_ints(n, orders):
         ModuleShape(n, orders)
 
 
+@pytest.mark.parametrize("gens", [[(1.5,)], [(True,)], [("1",)], [(1,), (2.0,)]])
+def test_span_refuses_generators_that_are_not_ints(gens):
+    """(1.5,) in Z4 would span 0, 0.5, ..., 3.5: refused, not listed."""
+    with pytest.raises(ValueError, match="generator .* is not an int"):
+        span(gens, ModuleShape(4, (4,)))
+
+
 # -- forms -----------------------------------------------------------------
 
 
