@@ -30,12 +30,13 @@ from itertools import chain, product
 from math import comb
 from typing import Iterable, Sequence
 
-from .znmod import (Element, ZnLinearForm, _check_power_cap, additive_closure,
+from .znmod import (Element, ZnLinearForm, _check_power_cap, _ints, additive_closure,
                     additive_generators, packed_arithmetic)
 from .finring import (
     FiniteRing,
     is_left_ideal,
     left_ideals,
+    ring_generators,
     ring_orthogonal,
     submodule_lattice,
     submodule_violation,
@@ -45,10 +46,10 @@ from .frobenius import (
     DegenerateFormError,
     Vector,
     _degeneracy,
-    functional_left_orthogonal,
     functional_right_orthogonal,
     identity_form,
     orthogonal,
+    pairing_of_functional,
 )
 from .skewpoly import SkewQuotient
 
@@ -159,7 +160,7 @@ class LinearCode:
 def _check_ambient(m: int, side: str) -> None:
     if side not in _SIDES:
         raise ValueError(f"bad code side {side!r}")
-    if m < 1:
+    if _ints((m,), "code length")[0] < 1:
         raise ValueError("code length must be positive")
 
 
@@ -191,6 +192,8 @@ class WeightEnumerator:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.m) is not int:  # the fast path of a hot constructor; _ints names a stray
+            _ints((self.m,), "enumerator length")
         if len(self.counts) != self.m + 1:
             raise ValueError("need m + 1 weight counts")
 
@@ -390,15 +393,18 @@ def skew_cyclic_dual_report(
     i.e. the first-slot orthogonal under the identity form; it must equal
     the first-slot orthogonal of reversal(V) under the pairing
     (g, t) |-> eps((g t)_0), and must itself be skew-cyclic.  V's additive
-    generators are picked on its flattened words, in the table ring.
+    generators are picked on its flattened words by ring_generators, which
+    refuses a word that is not an element of the table ring; reversal is
+    additive, so their reversals generate reversal(V), with no second pick.
     """
-    lifted, ring = quotient.lifted_form(base_functional), quotient.as_finite_ring()
+    ring = quotient.as_finite_ring()
+    pairing = pairing_of_functional(ring, quotient.lifted_form(base_functional))
     V = frozenset(map(quotient.flatten, V))
-    gens = [quotient.unflatten(g) for g in additive_generators(V, ring.add, ring.zero)]
+    gens = list(map(quotient.unflatten, ring_generators(ring, V)))
     e_dual = orthogonal(identity_form(quotient.base, quotient.m), gens, "left")
     reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
-    r_orth = frozenset(map(quotient.unflatten, functional_left_orthogonal(
-        ring, lifted, reversed_gens)))
+    r_orth = frozenset(map(quotient.unflatten, ring_orthogonal(
+        ring, reversed_gens, lambda a, s: (pairing(a, s),), (ring.characteristic,))))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
         dual_is_skew_cyclic=is_skew_cyclic(e_dual, quotient),
@@ -442,7 +448,7 @@ def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgeb
     """
     inv = _inversion_permutation(R)
     n = R.characteristic
-    gens = additive_generators(S, R.add, R.zero)
+    gens = ring_generators(R, S)
     e_dual = ring_orthogonal(R, gens, lambda b, s: (sum(x * y for x, y in zip(b, s)) % n,), (n,))
     eps = ZnLinearForm(R.shape, R.one)  # the coefficient of the identity, as 1 is its basis vector
     r_orth = functional_right_orthogonal(R, eps, gens)

@@ -39,7 +39,8 @@ pairs of elements:
 
 Right-handed notions are the left-handed ones of the opposite ring: the
 validated table transposed, whose checks carry over, built once on demand
-(FiniteRing.opposite).  Rings cache all this; treat them as immutable.
+(FiniteRing.opposite).  Rings cache all this, a ring and its opposite in
+one shared record where the side does not matter; treat them as immutable.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .znmod import (
     _int_vectors,
     _ints,
     additive_closure,
+    additive_generators,
     enumerate_module,
     extend_span,
     linear_kernel,
@@ -145,18 +147,14 @@ class FiniteRing:
         # a field of a product sums k^2 terms a_i b_j e_ij[l] < n^3, so with
         # 2^W > k^2 n^3 it never carries into the next
         width = (k * k * shape.n ** 3).bit_length()
+        shifts = [width * l for l in range(k)]
         self._packed_table = tuple(
-            tuple(sum(c << width * l for l, c in enumerate(e)) for e in row)
-            for row in self.mul_table)
-        self._fields = tuple((width * l, d) for l, d in enumerate(shape.orders))
+            tuple(sum(map(operator.lshift, e, shifts)) for e in row) for row in self.mul_table)
+        self._fields = tuple(zip(shifts, shape.orders))
         self._field_mask = (1 << width) - 1
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
-        self._elements: tuple[Element, ...] | None = None
-        self._units: frozenset[Element] | None = None
-        self._nilpotents: frozenset[Element] | None = None
-        self._radical: Ideal | None = None
-        self._radical_generators: tuple[Element, ...] = ()
+        self._side_free: dict[str, object] = {}  # by name, shared with the opposite
         self._socles: dict[str, Ideal] = {}
         # the opposite ring, held weakly by an opposite for its original
         self._opposite: FiniteRing | weakref.ref | None = None
@@ -189,9 +187,10 @@ class FiniteRing:
         return self.shape.reduce(_ints(coords, "coordinate"))
 
     def elements(self) -> tuple[Element, ...]:
-        if self._elements is None:
-            self._elements = tuple(enumerate_module(self.shape))
-        return self._elements
+        known = self._side_free
+        if "elements" not in known:
+            known["elements"] = tuple(enumerate_module(self.shape))
+        return known["elements"]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -228,9 +227,10 @@ class FiniteRing:
         decides every power it passed.  Each product yields a newly
         decided element, so the walks make fewer than |R| products.
         """
-        if self._units is None and self.one == self.zero:  # the zero ring: 0 is both
-            self._units = self._nilpotents = frozenset({self.zero})
-        if self._units is None:
+        known = self._side_free
+        if "units" not in known and self.one == self.zero:  # the zero ring: 0 is both
+            known["units"] = known["nilpotents"] = frozenset({self.zero})
+        if "units" not in known:
             memo: dict[Element, str] = {self.zero: "nilpotent", self.one: "unit"}
             for a in self.elements():
                 if a in memo:
@@ -245,15 +245,14 @@ class FiniteRing:
                 kind = memo.get(x, "neither")
                 for p in powers:
                     memo[p] = kind
-            self._units = frozenset(x for x, kind in memo.items() if kind == "unit")
-            self._nilpotents = frozenset(x for x, kind in memo.items() if kind == "nilpotent")
-        return self._units
+            known["units"] = frozenset(x for x, kind in memo.items() if kind == "unit")
+            known["nilpotents"] = frozenset(x for x, kind in memo.items() if kind == "nilpotent")
+        return known["units"]
 
     def nilpotents(self) -> frozenset[Element]:
         """Nilpotent elements, found by the same power walk as the units."""
-        if self._nilpotents is None:
-            self.units()
-        return self._nilpotents
+        self.units()
+        return self._side_free["nilpotents"]
 
     def is_unit(self, a: Element) -> bool:
         return a in self.units()
@@ -271,7 +270,8 @@ class FiniteRing:
         nilpotents are candidates, in sorted order, and one already in the
         span of the members found is not tested again.  Those members are
         kept as the radical's additive generators (radical_generators)."""
-        if self._radical is None:
+        known = self._side_free
+        if "radical" not in known:
             nil = self.nilpotents()
             gens: list[Element] = []
             rad = {self.zero}
@@ -284,14 +284,13 @@ class FiniteRing:
                     gens.append(x)
                     for _ in extend_span(rad, x, self.add):
                         pass
-            self._radical = Ideal("two-sided", frozenset(rad))
-            self._radical_generators = tuple(gens)
-        return self._radical
+            known["radical"] = Ideal("two-sided", frozenset(rad)), tuple(gens)
+        return known["radical"][0]
 
     def radical_generators(self) -> tuple[Element, ...]:
         """Additive generators of the Jacobson radical."""
         self.jacobson_radical()
-        return self._radical_generators
+        return self._side_free["radical"][1]
 
     def socle(self, side: str) -> Ideal:
         """Annihilator of the radical: right socle kills the radical from
@@ -310,9 +309,10 @@ class FiniteRing:
         basis table transposed, built once and not validated again, as each
         check carries over (entry (i, j) tests both d_i and d_j, the
         opposite's associativity at (i, j, l) is this ring's at (l, j, i),
-        the unit laws swap sides).  It shares the side-free caches: elements,
-        units, nilpotents and the radical, as J(R) = J(R^op).  It holds this
-        ring weakly (no reference cycle) and rebuilds it if it is gone."""
+        the unit laws swap sides).  The two share one record of elements,
+        units, nilpotents and the radical (J(R) = J(R^op)), whichever finds
+        them, and keep their own socles.  It holds this ring weakly (no
+        reference cycle) and rebuilds it, on the same record, if it is gone."""
         op = self._opposite
         if isinstance(op, weakref.ref):
             op = op()
@@ -540,6 +540,16 @@ def ring_group_algebra(
 
 
 # -- ideal machinery -------------------------------------------------------
+
+
+def ring_generators(ring: FiniteRing, subset: Iterable) -> list[Element]:
+    """additive_generators of the subset, refusing the first non-element:
+    none is in the span of the elements kept before it, so each is kept."""
+    gens = additive_generators(subset, ring.add, ring.zero)
+    for g in gens:
+        if not ring.shape.contains(g):
+            raise ValueError(f"{g!r} is not an element of {ring!r}")
+    return gens
 
 
 def ring_orthogonal(ring: FiniteRing, gens, pairing, codomain) -> frozenset[Element]:

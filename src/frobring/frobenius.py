@@ -46,12 +46,11 @@ from .znmod import (
     Element,
     ZnLinearForm,
     _ints,
-    additive_generators,
     enumerate_forms,
     linear_kernel,
     _check_power_cap,
 )
-from .finring import FiniteRing, Ideal, ring_orthogonal
+from .finring import FiniteRing, Ideal, ring_generators, ring_orthogonal
 
 Vector = tuple[Element, ...]
 
@@ -272,7 +271,7 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
 
 def left_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
     """{a : a * s = 0 for all s in the subset}; always a left ideal."""
-    gens = additive_generators(subset, ring.add, ring.zero)
+    gens = ring_generators(ring, subset)
     return Ideal("left", ring_orthogonal(ring, gens, ring.mul, ring.shape.orders))
 
 
@@ -287,7 +286,7 @@ def functional_left_orthogonal(
     """{a : eps(a * s) = 0 for all s}.  For a Frobenius eps and a right
     ideal this coincides with the left annihilator."""
     pairing = pairing_of_functional(ring, functional)
-    gens = additive_generators(subset, ring.add, ring.zero)
+    gens = ring_generators(ring, subset)
     return ring_orthogonal(ring, gens, lambda a, s: (pairing(a, s),), (ring.characteristic,))
 
 
@@ -305,7 +304,7 @@ class AmbientForm:
     """A-valued bilinear form <x, y> = sum x_i Q_ij y_j on A^m."""
 
     def __init__(self, ring: FiniteRing, m: int, matrix: Sequence[Sequence[Iterable[int]]]):
-        if m < 1:
+        if _ints((m,), "ambient length")[0] < 1:
             raise ValueError("ambient length must be positive")
         self.ring = ring
         self.m = m
@@ -354,6 +353,7 @@ class AmbientForm:
 
 def identity_form(A: FiniteRing, m: int) -> AmbientForm:
     """<x, y> = sum x_i y_i, whose gram's rows are the unit vectors of A^m."""
+    _ints((m,), "ambient length")  # before range(m) reads it
     return AmbientForm(A, m, [[A.one if i == j else A.zero for j in range(m)] for i in range(m)])
 
 

@@ -18,6 +18,7 @@ never silently truncates.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -100,7 +101,7 @@ class ModuleShape:
         coords = tuple(coords)
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        return tuple(c % d for c, d in zip(coords, self.orders))
+        return tuple(map(operator.mod, coords, self.orders))
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))

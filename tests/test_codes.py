@@ -7,7 +7,7 @@ from frobring.catalog import gf4_skew_quotient
 from frobring.finring import left_ideals, ring_zn
 from frobring.frobenius import AmbientForm, DegenerateFormError, find_frobenius_functional
 from frobring.skewpoly import RingAutomorphism, poly_left_divmod
-from frobring.znmod import enumeration_cap
+from frobring.znmod import ZnLinearForm, enumeration_cap
 from frobring.codes import (
     LinearCode,
     TransformError,
@@ -69,6 +69,25 @@ def test_generate_rejects_bad_input(z4):
             submodule_codes(z4, m, "left")
         with pytest.raises(ValueError, match="length must be positive"):
             LinearCode(z4, m, "left", [()])
+
+
+@pytest.mark.parametrize("m", [True, 2.0, 1.0])
+def test_lengths_that_are_not_ints_are_refused(m):
+    """Bools and floats are refused as lengths, not read as 1 or 2."""
+    z2 = ring_zn(2)
+    calls = [lambda: LinearCode.generate(z2, m, [[(1,)] * 2]),
+             lambda: LinearCode(z2, m, "left", [((0,),) * 2]),
+             lambda: submodule_codes(z2, m, "left")]
+    for call in calls:
+        with pytest.raises(ValueError, match="code length .* is not an int"):
+            call()
+    gram = [[(1,) if i == j else (0,) for j in range(2)] for i in range(2)]
+    for call in (lambda: AmbientForm(z2, m, gram).left_kernel(),
+                 lambda: identity_form(z2, m)):
+        with pytest.raises(ValueError, match="ambient length .* is not an int"):
+            call()
+    with pytest.raises(ValueError, match="enumerator length .* is not an int"):
+        WeightEnumerator(m, (1,) * 2)
 
 
 def test_code_equality_and_side_blindness(z4):
@@ -353,6 +372,19 @@ def test_z2c2_self_dual_ideal(z2c2):
     assert rep.euclidean_dual == {(0, 0), (1, 1)}
     assert rep.dual_matches_inverted_orthogonal
     assert rep.dual_is_left_ideal
+
+
+def test_dual_reports_refuse_words_that_are_not_elements(z2c2, q_z2_cubic):
+    """Words of the wrong length are refused, not paired as they are: on
+    Z2[C2], and on a degree-3 quotient after flattening."""
+    with pytest.raises(ValueError, match=r"^\(0, 0, 0\) is not an element"):
+        group_algebra_dual_report(z2c2, [(0, 0, 0), (1, 1, 1)])
+    base_eps = ZnLinearForm(ring_zn(2).shape, (1,))
+    with pytest.raises(ValueError, match=r"^\(0, 0\) is not an element"):
+        skew_cyclic_dual_report([((0,), (0,)), ((1,), (1,))], q_z2_cubic, base_eps)
+    with pytest.raises(ValueError, match=r"^\(1, 1, 0, 0\) is not an element"):
+        skew_cyclic_dual_report([((0,), (0,), (0,)), ((1,), (1,), (0,), (0,))],
+                                q_z2_cubic, base_eps)
 
 
 @pytest.mark.parametrize("fixture", ["z2c2", "z3c3"])

@@ -1,5 +1,7 @@
 """Functionals, pairings, annihilators and ambient orthogonals."""
 
+import re
+
 import pytest
 
 from frobring.znmod import ZnLinearForm, kernel_elements
@@ -228,6 +230,25 @@ def test_functional_orthogonal_differs_on_non_ideals(z4):
     assert functional_left_orthogonal(z4, eps, [(1,)]) == {(0,)}
     assert functional_left_orthogonal(z4, eps, [(2,)]) == {(0,), (2,)}
     assert left_annihilator(z4, [(2,)]).elements == {(0,), (2,)}
+
+
+@pytest.mark.parametrize("call, subset, bad", [
+    ("left annihilator", [(1, 1, 1)], (1, 1, 1)),
+    ("right annihilator", [(1, 1, 1)], (1, 1, 1)),
+    ("left annihilator", [(0, 0), (3, 3)], (3, 3)),
+    ("left orthogonal", [(1, 1, 1)], (1, 1, 1)),
+    ("right orthogonal", [(1, 0), (3, 1)], (3, 1)),
+])
+def test_subsets_holding_a_non_element_are_refused(z2c2, call, subset, bad):
+    """A non-element is never in the span of the elements sorted before
+    it, so it is always a picked generator, and each of those is checked."""
+    eps = find_frobenius_functional(z2c2)
+    run = {"left annihilator": lambda s: left_annihilator(z2c2, s),
+           "right annihilator": lambda s: right_annihilator(z2c2, s),
+           "left orthogonal": lambda s: functional_left_orthogonal(z2c2, eps, s),
+           "right orthogonal": lambda s: functional_right_orthogonal(z2c2, eps, s)}[call]
+    with pytest.raises(ValueError, match=re.escape(f"{bad} is not an element")):
+        run(subset)
 
 
 # -- ambient forms ---------------------------------------------------------

@@ -330,7 +330,7 @@ def test_power_walk_in_any_visiting_order(seed):
     units = units_oracle(ring)
     order = list(ring.elements())
     random.Random(seed).shuffle(order)
-    ring._elements = tuple(order)
+    ring._side_free["elements"] = tuple(order)
     assert ring.units() == units
     assert ring.nilpotents() == nilpotents_oracle(ring)
 

@@ -9,6 +9,7 @@ ring, on its opposite and on every table with one entry planted wrong.
 
 import json
 import tracemalloc
+import weakref
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -259,6 +260,62 @@ def test_the_opposite_reduces_multiplies_and_validates_nothing(kind, monkeypatch
     op = ring.opposite()
     assert calls == {"mul": 0, "reduce": 0}
     assert op.mul_table == tuple(zip(*ring.mul_table)) and op.one == ring.one
+
+
+SHARED = {**BUILDS, "M2(F2)": lambda b: ring_matrix(ring_zn(2), 2)}
+SIDE_FREE = ("units", "nilpotents", "jacobson_radical", "radical_generators", "elements")
+
+
+def counted_products(monkeypatch):
+    """A list whose one entry counts FiniteRing.mul calls from now on."""
+    calls = [0]
+    mul = FiniteRing.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteRing, "mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("first", ["opposite", "ring"])
+@pytest.mark.parametrize("kind", SHARED)
+def test_a_ring_and_its_opposite_share_what_either_finds(kind, first, monkeypatch):
+    """With the opposite taken before anything is found, whichever of the
+    two finds a side-free structure, the other returns the same object
+    and makes no product."""
+    bases = {"Z1": ring_zn(1), "Z2": ring_zn(2), "Z4": ring_zn(4), "GF4": gf4()}
+    for name in SIDE_FREE:
+        ring = SHARED[kind](bases)
+        op = ring.opposite()
+        asker, other = (op, ring) if first == "opposite" else (ring, op)
+        found = getattr(asker, name)()
+        with monkeypatch.context() as patch:
+            calls = counted_products(patch)
+            assert getattr(other, name)() is found, name
+            assert calls[0] == 0, name
+
+
+@pytest.mark.parametrize("kind", SHARED)
+def test_a_rebuilt_original_shares_the_opposites_record(kind, monkeypatch):
+    """Freed and rebuilt through the opposite, the original shares what the
+    opposite found before and what either finds after."""
+    bases = {"Z1": ring_zn(1), "Z2": ring_zn(2), "Z4": ring_zn(4), "GF4": gf4()}
+    ring = SHARED[kind](bases)
+    op = ring.opposite()
+    gone = weakref.ref(ring)
+    del ring
+    assert gone() is None
+    units = op.units()
+    again = op.opposite()
+    radical = again.jacobson_radical()
+    calls = counted_products(monkeypatch)
+    assert again.units() is units and again.nilpotents() is op.nilpotents()
+    assert op.jacobson_radical() is radical
+    assert op.radical_generators() is again.radical_generators()
+    assert op.elements() is again.elements()
+    assert calls[0] == 0
 
 
 def test_associativity_check_holds_one_j_at_a_time():
