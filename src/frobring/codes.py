@@ -46,7 +46,6 @@ from .frobenius import (
     DegenerateFormError,
     Vector,
     _degeneracy,
-    functional_right_orthogonal,
     identity_form,
     orthogonal,
     pairing_of_functional,
@@ -401,7 +400,7 @@ def skew_cyclic_dual_report(
     pairing = pairing_of_functional(ring, quotient.lifted_form(base_functional))
     V = frozenset(map(quotient.flatten, V))
     gens = list(map(quotient.unflatten, ring_generators(ring, V)))
-    e_dual = orthogonal(identity_form(quotient.base, quotient.m), gens, "left")
+    e_dual = orthogonal(quotient.euclidean_form, gens, "left")
     reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
     r_orth = frozenset(map(quotient.unflatten, ring_orthogonal(
         ring, reversed_gens, lambda a, s: (pairing(a, s),), (ring.characteristic,))))
@@ -444,14 +443,17 @@ def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgeb
     is sum_g a_g b_g, the algebra one is eps(a b) = sum_g a_g b_{g^{-1}}
     for eps = coefficient of the group identity.  The Euclidean dual of a
     left ideal is the support-inversion image of its right orthogonal
-    under the algebra pairing, and is again a left ideal.
+    under the algebra pairing, and is again a left ideal.  The ideal's
+    additive generators are picked once, by ring_generators, and pair in
+    both orthogonals.
     """
     inv = _inversion_permutation(R)
     n = R.characteristic
     gens = ring_generators(R, S)
     e_dual = ring_orthogonal(R, gens, lambda b, s: (sum(x * y for x, y in zip(b, s)) % n,), (n,))
     eps = ZnLinearForm(R.shape, R.one)  # the coefficient of the identity, as 1 is its basis vector
-    r_orth = functional_right_orthogonal(R, eps, gens)
+    pairing = pairing_of_functional(R.opposite(), eps)  # eps(s b) = eps(b *op s)
+    r_orth = ring_orthogonal(R.opposite(), gens, lambda b, s: (pairing(b, s),), (n,))
     inverted = frozenset(tuple(b[i] for i in inv) for b in r_orth)
     return GroupAlgebraDualReport(
         dual_matches_inverted_orthogonal=e_dual == inverted,

@@ -12,11 +12,11 @@ so the characteristic really is n.
 Products run on packed structure constants: each table entry is one int
 with a field per coordinate, wide enough that a product's field sums never
 carry, so a * b costs rank^2 int multiply-adds (FiniteRing.mul).  The
-validation runs on the same packed table: associativity is compared on
-basis triples, all (e_i e_j) e_l against all e_i (e_j e_l) for one pair
-(i, j) at a time as two big-int contractions, so both table checks take
-rank^2 Python steps and construction multiplies only for the unit laws
-(table_validation_report).
+validation reads the same packed entries: associativity compares
+(e_i e_j) e_l with e_i (e_j e_l) on each basis triple, one packed entry
+per nonzero coordinate of e_i e_j and of e_j e_l, so a sparse table costs
+about rank^3 int multiply-adds and construction multiplies only for the
+unit laws (table_validation_report).
 
 Structural computations enumerate the element list, sized for rings of a
 few thousand elements, but use the ring structure to avoid scanning all
@@ -357,19 +357,17 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     A witness is the first failing index in lexicographic order: (i, j, l)
     for the table checks, a basis index for the unit laws.
 
-    Both table checks take rank^2 Python steps.  The product is well
-    defined iff every coordinate l of e_i e_j is divisible by d_l /
-    gcd(d_i, d_l) and by d_l / gcd(d_j, d_l), which is 1 for every l when
-    d_i = n.  Associativity is checked on the triples of basis elements of
-    order above 1 (one of order 1 is 0), on the packed table of W-bit
-    fields, all l at once, in blocks of B = W k bits (one packed entry),
-    one block per l.  rows[p] holds e_p e_l in block l, and coeffs[q], for
-    one j at a time, c_jlq, the q-th coordinate of e_j e_l.  Then sum_p
-    c_ijp rows[p] holds (e_i e_j) e_l and sum_q (e_i e_q) coeffs[q] holds
-    e_i (e_j e_l) in block l, unreduced.  A field sums at most k products
-    below n^2, so it never carries.  Equal ints settle the pair.
-    Otherwise the blocks are compared field by field mod d, and the first
-    that differs is a witness; only a smaller i can give a lesser one.
+    The product is well defined iff every coordinate l of e_i e_j is
+    divisible by d_l / gcd(d_i, d_l) and by d_l / gcd(d_j, d_l), which is 1
+    for every l when d_i = n: rank^2 Python steps.  Associativity is
+    checked on the triples of basis elements of order above 1 (one of
+    order 1 is 0), in lexicographic order, on the packed entries P of
+    W-bit fields: (e_i e_j) e_l is sum_a c_ija P[a][l] and e_i (e_j e_l)
+    is sum_a c_jla P[i][a], each summed over the nonzero coordinates c of
+    one table entry and left unreduced.  A field sums at most k products
+    below n^2, so it never carries.  Equal ints settle the triple;
+    otherwise the two are compared field by field mod d, and the first
+    triple that differs is the witness.
     """
     bilinear, associative, unital, characteristic = TABLE_CHECKS
     shape = ring.shape
@@ -400,26 +398,17 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
     witness = None
     live = [i for i in range(k) if orders[i] > 1]
     packed, fields, mask = ring._packed_table, ring._fields, ring._field_mask
-    block = mask.bit_length() * k  # B, the bits of one packed entry
-    rows = [0] * k  # 0 where e_p = 0
-    for p in live:
-        rows[p] = sum(packed[p][l] << block * t for t, l in enumerate(live))
-    spread = sum(mask << block * t for t in range(len(live)))  # field 0 of every block
-
-    def reduced(x, t):  # block t of x, reduced field by field
-        x >>= block * t
-        return [(x >> shift & mask) % d for shift, d in fields]
-
-    for j in live:
-        coeffs = [(rows[j] >> shift) & spread for shift, _ in fields]
-        for i in live:
-            if witness is not None and i >= witness[0]:
-                break
-            left = sum(map(operator.mul, table[i][j], rows))
-            right = sum(map(operator.mul, packed[i], coeffs))
-            if left != right:
-                witness = next(((i, j, l) for t, l in enumerate(live)
-                                if reduced(left, t) != reduced(right, t)), witness)
+    terms = [[[(a, c) for a, c in enumerate(e) if c] for e in row] for row in table]
+    for i, j, l in product(live, repeat=3):
+        left = right = 0
+        for a, c in terms[i][j]:
+            left += c * packed[a][l]
+        for a, c in terms[j][l]:
+            right += c * packed[i][a]
+        if left != right and ([(left >> s & mask) % d for s, d in fields]
+                              != [(right >> s & mask) % d for s, d in fields]):
+            witness = (i, j, l)
+            break
     report.append((associative, witness is None, witness))
 
     witness = next((i for i, e in enumerate(ring.basis_elements)

@@ -26,12 +26,13 @@ index = degree, so they double directly as length-m codewords over A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .znmod import Element, ModuleShape, ZnLinearForm, _check_power_cap, linear_kernel
 from .finring import FiniteRing
-from .frobenius import FrobeniusFunctional, _as_form
+from .frobenius import AmbientForm, FrobeniusFunctional, _as_form, identity_form
 
 QElement = tuple[Element, ...]
 
@@ -335,6 +336,12 @@ class SkewQuotient:
                 label=self.label or "skew-quotient",
             )
         return self._ring
+
+    @cached_property
+    def euclidean_form(self) -> AmbientForm:
+        """The identity form on A^m, built once, on first use: a code's
+        first-slot orthogonal under it is the code's Euclidean dual."""
+        return identity_form(self.base, self.m)
 
     # -- Frobenius structure ----------------------------------------------
 

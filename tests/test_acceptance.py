@@ -349,3 +349,18 @@ def test_budget_validate_of_one_hundred_zero_ring_factors(tmp_path, capsys):
         'checks: {"associativity": true, "bilinear-well-defined": true, '
         '"characteristic": true, "unit-laws": true}\n')
     assert elapsed < 3, f"validation took {elapsed:.1f} s"
+
+
+def test_budget_validate_of_the_group_algebra_of_c60_over_z2(tmp_path, capsys):
+    """Z2[C_60] has rank 60 and one nonzero coordinate per table entry:
+    216000 basis triples of one packed term per side."""
+    cayley = [[(g + h) % 60 for h in range(60)] for g in range(60)]
+    spec = tmp_path / "z2_c60.json"
+    spec.write_text(json.dumps({"kind": "group_algebra", "n": 2, "cayley": cayley}))
+    t0 = time.perf_counter()
+    assert main(["ring", "validate", str(spec)]) == 0
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert out.startswith("command: ring validate\nvalid: true\n")
+    assert f"cardinality: {2 ** 60}\n" in out and '"associativity": true' in out
+    assert elapsed < 1, f"validation took {elapsed:.1f} s"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from frobring import finring
 from frobring.catalog import gf4_skew_quotient
 from frobring.finring import left_ideals, ring_zn
 from frobring.frobenius import AmbientForm, DegenerateFormError, find_frobenius_functional
@@ -385,6 +386,42 @@ def test_dual_reports_refuse_words_that_are_not_elements(z2c2, q_z2_cubic):
     with pytest.raises(ValueError, match=r"^\(1, 1, 0, 0\) is not an element"):
         skew_cyclic_dual_report([((0,), (0,), (0,)), ((1,), (1,), (0,), (0,))],
                                 q_z2_cubic, base_eps)
+
+
+def test_group_algebra_dual_report_picks_its_generators_once(z3c3, monkeypatch):
+    """One additive_generators pass per report: the right orthogonal pairs
+    the generators already picked instead of picking them again."""
+    ideals = left_ideals(z3c3)
+    calls = [0]
+    pick = finring.additive_generators
+
+    def counted(*args):
+        calls[0] += 1
+        return pick(*args)
+
+    monkeypatch.setattr(finring, "additive_generators", counted)
+    for ideal in ideals:
+        calls[0] = 0
+        assert group_algebra_dual_report(z3c3, ideal.elements).dual_matches_inverted_orthogonal
+        assert calls[0] == 1
+
+
+def test_skew_cyclic_dual_reports_share_the_quotients_identity_form(monkeypatch):
+    """The identity form on A^m is built once per quotient, not per report."""
+    built = [0]
+    init = AmbientForm.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(AmbientForm, "__init__", counted)
+    q = gf4_skew_quotient()
+    eps = find_frobenius_functional(q.base)
+    ideals = quotient_left_ideal_codes(q)
+    assert all(skew_cyclic_dual_report(V, q, eps).dual_matches_reversal_orthogonal
+               for V in ideals)
+    assert len(ideals) > 1 and built[0] == 1
 
 
 @pytest.mark.parametrize("fixture", ["z2c2", "z3c3"])

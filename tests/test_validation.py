@@ -1,13 +1,17 @@
 """Table validation against the basis-triple scan it replaced.
 
-table_validation_report checks a presentation in rank^2 packed steps; the
-oracle here multiplies basis elements with FiniteRing.mul, 2 * rank^3
-products for associativity, and checks bilinearity coordinate by
-coordinate.  Both must give the same (check, ok, witness) rows on every
-ring, on its opposite and on every table with one entry planted wrong.
+table_validation_report checks bilinearity entry by entry and
+associativity in one loop over the basis triples, summing packed table
+entries at the nonzero coordinates of each entry; the oracle here
+multiplies basis elements with FiniteRing.mul, 2 * rank^3 products for
+associativity, and checks bilinearity coordinate by coordinate.  Both
+must give the same (check, ok, witness) rows on every ring, on its
+opposite, on every table with one entry planted wrong and on seeded
+faults in larger, denser tables.
 """
 
 import json
+import random
 import tracemalloc
 import weakref
 from itertools import product
@@ -37,7 +41,7 @@ from frobring.frobenius import (
 )
 from frobring.znmod import DEFAULT_CAP, ModuleShape, enumerate_forms
 
-from conftest import upper_triangular
+from conftest import unit_vector, upper_triangular
 from ring_families import FAMILY_SPECS, cyclic, quaternion_algebra
 
 GOLDEN = Path(__file__).resolve().parent / "ring_validate_stdout.json"
@@ -205,6 +209,47 @@ def test_bilinearity_witness_on_an_order_one_row():
     assert validation_oracle(broken) == table_validation_report(broken)
 
 
+def z2_polynomial_quotient(f):
+    """Z2[x]/(f) on the basis 1, x, ..., x^(m-1), for f of degree m given by
+    its bits (bit d is the coefficient of x^d)."""
+    m = f.bit_length() - 1
+
+    def reduced(p):
+        for d in range(p.bit_length() - 1, m - 1, -1):
+            if p >> d & 1:
+                p ^= f << d - m
+        return p
+
+    table = [[[reduced(1 << i + j) >> l & 1 for l in range(m)] for j in range(m)]
+             for i in range(m)]
+    return ring_from_table(2, [2] * m, table, unit_vector(m, 0))
+
+
+LARGER = {
+    # f = x^12 + x^10 + x^9 + ... + x^2 + 1: 4.25 nonzero coordinates per entry
+    "Z2[x]/(f), deg 12": lambda: z2_polynomial_quotient(0b1011111111101),
+    "Z2[C16]": lambda: ring_group_algebra(2, cyclic(16)),
+}
+
+
+@pytest.mark.parametrize("name", LARGER)
+def test_faults_planted_in_larger_tables_match_the_oracle(name):
+    """One coordinate moved at the last live triple (entry (k-1, k-1),
+    coordinate k-1) and at seeded triples, in tables past the fixed lists'
+    ranks: every broken table fails a check, as the oracle says, row for row."""
+    ring = LARGER[name]()
+    assert_matches_oracle(ring, name)
+    k, rng = ring.rank, random.Random(7)
+    faults = [(k - 1, k - 1, k - 1)] + [tuple(rng.randrange(k) for _ in range(3)) for _ in range(7)]
+    for i, j, l in faults:
+        broken = [list(row) for row in ring.mul_table]
+        broken[i][j] = ring.shape.add(broken[i][j], ring.basis(l))
+        broken = unvalidated(ring.shape, broken, ring.one)
+        report = validation_oracle(broken)
+        assert not all(ok for _, ok, _ in report), (name, (i, j, l))
+        assert table_validation_report(broken) == report, (name, (i, j, l))
+
+
 # -- work done while building -------------------------------------------------
 
 
@@ -319,8 +364,9 @@ def test_a_rebuilt_original_shares_the_opposites_record(kind, monkeypatch):
 
 
 def test_associativity_check_holds_one_j_at_a_time():
-    """The contraction coefficients of one j at a time: rank ints of about
-    rank^2 W bits, not rank^2 of them (all j at once peaked at 1.85 MiB)."""
+    """The loop holds the table entries' nonzero (coordinate, coefficient)
+    pairs and two ints at a time, no packed layout of its own (big-int
+    contraction coefficients for all j at once peaked at 1.85 MiB)."""
     ring = ring_group_algebra(2, cyclic(32))
     tracemalloc.start()
     try:
