@@ -193,6 +193,8 @@ class WeightEnumerator:
     def __post_init__(self):
         if type(self.m) is not int:  # the fast path of a hot constructor; _ints names a stray
             _ints((self.m,), "enumerator length")
+        if self.m < 0:
+            raise ValueError("enumerator length must be non-negative")
         if len(self.counts) != self.m + 1:
             raise ValueError("need m + 1 weight counts")
 
@@ -283,6 +285,9 @@ def macwilliams_transform(
     enum: WeightEnumerator, alphabet_size: int, code_size: int
 ) -> WeightEnumerator:
     """Exact integer expansion of W(X + (q-1)Y, X - Y) / code_size."""
+    for what, size in (("alphabet size", alphabet_size), ("code size", code_size)):
+        if _ints((size,), what)[0] < 1:
+            raise ValueError(f"{what} must be positive")
     m = enum.m
     q = alphabet_size
     out = [0] * (m + 1)
@@ -359,7 +364,7 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
     Geiselmann and Ulmer, AAECC 18, 2007), tested on flattened words in
     the uncapped table ring of SkewQuotient.mul, whose basis opens with A's.
     """
-    ring, flat = quotient._table_ring(), quotient.flatten
+    ring, flat = quotient._table_ring, quotient.flatten
     words = frozenset(map(flat, code.codewords if isinstance(code, LinearCode) else code))
     generators = [flat(quotient.shift_generator()), *ring.basis_elements[:quotient.base.rank]]
     return submodule_violation(words, ring.add, ring.zero, generators, ring.mul) is None

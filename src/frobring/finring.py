@@ -55,9 +55,9 @@ from typing import Iterable, Sequence
 
 from .znmod import (
     Element,
-    EnumerationCapError,
     ModuleShape,
     _check_power_cap,
+    _check_table_cap,
     _int_vectors,
     _ints,
     additive_closure,
@@ -469,14 +469,7 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> Finite
     _check_power_cap(base.cardinality, t * t, "matrix ring")
     k0 = base.rank
     k = t * t * k0
-    # The table holds k^3 ints, charged to the cap once 2^k exceeds it: a
-    # base without coordinates of order 1 has |R| >= 2^k, which the check
-    # above bounds, so only a base like the zero ring, of one element at
-    # any k, reaches the charge.
-    try:
-        _check_power_cap(2, k, "matrix ring")
-    except EnumerationCapError:
-        _check_power_cap(k, 3, "matrix ring table")
+    _check_table_cap(k, 3, "matrix ring table")  # k^3 ints, for a base like the zero ring
     orders = tuple(base.shape.orders[i] for _ in range(t * t) for i in range(k0))
     shape = ModuleShape(base.characteristic, orders)
 

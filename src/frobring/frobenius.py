@@ -49,6 +49,7 @@ from .znmod import (
     enumerate_forms,
     linear_kernel,
     _check_power_cap,
+    _check_table_cap,
 )
 from .finring import FiniteRing, Ideal, ring_generators, ring_orthogonal
 
@@ -306,6 +307,7 @@ class AmbientForm:
     def __init__(self, ring: FiniteRing, m: int, matrix: Sequence[Sequence[Iterable[int]]]):
         if _ints((m,), "ambient length")[0] < 1:
             raise ValueError("ambient length must be positive")
+        _check_table_cap(m, 2, "gram matrix")  # before any entry is read
         self.ring = ring
         self.m = m
         if len(matrix) != m or any(len(row) != m for row in matrix):
@@ -353,7 +355,7 @@ class AmbientForm:
 
 def identity_form(A: FiniteRing, m: int) -> AmbientForm:
     """<x, y> = sum x_i y_i, whose gram's rows are the unit vectors of A^m."""
-    _ints((m,), "ambient length")  # before range(m) reads it
+    _check_table_cap(_ints((m,), "ambient length")[0], 2, "gram matrix")  # before building it
     return AmbientForm(A, m, [[A.one if i == j else A.zero for j in range(m)] for i in range(m)])
 
 

@@ -2,17 +2,16 @@
 
 In A[x; aut] the variable twists scalars as x * a = aut(a) * x, so the
 product of coefficient lists is c_l = sum_{i+j=l} f_i * aut^i(g_j).  A
-monic modulus f of degree m generates a two-sided ideal exactly when
+monic modulus f of degree m is two-sided when the left ideal A[x]f is
+also a right ideal.  A[x] is generated as a ring by x and the basis
+scalars a of A, so that holds iff f * a and f * x lie in A[x]f: iff
+their left remainders by f are zero.  That remainder is the one test of
+membership; it also builds the quotient's table and reduces polynomials.
 
-  (i)  f * a = aut^m(a) * f for every a in A (checked on the basis), and
-  (ii) f * x lies in the left ideal, which pins the unique monic degree-1
-       left quotient x + c with c = f_{m-1} - aut(f_{m-1}) and demands
-       f_{i-1} - aut(f_{i-1}) = c * f_i for every i.
-
-When that holds, left remainders of degree < m form a finite ring with
-m * rank(A) additive generators.  If the constant coefficient of f is a
-unit and A carries a Frobenius functional eps, then g |-> eps(g_0) is a
-Frobenius functional on the quotient; construction re-verifies the
+When f is two-sided, left remainders of degree < m form a finite ring
+with m * rank(A) additive generators.  If the constant coefficient of f
+is a unit and A carries a Frobenius functional eps, then g |-> eps(g_0)
+is a Frobenius functional on the quotient; construction re-verifies the
 nondegeneracy instead of trusting it.
 
 For f = x^m - 1 with aut^m = id the quotient also carries the involution
@@ -62,7 +61,6 @@ class RingAutomorphism:
             raise AutomorphismError(f"expected {ring.rank} images, got {len(images)}")
         self.images: tuple[Element, ...] = tuple(ring.element(im) for im in images)
         self._validate()
-        self._power_tables: list[tuple[Element, ...]] | None = None
 
     def _validate(self):
         ring = self.ring
@@ -104,22 +102,21 @@ class RingAutomorphism:
     @property
     def order(self) -> int:
         """Multiplicative order of the automorphism."""
-        return len(self._tables())
+        return len(self._tables)
 
+    @cached_property
     def _tables(self) -> list[tuple[Element, ...]]:
-        # every automorphism is validated as a bijection, so the walk ends
-        if self._power_tables is None:
-            ident = self.ring.basis_elements
-            tables = [ident]
-            current = self.images
-            while current != ident:
-                tables.append(current)
-                current = tuple(self.apply(c) for c in current)
-            self._power_tables = tables
-        return self._power_tables
+        """Basis images of aut^0, ..., aut^(order-1); a bijection's walk ends."""
+        ident = self.ring.basis_elements
+        tables = [ident]
+        current = self.images
+        while current != ident:
+            tables.append(current)
+            current = tuple(self.apply(c) for c in current)
+        return tables
 
     def apply_power(self, j: int, a: Element) -> Element:
-        tables = self._tables()
+        tables = self._tables
         return self._extend(tables[j % len(tables)], a)
 
     def __eq__(self, other) -> bool:
@@ -185,29 +182,26 @@ class TwoSidedCheck:
 def check_two_sided(
     ring: FiniteRing, aut: RingAutomorphism, modulus: Sequence[Element]
 ) -> TwoSidedCheck:
-    """Decide whether a monic modulus generates a two-sided ideal.
+    """Decide whether a monic modulus f is two-sided, by the definition:
+    f * a for each basis scalar a, then f * x, leaves zero left remainder.
 
-    Condition (i) is linear in the scalar, so the ring basis suffices;
-    condition (ii) compares f * x against its unique candidate monic
-    degree-1 left quotient coefficient by coefficient.
+    A failure names its probe and the first nonzero degree of the
+    remainder.  f * a leaves sum_{i<m} (f_i aut^i(a) - aut^m(a) f_i) x^i,
+    zero iff f * a = aut^m(a) * f, hence "scalar-commutation"; f * x leaves
+    what its one possible monic quotient x + c, c = f_{m-1} - aut(f_{m-1}),
+    does not remove, hence "shift-quotient".
     """
     m = len(modulus) - 1
     if m < 1 or modulus[m] != ring.one:
         raise ValueError("modulus must be monic of degree >= 1")
-    for idx, a in enumerate(ring.basis_elements):
-        top = aut.apply_power(m, a)
-        for i, fi in enumerate(modulus):
-            if ring.mul(fi, aut.apply_power(i, a)) != ring.mul(top, fi):
-                return TwoSidedCheck(
-                    False,
-                    "scalar-commutation",
-                    {"basis": idx, "degree": i},
-                )
-    c = ring.sub(modulus[m - 1], aut.apply(modulus[m - 1]))
-    for i in range(m):
-        prev = modulus[i - 1] if i >= 1 else ring.zero
-        if ring.sub(prev, aut.apply(prev)) != ring.mul(c, modulus[i]):
-            return TwoSidedCheck(False, "shift-quotient", {"degree": i})
+    probes = [("scalar-commutation", [a], {"basis": idx})
+              for idx, a in enumerate(ring.basis_elements)]
+    probes.append(("shift-quotient", [ring.zero, ring.one], {}))
+    for reason, g, witness in probes:
+        _, r = poly_left_divmod(ring, aut, poly_mul(ring, aut, modulus, g), modulus)
+        for i, c in enumerate(r):
+            if c != ring.zero:
+                return TwoSidedCheck(False, reason, {**witness, "degree": i})
     return TwoSidedCheck(True)
 
 
@@ -232,7 +226,6 @@ class SkewQuotient:
             raise NotTwoSidedError((verdict.reason, verdict.witness))
         if not base.is_unit(self.modulus[0]):
             raise ValueError("constant coefficient of the modulus must be a unit")
-        self._ring: FiniteRing | None = None
 
     # -- element plumbing --------------------------------------------------
 
@@ -273,7 +266,7 @@ class SkewQuotient:
 
     def mul(self, g: QElement, h: QElement) -> QElement:
         """The ring product, read off the quotient's structure table."""
-        return self.unflatten(self._table_ring().mul(self.flatten(g), self.flatten(h)))
+        return self.unflatten(self._table_ring.mul(self.flatten(g), self.flatten(h)))
 
     def constant_term_product(self, g: QElement, h: QElement) -> Element:
         """Closed form for the constant coefficient of g * h:
@@ -313,29 +306,24 @@ class SkewQuotient:
         The additive orders of A repeat once per degree; the FiniteRing
         constructor re-validates associativity, units and characteristic.
         """
-        _check_power_cap(self.base.cardinality, self.m, "skew quotient")
-        return self._table_ring()
+        _check_power_cap(self.base.cardinality, self.m, "skew quotient")  # before the table
+        return self._table_ring
 
+    @cached_property
     def _table_ring(self) -> FiniteRing:
-        """The cached table ring behind mul, built without the cap check.
+        """The uncapped table ring behind mul, built on first use.
 
         Its basis products are left remainders of skew products, so the
         polynomial arithmetic only builds the table (and is its oracle).
         """
-        if self._ring is None:
-            base = self.base
-            shape = ModuleShape(base.characteristic, base.shape.orders * self.m)
-            basis = [[e if d == j else base.zero for d in range(self.m)]
-                     for j in range(self.m) for e in base.basis_elements]  # e_i x^j
-            table = [[self.flatten(self.reduce_poly(poly_mul(base, self.aut, g, h)))
-                      for h in basis] for g in basis]
-            self._ring = FiniteRing(
-                shape,
-                table,
-                self.flatten(self.one),
-                label=self.label or "skew-quotient",
-            )
-        return self._ring
+        base = self.base
+        shape = ModuleShape(base.characteristic, base.shape.orders * self.m)
+        basis = [[e if d == j else base.zero for d in range(self.m)]
+                 for j in range(self.m) for e in base.basis_elements]  # e_i x^j
+        table = [[self.flatten(self.reduce_poly(poly_mul(base, self.aut, g, h)))
+                  for h in basis] for g in basis]
+        return FiniteRing(shape, table, self.flatten(self.one),
+                          label=self.label or "skew-quotient")
 
     @cached_property
     def euclidean_form(self) -> AmbientForm:

@@ -178,6 +178,17 @@ def _check_power_cap(base: int, exponent: int, what: str) -> None:
             raise EnumerationCapError(f"{what} has {base}^{exponent} entries, cap is {cap}")
 
 
+def _check_table_cap(k: int, exponent: int, what: str) -> None:
+    """Charge a table of k^exponent entries to the cap once 2^k exceeds it.
+    A module of k coordinates, or A^k, has 2^k elements or more unless a
+    coordinate has order 1 (|A| = 1), so the charge refuses nothing that
+    fits the cap otherwise, yet bounds the table of the zero ring."""
+    try:
+        _check_power_cap(2, k, what)
+    except EnumerationCapError:
+        _check_power_cap(k, exponent, what)
+
+
 def enumerate_module(shape: ModuleShape) -> Iterator[Element]:
     """Yield every element of the module in lexicographic coordinate order."""
     _check_cap(shape.cardinality, "module")

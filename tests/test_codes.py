@@ -206,6 +206,20 @@ def test_transform_frozen_example(z2):
     assert out.counts == (1, 1, 0)  # X^2 + XY again
 
 
+@pytest.mark.parametrize("sizes", [(True, 1), (0, 1), (-2, 1), (2.0, 2),
+                                   (2, 0), (2, 2.0), (2, False)])
+def test_transform_refuses_sizes_that_are_not_positive_ints(sizes):
+    # (True, 1) read as q = 1 returned counts (2, -1), (0, 1) returned (2, -2)
+    with pytest.raises(ValueError, match="(alphabet|code) size"):
+        macwilliams_transform(WeightEnumerator(1, (1, 1)), *sizes)
+
+
+def test_weight_enumerator_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="enumerator length must be non-negative"):
+        WeightEnumerator(-1, ())
+    assert WeightEnumerator(0, (1,)).total == 1
+
+
 def test_transform_non_integral_raises():
     with pytest.raises(TransformError):
         macwilliams_transform(WeightEnumerator(1, (2, 1)), 2, 2)

@@ -1,11 +1,12 @@
 """Functionals, pairings, annihilators and ambient orthogonals."""
 
 import re
+import time
 
 import pytest
 
-from frobring.znmod import ZnLinearForm, kernel_elements
-from frobring.finring import is_frobenius_socle, left_ideals, right_ideals
+from frobring.znmod import EnumerationCapError, ZnLinearForm, enumeration_cap, kernel_elements
+from frobring.finring import is_frobenius_socle, left_ideals, right_ideals, ring_zn
 from frobring.frobenius import (
     AmbientForm,
     DegenerateFormError,
@@ -15,6 +16,7 @@ from frobring.frobenius import (
     functional_left_orthogonal,
     functional_orthogonal,
     functional_right_orthogonal,
+    identity_form,
     is_associative,
     is_nondegenerate,
     left_annihilator,
@@ -260,6 +262,24 @@ def test_ambient_identity_form(z2):
     assert form.pairing(vec(z2, 1, 1), vec(z2, 1, 1)) == (0,)
     assert form.is_nondegenerate()
     assert form.cardinality == 4
+
+
+def test_gram_matrix_is_charged_to_the_cap_before_it_is_built(z2):
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match=re.escape("gram matrix has 2000^2 entries")):
+        identity_form(z2, 2000)
+    # a one-element alphabet never trips the ambient cap, so the gram's does
+    with pytest.raises(EnumerationCapError, match="gram matrix"):
+        identity_form(ring_zn(1), 1500)
+    assert time.perf_counter() - start < 1  # the m^2 entries were never built
+    with enumeration_cap(8):  # 9 gram entries, but Z2^3 fits: charged only once 2^m exceeds it
+        assert identity_form(z2, 3).m == 3
+    with enumeration_cap(16):
+        assert identity_form(z2, 4).m == 4
+        with pytest.raises(EnumerationCapError, match="gram matrix"):
+            identity_form(z2, 5)
+        with pytest.raises(EnumerationCapError, match="gram matrix"):
+            AmbientForm(z2, 5, None)  # refused before the matrix is read
 
 
 def test_triangular_form_counterexample_orthogonals(z2):

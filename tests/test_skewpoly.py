@@ -1,5 +1,8 @@
 """Twisted polynomial arithmetic and two-sided quotient rings."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +149,56 @@ def test_two_sided_checks(f4, f4_frob):
 def test_two_sided_over_commutative_identity(z4):
     aut = RingAutomorphism.identity(z4)
     assert check_two_sided(z4, aut, ((3,), (2,), (1,))).ok
+
+
+def two_sided_oracle(ring, aut, modulus):
+    """The hand-derived conditions, as (ok, reason, witness):
+    (i)  f * a = aut^m(a) * f coefficientwise, for each basis scalar a;
+    (ii) f_{i-1} - aut(f_{i-1}) = c * f_i for every i < m, with
+         c = f_{m-1} - aut(f_{m-1}) from the one monic quotient x + c of f * x."""
+    m = len(modulus) - 1
+    for idx, a in enumerate(ring.basis_elements):
+        top = aut.apply_power(m, a)
+        for i, fi in enumerate(modulus):
+            if ring.mul(fi, aut.apply_power(i, a)) != ring.mul(top, fi):
+                return False, "scalar-commutation", {"basis": idx, "degree": i}
+    c = ring.sub(modulus[m - 1], aut.apply(modulus[m - 1]))
+    for i in range(m):
+        prev = modulus[i - 1] if i >= 1 else ring.zero
+        if ring.sub(prev, aut.apply(prev)) != ring.mul(c, modulus[i]):
+            return False, "shift-quotient", {"degree": i}
+    return True, None, None
+
+
+def two_sided_corpus(f4, f4_frob, z4, m2f2, dn8):
+    """(ring, aut, modulus) for every monic modulus of degree 1..3 over
+    GF4, Z4, Z2 x Z2 and Z2[u,v]/(u,v)^2, and over M2(F2) up to degree 2,
+    then at degree 3 with coefficients in the upper triangular subring
+    (which holds every two-sided one there)."""
+    zz = ring_product(ring_zn(2), ring_zn(2))
+    p = (1, 1, 0, 1)  # [[1, 1], [0, 1]], its own inverse
+    conj = RingAutomorphism(m2f2, [m2f2.mul(m2f2.mul(p, e), p) for e in m2f2.basis_elements])
+    upper = [a for a in m2f2.elements() if a[2] == 0]
+    for ring, aut in ((f4, RingAutomorphism.identity(f4)), (f4, f4_frob),
+                      (z4, RingAutomorphism.identity(z4)),
+                      (zz, RingAutomorphism(zz, [(0, 1), (1, 0)])),
+                      (dn8, RingAutomorphism.identity(dn8)),
+                      (dn8, RingAutomorphism(dn8, [(1, 0, 0), (0, 0, 1), (0, 1, 0)])),
+                      (m2f2, RingAutomorphism.identity(m2f2)), (m2f2, conj)):
+        for m in (1, 2, 3):
+            pool = upper if ring is m2f2 and m == 3 else list(ring.elements())
+            for low in product(pool, repeat=m):
+                yield ring, aut, low + (ring.one,)
+
+
+def test_two_sided_check_matches_the_hand_derived_conditions(f4, f4_frob, z4, m2f2, dn8):
+    seen = Counter()
+    for ring, aut, modulus in two_sided_corpus(f4, f4_frob, z4, m2f2, dn8):
+        verdict = check_two_sided(ring, aut, modulus)
+        expected = two_sided_oracle(ring, aut, modulus)
+        assert (verdict.ok, verdict.reason, verdict.witness) == expected, (ring, modulus)
+        seen[verdict.reason] += 1
+    assert seen == {"scalar-commutation": 2110, None: 838, "shift-quotient": 124}
 
 
 def test_quotient_constructor_rejections(f4, f4_frob):
