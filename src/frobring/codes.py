@@ -6,12 +6,12 @@ design).  Duals are orthogonals under an ambient bilinear form; the dual
 of a left code is the right orthogonal {y : <c, y> = 0} and lands on the
 opposite module side, and conversely.
 
-The MacWilliams transform of a Hamming weight enumerator is computed by
-exact integer binomial expansion of W(X + (q-1)Y, X - Y) / |C|, with a
-hard error on non-integral coefficients.  The transform equals the dual's
-enumerator precisely when the gram matrix is monomial (one unit entry per
-row and column), and the package treats that as a testable fact, not an
-assumption: see macwilliams_holds.
+The MacWilliams transform of a Hamming weight enumerator is the exact
+integer expansion of W(X + (q-1)Y, X - Y) / |C|, summed over cached rows of
+the Krawtchouk matrix, with a hard error on non-integral coefficients.  The
+transform equals the dual's enumerator precisely when the gram matrix is
+monomial (one unit entry per row and column), and the package treats that
+as a testable fact, not an assumption: see macwilliams_holds.
 
 Two specialisations connect ring structure to code duality.  For a skew
 polynomial quotient with modulus x^m - 1, codes that are left ideals are
@@ -25,7 +25,7 @@ the coefficient-of-identity pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, product
 from math import comb
 from typing import Iterable, Sequence
@@ -122,6 +122,14 @@ class LinearCode:
     @property
     def cardinality(self) -> int:
         return len(self.codewords)
+
+    @cached_property
+    def _generators(self) -> tuple[Vector, ...]:
+        """An additive generating set of the codewords, picked once on their
+        packed codes (znmod.packed_arithmetic), which sort as vectors do."""
+        encode, add = packed_arithmetic(self.alphabet.shape.orders * self.m)
+        decode = {encode(chain.from_iterable(v)): v for v in self.codewords}
+        return tuple(decode[g] for g in additive_generators(decode, add, 0))
 
     def sorted_codewords(self) -> list[Vector]:
         return sorted(self.codewords)
@@ -240,9 +248,8 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     Defaults to the side that pairs against the code's module structure:
     right orthogonal for a left code, left orthogonal for a right code.
     The form must be nondegenerate (first-slot kernel, cached).  The
-    orthogonal is taken of an additive generating set of the codewords,
-    picked on their packed codes (znmod.packed_arithmetic), which sort as
-    the vectors do; only the generators are decoded.
+    orthogonal is taken of the code's additive generating set, picked once
+    per code (LinearCode._generators).
     """
     if form.ring != code.alphabet or form.m != code.m:
         raise ValueError("form and code live in different ambients")
@@ -253,10 +260,8 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
-    encode, add = packed_arithmetic(code.alphabet.shape.orders * code.m)
-    decode = {encode(chain.from_iterable(v)): v for v in code.codewords}
-    gens = [decode[g] for g in additive_generators(decode, add, 0)]
-    return LinearCode._built(code.alphabet, code.m, orth_side, orthogonal(form, gens, orth_side))
+    return LinearCode._built(code.alphabet, code.m, orth_side,
+                             orthogonal(form, code._generators, orth_side))
 
 
 def euclidean_dual(code: LinearCode, side: str | None = None) -> LinearCode:
@@ -281,31 +286,33 @@ def is_monomial(A: FiniteRing, matrix: Sequence[Sequence[Element]]) -> bool:
             and sorted(s[0] for s in support) == list(range(m)))
 
 
+@lru_cache(maxsize=1024)
+def _krawtchouk_row(m: int, q: int, w: int) -> tuple[int, ...]:
+    """Row w of the Krawtchouk matrix: K[w][u] is the coefficient of
+    X^(m-u) Y^u in (X + (q-1)Y)^(m-w) (X - Y)^w (MacWilliams, Bell Syst.
+    Tech. J. 42, 1963), by row so a sparse enumerator builds few."""
+    return tuple(sum(comb(m - w, u - t) * (q - 1) ** (u - t) * comb(w, t) * (-1) ** t
+                     for t in range(max(0, u - m + w), min(w, u) + 1)) for u in range(m + 1))
+
+
 def macwilliams_transform(
     enum: WeightEnumerator, alphabet_size: int, code_size: int
 ) -> WeightEnumerator:
-    """Exact integer expansion of W(X + (q-1)Y, X - Y) / code_size."""
+    """Exact integer expansion of W(X + (q-1)Y, X - Y) / code_size: the
+    sum of a_w K[w] over the cached Krawtchouk rows of the nonzero a_w."""
     for what, size in (("alphabet size", alphabet_size), ("code size", code_size)):
         if _ints((size,), what)[0] < 1:
             raise ValueError(f"{what} must be positive")
     m = enum.m
-    q = alphabet_size
     out = [0] * (m + 1)
     for w, a_w in enumerate(enum.counts):
-        if a_w == 0:
-            continue
-        for s in range(m - w + 1):
-            left = comb(m - w, s) * (q - 1) ** s
-            for t in range(w + 1):
-                out[s + t] += a_w * left * comb(w, t) * (-1) ** t
-    counts = []
-    for u, val in enumerate(out):
-        if val % code_size != 0:
-            raise TransformError(
-                f"coefficient of Y^{u} is {val}, not divisible by |C| = {code_size}"
-            )
-        counts.append(val // code_size)
-    return WeightEnumerator(m, tuple(counts))
+        if a_w:
+            out = [o + a_w * k for o, k in zip(out, _krawtchouk_row(m, alphabet_size, w))]
+    bad = next((u for u, val in enumerate(out) if val % code_size), None)
+    if bad is not None:
+        raise TransformError(
+            f"coefficient of Y^{bad} is {out[bad]}, not divisible by |C| = {code_size}")
+    return WeightEnumerator(m, tuple(val // code_size for val in out))
 
 
 @dataclass(frozen=True)
@@ -326,9 +333,11 @@ def macwilliams_holds(code: LinearCode, form: AmbientForm) -> MacWilliamsReport:
     transformed = macwilliams_transform(
         w_code, code.alphabet.cardinality, code.cardinality
     )
+    if "_is_monomial" not in form.__dict__:  # decided once, and held by the form
+        form._is_monomial = is_monomial(form.ring, form.matrix)
     return MacWilliamsReport(
         identity_holds=transformed == w_dual,
-        gram_is_monomial=is_monomial(code.alphabet, form.matrix),
+        gram_is_monomial=form._is_monomial,
         code_enumerator=w_code,
         dual_enumerator=w_dual,
         transformed=transformed,
@@ -348,7 +357,9 @@ def submodule_codes(A: FiniteRing, m: int, side: str) -> list[LinearCode]:
     _check_ambient(m, side)
     _check_power_cap(A.cardinality, m, "ambient module")
     vectors = product(A.elements(), repeat=m)  # lexicographic in the m * rank coordinates
-    lattice = submodule_lattice(A.shape.orders * m, vectors, *_action(A, side))
+    # A^op has A's units; an additive code's acting ring is Z_n * 1
+    units = () if side == "additive" else A.units()
+    lattice = submodule_lattice(A.shape.orders * m, vectors, *_action(A, side), units)
     return [LinearCode._built(A, m, side, words) for words in lattice]
 
 

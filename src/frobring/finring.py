@@ -49,7 +49,8 @@ import copy
 import operator
 import weakref
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import accumulate, product, repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -580,22 +581,35 @@ def is_right_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
     return is_left_ideal(ring.opposite(), elems)
 
 
-def _cyclic_submodules(orders, vectors, scalars, act) -> tuple:
+def _cyclic_submodules(orders, vectors, scalars, act, units) -> tuple:
     """(cyclic submodules, add, decode) on the packed codes of vectors
-    (see submodule_lattice), one per vector: the additive span of the
-    act(g, v), g in scalars (an additive generating set)."""
+    (see submodule_lattice), one per orbit of units: R v is the additive
+    span of the act(e, v), e in scalars (the acting ring's basis), and as
+    R (u v) = R v for a unit u, each u v is then skipped.  A unit is a
+    coordinate tuple over scalars, so u v = sum_i u_i (e_i v) is a packed
+    sum of multiples of the e_i v.  With one unit nothing is marked."""
     encode, add = packed_arithmetic(orders)
     code = {v: encode(c) for v, c in zip(vectors, product(*map(range, orders)), strict=True)}
-    cyclic = {additive_closure([code[act(g, v)] for g in scalars], add, 0) for v in code}
+    terms = [[(i, c) for i, c in enumerate(u) if c] for u in units] if len(units) > 1 else []
+    top = max((c for t in terms for _, c in t), default=0)
+    cyclic, done = set(), set()
+    for v, packed in code.items():
+        if packed not in done:
+            images = [code[act(e, v)] for e in scalars]
+            cyclic.add(additive_closure(images, add, 0))
+            if terms:
+                multiples = [list(accumulate(repeat(x, top), add, initial=0)) for x in images]
+                done.update(reduce(add, [multiples[i][c] for i, c in t]) for t in terms)
     return cyclic, add, {c: v for v, c in code.items()}
 
 
-def submodule_lattice(orders, vectors, scalars, act) -> list[frozenset]:
+def submodule_lattice(orders, vectors, scalars, act, units) -> list[frozenset]:
     """Every submodule spanned by vectors under the scalar action, sorted
     by size, then members: the one lattice closure.  As the action is
     biadditive, scalars may be any additive generating set of the acting
-    ring; callers pass its basis.  vectors must list the module, flattened
-    to coordinates of the given orders, in lexicographic coordinate order.
+    ring; callers pass its basis, and its units, or none (see
+    _cyclic_submodules).  vectors must list the module, flattened to
+    coordinates of the given orders, in lexicographic coordinate order.
     It is built on their packed codes (znmod.packed_arithmetic), which
     sort the same way, and decoded once, at the end.
 
@@ -606,7 +620,7 @@ def submodule_lattice(orders, vectors, scalars, act) -> list[frozenset]:
     it: I is a subgroup, so if c = i + c' then I + c = I + c'.  That makes
     |I + C| packed additions, five int operations each, not |I| * |C|.
     """
-    cyclic, add, decode = _cyclic_submodules(orders, vectors, scalars, act)
+    cyclic, add, decode = _cyclic_submodules(orders, vectors, scalars, act, units)
 
     def plus(I: frozenset, C: frozenset) -> frozenset:
         if C <= I:  # every member is a subgroup, so I + C = I
@@ -625,7 +639,7 @@ def submodule_lattice(orders, vectors, scalars, act) -> list[frozenset]:
 def cyclic_left_ideals(ring: FiniteRing) -> set[frozenset[Element]]:
     """The principal left ideals R*a for every a (images of right mult)."""
     cyclic, _, decode = _cyclic_submodules(ring.shape.orders, ring.elements(),
-                                           ring.basis_elements, ring.mul)
+                                           ring.basis_elements, ring.mul, ring.units())
     return {frozenset(map(decode.__getitem__, s)) for s in cyclic}
 
 
@@ -640,7 +654,7 @@ def left_ideals(ring: FiniteRing) -> list[Ideal]:
     Intended for rings up to a hundred or so elements.
     """
     return [Ideal("left", s) for s in submodule_lattice(
-        ring.shape.orders, ring.elements(), ring.basis_elements, ring.mul)]
+        ring.shape.orders, ring.elements(), ring.basis_elements, ring.mul, ring.units())]
 
 
 def right_ideals(ring: FiniteRing) -> list[Ideal]:

@@ -25,21 +25,22 @@ Every orthogonal and kernel is one znmod.linear_kernel call, which holds
 its domain to the enumeration cap: annihilators and functional
 orthogonals in the ring through finring.ring_orthogonal, on the images of
 the basis vectors; pairing kernels in the ring on the pairing's gram
-(_gram_kernel); orthogonals and kernels of ambient forms on A^m on images
-read off the gram matrix by bilinearity (_linear_orthogonal), so no route
-calls AmbientForm.pairing.  An ambient form is A-linear on the left in its
-first slot and on the right in its second, so its kernels are orthogonals
-of the m unit vectors of A^m, and its second-slot products are those of
-the opposite ring.  The functional search reads only the right socle,
-where every nonzero first-slot kernel shows up.
+(_gram_kernel); orthogonals and kernels of ambient forms on A^m on the
+rows or columns of the form's basis gram, the pairing of the r*m basis
+vectors of A^m, built once per form (_linear_orthogonal): no route calls
+AmbientForm.pairing, and none multiplies in the ring after a form's first
+orthogonal.  An ambient form is A-linear on the left in its first slot and
+on the right in its second, so its kernels are orthogonals of the m unit
+vectors of A^m.  The functional search reads only the right socle, where
+every nonzero first-slot kernel shows up.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import reduce
-from itertools import islice, product
-from operator import mul
+from functools import cached_property, reduce
+from itertools import chain, islice, product
+from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .znmod import (
@@ -317,6 +318,13 @@ class AmbientForm:
         )
         self._kernels: dict[str, frozenset[Vector]] = {}  # by side, as _unit_orthogonal
 
+    @classmethod
+    def _built(cls, ring: FiniteRing, m: int, matrix) -> "AmbientForm":
+        """The form of a gram of reduced elements, without reading them again."""
+        form = cls.__new__(cls)
+        form.ring, form.m, form.matrix, form._kernels = ring, m, matrix, {}
+        return form
+
     @property
     def cardinality(self) -> int:
         return self.ring.cardinality ** self.m
@@ -332,6 +340,27 @@ class AmbientForm:
                               for xi, row in zip(x, self.matrix, strict=True) if xi != zero
                               for q, yj in zip(row, y, strict=True) if yj != zero), zero)
 
+    @cached_property
+    def _basis_gram(self) -> tuple:
+        """(rows, columns, fields, mask) of G[(p, k)][(j, l)] = <e_k at p,
+        e_l at j> = e_k Q_pj e_l, packed with coordinate c in bits
+        [W c, W (c + 1)): sum_i s_i G[i] sums r*m terms below n^2 per field,
+        so 2^W > r m n^2 keeps it from carrying.  r (1 + r) products per
+        nonzero entry of Q, on the first orthogonal."""
+        R, m, r = self.ring, self.m, self.ring.rank
+        _check_table_cap(r * m, 2, "basis gram")
+        width = (r * m * R.characteristic ** 2).bit_length()
+        shifts = [width * c for c in range(r)]
+        rows = [[0] * (r * m) for _ in range(r * m)]
+        for p, j in product(range(m), repeat=2):
+            if self.matrix[p][j] != R.zero:
+                for k, e in enumerate(R.basis_elements):
+                    eq = R.mul(e, self.matrix[p][j])
+                    rows[p * r + k][j * r:(j + 1) * r] = [
+                        sum(map(lshift, R.mul(eq, f), shifts)) for f in R.basis_elements]
+        rows = tuple(map(tuple, rows))
+        return rows, tuple(zip(*rows)), tuple(zip(shifts, R.shape.orders)), (1 << width) - 1
+
     def left_kernel(self) -> frozenset[Vector]:
         """First-slot kernel {x : <x, y> = 0 for all y}, which is {x : xQ = 0}
         as <x, y> = sum_q <x, 1_q> y_q: the left orthogonal of the unit vectors."""
@@ -344,7 +373,7 @@ class AmbientForm:
 
     def _unit_orthogonal(self, side: str) -> frozenset[Vector]:
         if side not in self._kernels:
-            self._kernels[side] = orthogonal(self, identity_form(self.ring, self.m).matrix, side)
+            self._kernels[side] = orthogonal(self, _unit_vectors(self.ring, self.m), side)
         return self._kernels[side]
 
     def is_nondegenerate(self, side: str = "both") -> bool:
@@ -353,10 +382,18 @@ class AmbientForm:
         return _degeneracy(side, kernels, (self.ring.zero,) * self.m) is None
 
 
+def _unit_vectors(A: FiniteRing, m: int) -> tuple[Vector, ...]:
+    """1_0, ..., 1_(m-1) of A^m, sliced from the reduced A.zero and A.one."""
+    zeros = (A.zero,) * m
+    return tuple(zeros[:i] + (A.one,) + zeros[i + 1:] for i in range(m))
+
+
 def identity_form(A: FiniteRing, m: int) -> AmbientForm:
     """<x, y> = sum x_i y_i, whose gram's rows are the unit vectors of A^m."""
     _check_table_cap(_ints((m,), "ambient length")[0], 2, "gram matrix")  # before building it
-    return AmbientForm(A, m, [[A.one if i == j else A.zero for j in range(m)] for i in range(m)])
+    if m < 1:
+        raise ValueError("ambient length must be positive")
+    return AmbientForm._built(A, m, _unit_vectors(A, m))
 
 
 def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
@@ -365,26 +402,29 @@ def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
     linear_kernel call over the r*m basis vectors of A^m, cut back into m
     ring elements.  value is additive, with values in the given orders.
 
-    By bilinearity the basis vector e_k at position p pairs with s to
-    e_k (Qs)_p in the first slot and to (sQ)_p e_k in the second, so each
-    s costs at most m^2 + r*m ring products, read off Q with the ring's
-    product, or off Q^T with the opposite ring's; (Qs)_p sums only the
-    terms with Q_pj and s_j both nonzero."""
+    By biadditivity the basis vector i of A^m pairs with s to
+    sum_j s_j G[i][j] in the first slot and to sum_j s_j G[j][i] in the
+    second, over the r*m coordinates s_j of s and the form's basis gram G
+    (AmbientForm._basis_gram): one sum of int products over a row or a
+    column of G and r field reads per basis vector and s, with no ring
+    product once G is built."""
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
-    R, m, r, zero = form.ring, form.m, form.ring.rank, form.ring.zero
+    R, m, r = form.ring, form.m, form.ring.rank
     _check_power_cap(R.cardinality, m, "ambient module")
-    Q = form.matrix if side == "left" else tuple(zip(*form.matrix))
-    times = R.mul if side == "left" else R.opposite().mul
     subset = list(subset)
     if any(len(s) != m for s in subset):
         raise ValueError(f"every vector paired must have length {m}")
-    images: list[list[int]] = [[] for _ in range(r * m)]  # e_k at position p, position-major
-    for s in subset:
-        qs = [reduce(R.add, (times(q, x) for q, x in zip(row, s) if q != zero and x != zero),
-                     zero) for row in Q]
-        for image, (v, e) in zip(images, product(qs, R.basis_elements)):
-            image.extend(value(times(e, v)))
+    flats = [tuple(chain.from_iterable(s)) for s in subset]
+    if any(len(s) != r * m for s in flats):
+        raise ValueError(f"every entry of a vector paired must have {r} coordinates")
+    rows, columns, fields, mask = form._basis_gram
+
+    def element(acc: int) -> Element:
+        return tuple([((acc >> shift) & mask) % d for shift, d in fields])
+
+    images = [[c for s in flats for c in value(element(sum(map(mul, s, line))))]
+              for line in (rows if side == "left" else columns)]
     flat = linear_kernel(R.shape.orders * m, images, orders * len(subset))
     if r == 0:
         return frozenset(((),) * m for _ in flat)

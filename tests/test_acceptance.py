@@ -15,6 +15,7 @@ from itertools import product
 from frobring.catalog import (
     corpus_rings,
     gf4,
+    gf4_frobenius,
     gf4_skew_quotient,
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
@@ -22,6 +23,7 @@ from frobring.catalog import (
 from frobring.cli import main
 from frobring.codes import (
     LinearCode,
+    identity_form,
     is_monomial,
     macwilliams_holds,
     quotient_left_ideal_codes,
@@ -48,6 +50,7 @@ from frobring.frobenius import (
     pairing_of_functional,
     right_annihilator,
 )
+from frobring.skewpoly import SkewQuotient
 from frobring.znmod import ZnLinearForm, enumerate_forms
 
 
@@ -364,3 +367,27 @@ def test_budget_validate_of_the_group_algebra_of_c60_over_z2(tmp_path, capsys):
     assert out.startswith("command: ring validate\nvalid: true\n")
     assert f"cardinality: {2 ** 60}\n" in out and '"associativity": true' in out
     assert elapsed < 1, f"validation took {elapsed:.1f} s"
+
+
+def test_budget_left_ideals_of_gf4_squaring_mod_x6_minus_1():
+    """GF4[x;sq]/(x^6 - 1), 4096 elements and 1080 units: one additive
+    closure per unit orbit, 35 in all, not one per element."""
+    field = gf4()
+    quotient = SkewQuotient(field, gf4_frobenius(field), ((1, 0),) + ((0, 0),) * 5 + ((1, 0),))
+    t0 = time.perf_counter()
+    ideals = quotient_left_ideal_codes(quotient)
+    elapsed = time.perf_counter() - t0
+    sizes = sorted(map(len, ideals))
+    assert (len(ideals), sizes[0], sizes[-1]) == (35, 1, 4096)
+    assert elapsed < 1, f"left ideals took {elapsed:.2f} s"
+
+
+def test_budget_identity_form_of_length_1000():
+    """10^6 gram entries, read from the reduced 1 and 0, never reduced again."""
+    z2 = ring_zn(2)
+    t0 = time.perf_counter()
+    form = identity_form(z2, 1000)
+    elapsed = time.perf_counter() - t0
+    assert form.matrix[999] == (z2.zero,) * 999 + (z2.one,)
+    assert sum(row.count(z2.one) for row in form.matrix) == 1000
+    assert elapsed < 0.25, f"identity form took {elapsed:.2f} s"

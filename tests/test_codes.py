@@ -1,9 +1,12 @@
 """Ring-linear codes, duals, MacWilliams and the two duality bridges."""
 
+import random
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
-from frobring import finring
+from frobring import codes as codes_module, finring
 from frobring.catalog import gf4_skew_quotient
 from frobring.finring import left_ideals, ring_zn
 from frobring.frobenius import AmbientForm, DegenerateFormError, find_frobenius_functional
@@ -244,6 +247,63 @@ def test_macwilliams_report_negative(z2):
     assert rep.transformed.counts == (1, 1, 0)
 
 
+def binomial_transform(counts, m, q):
+    """W(X + (q-1)Y, X - Y) by inline binomial expansion, undivided."""
+    out = [0] * (m + 1)
+    for w, a_w in enumerate(counts):
+        for s in range(m - w + 1):
+            for t in range(w + 1):
+                out[s + t] += a_w * comb(m - w, s) * (q - 1) ** s * comb(w, t) * (-1) ** t
+    return out
+
+
+def test_cached_krawtchouk_transform_matches_the_binomial_expansion():
+    """Every point-mass enumerator, which spans the rest, and seeded random
+    ones, for m <= 8 and q <= 9, divided by sizes that do and do not divide
+    every coefficient: the same counts, or the same TransformError."""
+    rng = random.Random(23)
+    for m in range(9):
+        for q in range(1, 10):
+            enums = [tuple(int(u == w) for u in range(m + 1)) for w in range(m + 1)]
+            enums += [tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(m + 1)) for _ in range(3)]
+            for counts in enums:
+                expanded = binomial_transform(counts, m, q)
+                for size in (1, 2, 3, q):
+                    bad = next((u for u, v in enumerate(expanded) if v % size), None)
+                    if bad is None:
+                        out = macwilliams_transform(WeightEnumerator(m, counts), q, size)
+                        assert out.counts == tuple(v // size for v in expanded)
+                        continue
+                    message = (f"coefficient of Y^{bad} is {expanded[bad]}, "
+                               f"not divisible by |C| = {size}")
+                    with pytest.raises(TransformError) as err:
+                        macwilliams_transform(WeightEnumerator(m, counts), q, size)
+                    assert str(err.value) == message
+
+
+def test_generators_and_the_monomial_flag_are_picked_once(z4, monkeypatch):
+    """A code picks its additive generators once, whatever form it meets,
+    and a form decides whether its gram is monomial once, whatever code."""
+    calls = {"generators": 0, "monomial": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(codes_module, "additive_generators",
+                        counting("generators", codes_module.additive_generators))
+    monkeypatch.setattr(codes_module, "is_monomial", counting("monomial", is_monomial))
+    forms = [identity_form(z4, 2), AmbientForm(z4, 2, vecs(z4, (1, 1), (0, 1)))]
+    lattice = submodule_codes(z4, 2, "left")
+    for code in lattice:
+        reports = [macwilliams_holds(code, form) for form in forms for _ in range(2)]
+        assert [r.gram_is_monomial for r in reports] == [True, True, False, False]
+        assert reports[0].dual == dual(code, forms[0])
+    assert calls == {"generators": len(lattice), "monomial": len(forms)}
+
+
 # -- submodule sweeps ------------------------------------------------------
 
 
@@ -421,15 +481,22 @@ def test_group_algebra_dual_report_picks_its_generators_once(z3c3, monkeypatch):
 
 
 def test_skew_cyclic_dual_reports_share_the_quotients_identity_form(monkeypatch):
-    """The identity form on A^m is built once per quotient, not per report."""
+    """The identity form on A^m is built once per quotient, not per report,
+    by either constructor: __init__, or the trusted AmbientForm._built
+    that identity_form takes."""
     built = [0]
-    init = AmbientForm.__init__
+    init, trusted = AmbientForm.__init__, AmbientForm._built.__func__
 
-    def counted(self, *args):
+    def counted_init(self, *args):
         built[0] += 1
         init(self, *args)
 
-    monkeypatch.setattr(AmbientForm, "__init__", counted)
+    def counted_built(cls, *args):
+        built[0] += 1
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(AmbientForm, "__init__", counted_init)
+    monkeypatch.setattr(AmbientForm, "_built", classmethod(counted_built))
     q = gf4_skew_quotient()
     eps = find_frobenius_functional(q.base)
     ideals = quotient_left_ideal_codes(q)

@@ -16,9 +16,12 @@ from math import lcm
 
 import pytest
 
+from frobring import finring
 from frobring.catalog import gf4, gf4_frobenius
+from frobring.cli import build_quotient
 from frobring.codes import LinearCode, dual, identity_form, submodule_codes
 from frobring.finring import (
+    cyclic_left_ideals,
     is_left_ideal,
     is_right_ideal,
     left_ideals,
@@ -30,7 +33,7 @@ from frobring.finring import (
     submodule_violation,
 )
 from frobring.skewpoly import RingAutomorphism, SkewQuotient
-from frobring.znmod import ModuleShape, additive_closure, enumerate_module
+from frobring.znmod import DEFAULT_CAP, ModuleShape, additive_closure, enumerate_module
 
 from conftest import upper_triangular
 
@@ -265,3 +268,46 @@ def test_code_validation_keeps_its_messages():
     LinearCode(R, 1, "right", first_row)
     with pytest.raises(ValueError, match="not closed under left scalar"):
         LinearCode(R, 1, "left", first_row)
+
+
+# -- one closure per unit orbit ---------------------------------------------------
+
+GF4_SPEC = {"kind": "table", "n": 2, "orders": [2, 2],
+            "mul": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], "one": [1, 0]}
+F9_SPEC = {"kind": "table", "n": 3, "orders": [3, 3],
+           "mul": [[[1, 0], [0, 1]], [[0, 1], [2, 0]]], "one": [1, 0]}  # i^2 = -1
+# the quotients of the skew_sweep benchmark workload, by x^m - 1
+SWEEP_QUOTIENTS = {
+    "Z2[x]/(x^6-1)": ({"kind": "zn", "n": 2}, [1, 0, 0, 0, 0, 0, 1], None),
+    "Z3[x]/(x^4-1)": ({"kind": "zn", "n": 3}, [2, 0, 0, 0, 1], None),
+    "Z4[x]/(x^3-1)": ({"kind": "zn", "n": 4}, [3, 0, 0, 1], None),
+    "GF4[x]/(x^3-1)": (GF4_SPEC, [[1, 0], [0, 0], [0, 0], [1, 0]], None),
+    "GF4[x;sq]/(x^2-1)": (GF4_SPEC, [[1, 0], [0, 0], [1, 0]], [[1, 0], [1, 1]]),
+    "F9[x;conj]/(x^2-1)": (F9_SPEC, [[2, 0], [0, 0], [1, 0]], [[1, 0], [0, 2]]),
+    "(Z2xZ2)[x;swap]/(x^2-1)": ({"kind": "product", "factors": [{"kind": "zn", "n": 2}] * 2},
+                                [[1, 1], [0, 0], [1, 1]], [[0, 1], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_QUOTIENTS)
+def test_one_closure_per_distinct_cyclic_submodule(name, monkeypatch):
+    """R (u v) = R v for a unit u, so the cyclic left ideals of a skew
+    quotient take one additive closure apiece, and skipping the unit
+    multiples loses none: they are the R a of every element a."""
+    base, modulus, images = SWEEP_QUOTIENTS[name]
+    spec = {"kind": "skew_quotient", "base": base, "modulus": modulus}
+    if images is not None:
+        spec["aut_images"] = images
+    ring = build_quotient(spec, DEFAULT_CAP).as_finite_ring()
+    assert len(ring.units()) > 1
+    closures = [0]
+
+    def counted(*args):
+        closures[0] += 1
+        return additive_closure(*args)
+
+    monkeypatch.setattr(finring, "additive_closure", counted)
+    cyclic = cyclic_left_ideals(ring)
+    assert closures[0] == len(cyclic) < len(ring.elements())
+    assert cyclic == {additive_closure([ring.mul(e, a) for e in ring.basis_elements],
+                                       ring.add, ring.zero) for a in ring.elements()}

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobring import FiniteRing, ring_from_table, ring_matrix, ring_zn
-from frobring.catalog import gf4
+from frobring.catalog import gf4, gf4_skew_quotient
 from frobring.codes import LinearCode, _vadd, dual, identity_form, submodule_codes
 from frobring.frobenius import (
     AmbientForm,
@@ -244,6 +244,93 @@ def test_orthogonals_under_random_grams_match_the_full_scan(label, data):
             assert dual(code, form, side).codewords == words
 
 
+# -- the basis gram against the scan --------------------------------------------
+
+
+def gram_ambients():
+    """(ring, m) over which orthogonals are read off the basis gram."""
+    m2, skew = ring_matrix(ring_zn(2), 2), gf4_skew_quotient().as_finite_ring()
+    return {"M2(F2)^1": (m2, 1), "M2(F2)^2": (m2, 2), "GF4^2": (gf4(), 2),
+            "T2(Z2)^2": (t2z2(), 2), "GF4[x;sq]/(x^2-1)^1": (skew, 1), "Z6^2": (ring_zn(6), 2)}
+
+
+GRAM_AMBIENTS = gram_ambients()
+
+
+@pytest.mark.parametrize("label", GRAM_AMBIENTS)
+def test_basis_gram_orthogonals_match_the_scan(label):
+    """Both slots, ring-valued and functional, against annihilated over
+    A^m, on seeded random grams with about 40% zero entries (so many are
+    degenerate) after the identity.  The kernels are checked against the
+    scan over the r*m Z-basis vectors, which suffices as the pairing is
+    biadditive."""
+    ring, m = GRAM_AMBIENTS[label]
+    rng = random.Random(23)
+    elements = ring.elements()
+    vectors = list(product(elements, repeat=m))
+    eps = find_frobenius_functional(ring) or max(enumerate_forms(ring.shape),
+                                                 key=lambda f: f.weights)
+    grams = [identity_form(ring, m).matrix] + [
+        [[ring.zero if rng.random() < 0.4 else rng.choice(elements) for _ in range(m)]
+         for _ in range(m)] for _ in range(8)]
+    degenerate = 0
+    for gram in grams:
+        form = AmbientForm(ring, m, gram)
+        subset = rng.sample(vectors, rng.randint(0, 3))
+        for side in SIDES:
+            assert orthogonal(form, subset, side) == orthogonal_oracle(form, subset, side)
+            assert functional_orthogonal(form, eps, subset, side) == orthogonal_oracle(
+                form, subset, side, eps.evaluate)
+        assert form.left_kernel() == orthogonal_oracle(form, z_basis(form), "left")
+        assert form.right_kernel() == orthogonal_oracle(form, z_basis(form), "right")
+        degenerate += not form.is_nondegenerate()
+    assert 0 < degenerate < len(grams)
+
+
+@pytest.mark.parametrize("n, m", [(9, 1), (9, 2), (8, 2), (4, 3), (25, 1)])
+def test_basis_gram_fields_hold_their_largest_sums(n, m):
+    """Every gram entry and coordinate at n - 1: each field of an image sums
+    r*m products (n - 1)^2, which reach 2^(W - 1) for Z9 and Z25, so a field
+    one bit narrower than 2^W > r m n^2 would carry."""
+    ring = ring_zn(n)
+    top = (n - 1,)
+    form = AmbientForm(ring, m, [[top] * m for _ in range(m)])
+    eps = find_frobenius_functional(ring)
+    subset = [(top,) * m]
+    for side in SIDES:
+        assert orthogonal(form, subset, side) == orthogonal_oracle(form, subset, side)
+        assert functional_orthogonal(form, eps, subset, side) == orthogonal_oracle(
+            form, subset, side, eps.evaluate)
+
+
+@pytest.mark.parametrize("label", GRAM_AMBIENTS)
+def test_no_ring_product_after_a_forms_first_orthogonal(label, work, monkeypatch):
+    """Once a form has built its basis gram, its kernels, orthogonals of
+    both kinds and duals make no ring product and build no opposite ring."""
+    ring, m = GRAM_AMBIENTS[label]
+    unit = max(ring.units())
+    gram = [[unit if i == j else ring.zero for j in range(m)] for i in range(m)]
+    if m > 1:
+        gram[-1][0] = max(ring.elements())  # lower triangular with a unit diagonal
+    opposites = [0]
+    monkeypatch.setattr(FiniteRing, "opposite", lambda self: opposites.append(self))
+    form = AmbientForm(ring, m, gram)
+    eps = find_frobenius_functional(ring) or max(enumerate_forms(ring.shape),
+                                                 key=lambda f: f.weights)
+    codes = [LinearCode.generate(ring, m, [v], "left") for v in product(ring.elements()[1:3],
+                                                                      repeat=m)]
+    work["mul"] = 0
+    orthogonal(form, [], "right")
+    assert work["mul"] > 0
+    work["mul"] = 0
+    form.left_kernel(), form.right_kernel()
+    for code in codes:
+        for side in SIDES:
+            functional_orthogonal(form, eps, code.codewords, side)
+        assert dual(code, form).codewords == orthogonal(form, code.codewords, "right")
+    assert work == {"pairing": 0, "mul": 0} and opposites == [0]
+
+
 @pytest.mark.parametrize("ring", [ring_from_table(1, (), [], ()), ring_zn(1)],
                          ids=["rank 0", "Z1"])
 def test_duals_over_one_element_alphabets(ring):
@@ -279,6 +366,21 @@ def test_vectors_of_another_length_are_refused():
             form.pairing(((1,), (1,)), vector)
 
 
+def test_entries_of_another_rank_are_refused():
+    """A vector entry with the wrong number of coordinates is a ValueError
+    on both sides and for both kinds, not misread as the coordinates of its
+    neighbours in the flattened vector."""
+    z4 = ring_zn(4)
+    form = AmbientForm(z4, 2, [[(1,), (0,)], [(0,), (1,)]])
+    eps = find_frobenius_functional(z4)
+    for vector in [((1, 3), (0,)), ((1,), ())]:
+        for side in SIDES:
+            with pytest.raises(ValueError, match="1 coordinates"):
+                orthogonal(form, [vector], side)
+            with pytest.raises(ValueError, match="1 coordinates"):
+                functional_orthogonal(form, eps, [vector], side)
+
+
 # -- work regression -----------------------------------------------------------
 
 
@@ -310,12 +412,13 @@ def test_dual_never_scans_the_ambient(n, m, work):
     d = dual(code, form)
     assert work["pairing"] < n ** m // 8
     assert d.cardinality == n ** m // code.cardinality
-    # each member s of an orthogonal's subset costs m^2 + r*m products
-    # (Qs or sQ, then e_k times each entry); both kernels take the m unit
-    # vectors, and each additive generator the greedy choice keeps at
-    # least doubles the span, so there are at most log2 |C| of them
-    members = 2 * m + code.cardinality.bit_length() - 1
-    assert 0 < work["mul"] <= (m * m + ring.rank * m) * members
+    # the form's first orthogonal (its left kernel) builds the basis gram,
+    # r (1 + r) products per nonzero entry of Q; every later orthogonal,
+    # kernel and dual on the form reads the gram alone
+    assert 0 < work["mul"] <= ring.rank * (1 + ring.rank) * m
+    work["mul"] = 0
+    assert dual(code, form) == d
+    assert work["mul"] == 0
     assert work["pairing"] <= 2 * m * m + m * (code.cardinality.bit_length() - 1)
 
 
@@ -328,19 +431,19 @@ def dense_gram(ring, m):
                                             ("M2(F2)^2", ring_matrix(ring_zn(2), 2), 2)])
 @pytest.mark.parametrize("gram", ["identity", "dense"])
 def test_kernels_pair_against_the_unit_vectors_only(label, ring, m, gram, work):
-    """The kernels are orthogonals of the m unit vectors.  A unit vector
-    1_q pairs through column q of Q alone: at most m products for its Qs,
-    then r*m for the e_k times each entry.  So both kernels take at most
-    2*m*(m + r*m) products, within 2*m*(m^2 + r*m); pairing the r*m
-    Z-basis vectors takes r times as many on a dense gram."""
+    """The kernels are orthogonals of the m unit vectors, read off the
+    form's basis gram: building it is the only ring work, r (1 + r)
+    products per nonzero entry of Q, and pairing the r*m Z-basis vectors
+    afterwards takes none."""
     matrix = {"identity": identity_form(ring, m).matrix, "dense": dense_gram(ring, m)}[gram]
     form = AmbientForm(ring, m, matrix)
-    ring.opposite()  # built once per ring; its unit laws are not kernel work
     work["mul"] = 0
     form.left_kernel(), form.right_kernel()
-    r = ring.rank
-    assert 0 < work["mul"] <= 2 * m * (m + r * m) <= 2 * m * (m * m + r * m)
-    assert work["pairing"] == 0
+    r, nonzero = ring.rank, sum(q != ring.zero for row in form.matrix for q in row)
+    assert 0 < work["mul"] <= r * (1 + r) * nonzero
+    work["mul"] = 0
+    assert_kernels_are_z_basis_orthogonals(form)
+    assert work == {"pairing": 0, "mul": 0}
 
 
 def test_cap_is_checked_before_any_pairing(work):
