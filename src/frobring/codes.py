@@ -326,13 +326,15 @@ class MacWilliamsReport:
 
 
 def macwilliams_holds(code: LinearCode, form: AmbientForm) -> MacWilliamsReport:
-    """Compare the transform of W_C against the actual dual's enumerator."""
+    """Compare the transform of W_C against the actual dual's enumerator.
+    W_C and its transform are built once per code and held by it, as
+    neither depends on the form."""
     d = dual(code, form)
-    w_code = weight_enumerator(code)
+    if "_enumerators" not in code.__dict__:
+        w = weight_enumerator(code)
+        code._enumerators = w, macwilliams_transform(w, code.alphabet.cardinality, code.cardinality)
+    w_code, transformed = code._enumerators
     w_dual = weight_enumerator(d)
-    transformed = macwilliams_transform(
-        w_code, code.alphabet.cardinality, code.cardinality
-    )
     if "_is_monomial" not in form.__dict__:  # decided once, and held by the form
         form._is_monomial = is_monomial(form.ring, form.matrix)
     return MacWilliamsReport(

@@ -33,13 +33,16 @@ pairs of elements:
   bilinearity is the annihilator of the whole radical (ring_orthogonal);
 * the Frobenius test looks for a single socle generator on each side,
   comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
-  the socle by size;
+  the socle by size; on a ring built by ring_product it is decided factor
+  by factor, as the product's sizes multiply and its first generators
+  concatenate (is_frobenius_socle);
 * submodule lattices are built on znmod.packed_arithmetic codes, which
   sort like the tuples and add in five int operations.
 
 Right-handed notions are the left-handed ones of the opposite ring: the
 validated table transposed, whose checks carry over, built once on demand
-(FiniteRing.opposite).  Rings cache all this, a ring and its opposite in
+(FiniteRing.opposite); the opposite of a product is the product of the
+factors' opposites.  Rings cache all this, a ring and its opposite in
 one shared record where the side does not matter; treat them as immutable.
 """
 
@@ -50,13 +53,14 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, product, repeat
-from math import gcd, lcm
+from itertools import accumulate, chain, product, repeat
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .znmod import (
     Element,
     ModuleShape,
+    _check_cap,
     _check_power_cap,
     _check_table_cap,
     _int_vectors,
@@ -155,6 +159,9 @@ class FiniteRing:
         self._field_mask = (1 << width) - 1
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
+        # the rings whose direct product this is, one contiguous block of
+        # coordinates each, set by ring_product alone
+        self.factors: tuple[FiniteRing, ...] | None = None
         self._side_free: dict[str, object] = {}  # by name, shared with the opposite
         self._socles: dict[str, Ideal] = {}
         # the opposite ring, held weakly by an opposite for its original
@@ -313,7 +320,8 @@ class FiniteRing:
         the unit laws swap sides).  The two share one record of elements,
         units, nilpotents and the radical (J(R) = J(R^op)), whichever finds
         them, and keep their own socles.  It holds this ring weakly (no
-        reference cycle) and rebuilds it, on the same record, if it is gone."""
+        reference cycle) and rebuilds it, on the same record, if it is gone.
+        The opposite of a product has the factors' opposites as factors."""
         op = self._opposite
         if isinstance(op, weakref.ref):
             op = op()
@@ -324,6 +332,8 @@ class FiniteRing:
             op._socles = {}
             op.label = f"{self.label}^op" if self.label else None
             op.cayley = None if self.cayley is None else tuple(zip(*self.cayley))
+            op.factors = None if self.factors is None else tuple(
+                f.opposite() for f in self.factors)
             op._opposite = weakref.ref(self)
             self._opposite = op
         return op
@@ -443,7 +453,9 @@ def ring_from_table(
 
 
 def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
-    """Direct product; the characteristic is the lcm of the factors'."""
+    """Direct product; the characteristic is the lcm of the factors'.  The
+    factors are kept on the ring (attribute ``factors``), each on its block
+    of coordinates, for the Frobenius tests to decide one at a time."""
     if not rings:
         raise ValueError("product needs at least one factor")
     n = lcm(*(r.characteristic for r in rings))
@@ -460,7 +472,9 @@ def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
             table[off + i][off + j] = pad[0] + r.mul_table[i][j] + pad[1]
         off += r.rank
     one = tuple(c for r in rings for c in r.one)
-    return FiniteRing(shape, table, one, label=label)
+    ring = FiniteRing(shape, table, one, label=label)
+    ring.factors = rings
+    return ring
 
 
 def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> FiniteRing:
@@ -556,20 +570,24 @@ def submodule_violation(elems, add, zero, scalars, act):
     Sums are tested against generators only: in sorted order, each b
     outside the span of those before must keep elems + b inside elems, so
     elems is closed under its own span, at about |elems| log|elems| adds.
+    The scalars act on those generators only: elems is then a subgroup and
+    act(r, -) is additive, so act(r, elems) lies in elems iff each
+    act(r, g) does, and the first failing r is the same.
     """
     if zero not in elems:
         return ("zero", zero)
-    ordered, spanned = sorted(elems), {zero}
+    ordered, spanned, gens = sorted(elems), {zero}, []
     for b in ordered:
         if b not in spanned:
             for a in ordered:
                 if add(a, b) not in elems:
                     return ("sum", (a, b))
+            gens.append(b)
             for _ in extend_span(spanned, b, add):
                 pass
-    for r, a in product(scalars, elems):
-        if act(r, a) not in elems:
-            return ("scalar", (r, a))
+    for r, g in product(scalars, gens):
+        if act(r, g) not in elems:
+            return ("scalar", (r, g))
     return None
 
 
@@ -673,7 +691,29 @@ def is_frobenius_socle(ring: FiniteRing) -> SocleCertificate:
     elements as R/J.  A generator s of the right socle with |s R| = |R/J|
     is exactly a module isomorphism R/J -> Soc(R) sending 1 + J to s, and
     symmetrically on the left.  Both one-sided conditions are verified.
+
+    A ring built by ring_product is decided factor by factor, after the
+    cap check the direct route's socle kernel makes on R.  The radical,
+    R/J and the socles are products of the factors', and s R is the
+    product of the blocks s_i R_i.  A cyclic socle s R has at most |R/J|
+    elements, as s J = 0, so the sizes match on the product iff they
+    match on every factor.  The generators therefore form a product set,
+    empty iff some factor has none, and its first member in sorted order
+    is the concatenation of the factors' first generators.
     """
+    if ring.factors:
+        _check_cap(ring.cardinality, "module")
+        certs = [is_frobenius_socle(f) for f in ring.factors]
+        right, left = (None if None in ws else tuple(chain.from_iterable(ws))
+                       for ws in zip(*((c.right_witness, c.left_witness) for c in certs)))
+        return SocleCertificate(
+            is_frobenius=right is not None and left is not None,
+            radical_size=prod(c.radical_size for c in certs),
+            right_socle_size=prod(c.right_socle_size for c in certs),
+            left_socle_size=prod(c.left_socle_size for c in certs),
+            right_witness=right,
+            left_witness=left,
+        )
     rad = ring.jacobson_radical()
     quotient_size = ring.cardinality // len(rad)
     right_soc = ring.socle("right")

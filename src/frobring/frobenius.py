@@ -32,7 +32,8 @@ AmbientForm.pairing, and none multiplies in the ring after a form's first
 orthogonal.  An ambient form is A-linear on the left in its first slot and
 on the right in its second, so its kernels are orthogonals of the m unit
 vectors of A^m.  The functional search reads only the right socle, where
-every nonzero first-slot kernel shows up.
+every nonzero first-slot kernel shows up, and on a ring built by
+ring_product it searches each factor instead.
 """
 
 from __future__ import annotations
@@ -206,11 +207,27 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     first visit to each s, at most rank * |Soc| products in all.  The form
     found is returned through the verifying constructor, which decides
     its kernel off the gram again, or None.
+
+    A ring built by ring_product is searched factor by factor, after the
+    cap check on its form space.  Its forms are the concatenations of the
+    factors' forms, each weight scaled by n / char R_i, an order-keeping
+    bijection; eps(a * b) adds the blocks' values, so a form's first-slot
+    kernel is the product of the blocks' kernels.  The Frobenius forms are
+    therefore a product set, empty iff some factor has none, and the
+    first is the concatenation of the factors' first forms.
     """
     forms = enumerate_forms(ring.shape)
+    n = ring.characteristic
+    if ring.factors:
+        weights = []
+        for factor in ring.factors:
+            found = find_frobenius_functional(factor)
+            if found is None:
+                return None
+            weights.extend(w * (n // factor.characteristic) for w in found.weights)
+        return FrobeniusFunctional(ring, ZnLinearForm(ring.shape, tuple(weights)))
     socle = sorted(ring.socle("right").elements - {ring.zero})
     images: list[list[Element]] = []  # s * e_1, ..., s * e_k for the socle visited so far
-    n = ring.characteristic
     for form in forms:
         w = form.weights
         for t, s in enumerate(socle):

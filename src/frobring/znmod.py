@@ -22,6 +22,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -144,6 +145,14 @@ class ZnLinearForm:
                     f"{d}"
                 )
 
+    @classmethod
+    def _built(cls, shape: ModuleShape, weights: tuple[int, ...]) -> "ZnLinearForm":
+        """The form of weights valid by construction, without checking them."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "shape", shape)
+        object.__setattr__(form, "weights", weights)
+        return form
+
     def evaluate(self, x: Element) -> int:
         return sum(w * c for w, c in zip(self.weights, x)) % self.shape.n
 
@@ -201,11 +210,13 @@ def enumerate_forms(shape: ModuleShape) -> Iterator[ZnLinearForm]:
 
     Coordinate i of order d contributes the d weights 0, n/d, 2n/d, ...,
     so exactly as many forms are produced as the module has elements.
+    Those weights are valid by construction, so each form is built without
+    the constructor's checks.
     """
     _check_cap(shape.cardinality, "form space")
-    steps = [shape.n // d for d in shape.orders]
-    return (ZnLinearForm(shape, tuple(j * s for j, s in zip(js, steps)))
-            for js in product(*(range(d) for d in shape.orders)))
+    n = shape.n
+    weights = product(*(range(0, n, n // d) for d in shape.orders))
+    return map(partial(ZnLinearForm._built, shape), weights)
 
 
 def extend_span(span: set, x, add) -> Iterator:

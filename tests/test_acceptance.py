@@ -12,6 +12,8 @@ import time
 from functools import lru_cache
 from itertools import product
 
+import pytest
+
 from frobring.catalog import (
     corpus_rings,
     gf4,
@@ -391,3 +393,39 @@ def test_budget_identity_form_of_length_1000():
     assert form.matrix[999] == (z2.zero,) * 999 + (z2.one,)
     assert sum(row.count(z2.one) for row in form.matrix) == 1000
     assert elapsed < 0.25, f"identity form took {elapsed:.2f} s"
+
+
+# The semisimple rings of 4096 to 65536 elements that the direct route
+# decides in 5 s to 5 min, given as products: each factor is decided once.
+GF4_SPEC = {"kind": "table", "n": 2, "orders": [2, 2],
+            "mul": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], "one": [1, 0]}
+M2F2_SPEC = {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "size": 2}
+PRODUCT_BUDGETS = [
+    ("Z2^12", [{"kind": "zn", "n": 2}] * 12, [1] * 12),
+    ("GF4^6", [GF4_SPEC] * 6, [0, 1] * 6),
+    ("M2(F2)^3", [M2F2_SPEC] * 3, [0, 1, 1, 0] * 3),
+    ("Z3^8", [{"kind": "zn", "n": 3}] * 8, [1] * 8),
+    ("Z2^16", [{"kind": "zn", "n": 2}] * 16, [1] * 16),
+]
+
+
+@pytest.mark.parametrize("name, factors, first", PRODUCT_BUDGETS,
+                         ids=[b[0] for b in PRODUCT_BUDGETS])
+def test_budget_frobenius_verdict_on_a_semisimple_product(name, factors, first, tmp_path, capsys):
+    """Radical 1 and both socles the whole ring; the first functional and
+    both first socle generators are the factors' concatenated, which for
+    Z2^k and Z3^k is all ones."""
+    spec = tmp_path / "product.json"
+    spec.write_text(json.dumps({"kind": "product", "factors": factors}))
+    t0 = time.perf_counter()
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    size = 3 ** 8 if name == "Z3^8" else 2 ** len(first)
+    assert report["ring"].endswith(f", {size} elements")
+    assert report["frobenius"] is True and report["routes_agree"] is True
+    assert report["radical_size"] == 1
+    assert report["right_socle_size"] == report["left_socle_size"] == size
+    assert report["functional_weights"] == first
+    assert report["right_socle_generator"] == report["left_socle_generator"] == first
+    assert elapsed < 1, f"{name} took {elapsed:.2f} s"

@@ -433,6 +433,26 @@ def test_cap_flag_limits_enumeration(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_product_meets_the_cap_as_its_table_does(tmp_path, capsys):
+    """A product spec is decided factor by factor, after the same cap
+    check on its form space as the table spec of the same ring."""
+    product_spec = {"kind": "product", "factors": [
+        {"kind": "zn", "n": 4}, {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "size": 2}]}
+    ring = build_ring(product_spec, DEFAULT_CAP)
+    table_spec = {"kind": "table", "n": 4, "orders": list(ring.shape.orders),
+                  "mul": [[list(e) for e in row] for row in ring.mul_table], "one": list(ring.one)}
+    outs = []
+    for index, spec in enumerate((product_spec, table_spec)):
+        path = write(tmp_path, f"r{index}.json", spec)
+        assert main(["ring", "frobenius", path, "--cap", "63"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: form space has 64 entries, cap is 63\n")
+        assert main(["ring", "frobenius", path, "--cap", "64", "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["functional_weights"] == [1, 0, 2, 2, 0]  # Z4's (1), M2(F2)'s (0, 1, 1, 0) doubled
+
+
 def test_cap_does_not_depend_on_the_spec_kind(tmp_path, capsys):
     # Z8 written as a zn spec and as a table spec meets the same --cap
     bases = [{"kind": "zn", "n": 8},

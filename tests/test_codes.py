@@ -304,6 +304,34 @@ def test_generators_and_the_monomial_flag_are_picked_once(z4, monkeypatch):
     assert calls == {"generators": len(lattice), "monomial": len(forms)}
 
 
+def test_a_codes_enumerator_and_transform_are_built_once(z4, monkeypatch):
+    """A code meeting two forms builds W_C and its transform once; each
+    form's dual is a new code, so its enumerator is built per form."""
+    enumerated, transformed = [], []
+
+    def counted_enumerator(code):
+        enumerated.append(code)
+        return weight_enumerator(code)
+
+    def counted_transform(*args):
+        transformed.append(args)
+        return macwilliams_transform(*args)
+
+    monkeypatch.setattr(codes_module, "weight_enumerator", counted_enumerator)
+    monkeypatch.setattr(codes_module, "macwilliams_transform", counted_transform)
+    forms = [identity_form(z4, 2), AmbientForm(z4, 2, vecs(z4, (1, 1), (0, 1)))]
+    for code in submodule_codes(z4, 2, "left"):
+        enumerated.clear()
+        transformed.clear()
+        reports = [macwilliams_holds(code, form) for form in forms]
+        assert sum(c is code for c in enumerated) == 1 and len(transformed) == 1
+        assert [c is r.dual for c, r in zip(enumerated[1:], reports, strict=True)] == [True] * 2
+        for report in reports:
+            assert report.code_enumerator == weight_enumerator(code)
+            assert report.transformed == macwilliams_transform(
+                weight_enumerator(code), 4, code.cardinality)
+
+
 # -- submodule sweeps ------------------------------------------------------
 
 

@@ -33,7 +33,8 @@ from frobring.finring import (
     submodule_violation,
 )
 from frobring.skewpoly import RingAutomorphism, SkewQuotient
-from frobring.znmod import DEFAULT_CAP, ModuleShape, additive_closure, enumerate_module
+from frobring.znmod import (DEFAULT_CAP, ModuleShape, additive_closure, additive_generators,
+                            enumerate_module)
 
 from conftest import upper_triangular
 
@@ -221,6 +222,29 @@ def test_ideal_tests_match_brute_force(name):
     for S in all_subgroups(els, R.add, R.zero):
         assert is_left_ideal(R, S) == all(R.mul(a, x) in S for a in els for x in S), S
         assert is_right_ideal(R, S) == all(R.mul(x, a) in S for a in els for x in S), S
+
+
+@pytest.mark.parametrize("name", ["M2(F2)", "T2(Z2)", "Z2xZ4"])
+def test_scalar_check_acts_on_generators_only(name):
+    """Once the sum check keeps generators g_1..g_t of a subgroup S, r S
+    lies in S iff every r g_i does.  So on every subgroup the first failing
+    scalar is the first r, in the order given, with r S outside S, and a
+    submodule costs |scalars| * t products."""
+    R = {"M2(F2)": ring_matrix(ring_zn(2), 2), "T2(Z2)": upper_triangular(2, 2),
+         "Z2xZ4": ring_product(ring_zn(2), ring_zn(4))}[name]
+    els = R.elements()
+    scalars = els[::-1]  # every element, the nonzero ones first
+    for S in all_subgroups(els, R.add, R.zero):
+        acted = []
+        found = submodule_violation(S, R.add, R.zero, scalars,
+                                    lambda r, v: acted.append(r) or R.mul(r, v))
+        first = next((r for r in scalars if any(R.mul(r, v) not in S for v in S)), None)
+        gens = additive_generators(S, R.add, R.zero)
+        if first is None:
+            assert found is None and len(acted) == len(scalars) * len(gens), S
+        else:
+            kind, (r, g) = found
+            assert (kind, r) == ("scalar", first) and g in gens and R.mul(r, g) not in S, S
 
 
 def test_submodule_violation_witnesses():

@@ -91,6 +91,18 @@ def dihedral_cayley(k):
     return [[elems.index(compose(x, y)) for y in elems] for x in elems]
 
 
+def gf4_over_f2_triangular():
+    """[[GF4, GF4], [0, Z2]] on the basis 1, w of each GF4 and 1 of Z2, w^2
+    = w + 1: its right socle has 8 elements and its left socle 16."""
+    e = [unit_vector(5, i) for i in range(5)]
+    zero = [0] * 5
+    mul = [[zero] * 5 for _ in range(5)]
+    mul[0][:4] = e[0], e[1], e[2], e[3]  # 1 * (a, m, 0)
+    mul[1][:4] = e[1], [1, 1, 0, 0, 0], e[3], [0, 0, 1, 1, 0]  # w * (a, m, 0)
+    mul[2][4], mul[3][4], mul[4][4] = e[2], e[3], e[4]  # (0, m, b) * b'
+    return ring_from_table(2, [2] * 5, mul, [1, 0, 0, 0, 1])
+
+
 def constructed_rings():
     z2, z3, z4 = ring_zn(2), ring_zn(3), ring_zn(4)
     return {
@@ -103,6 +115,7 @@ def constructed_rings():
         "Z3 x T2(Z2)": ring_product(z3, upper_triangular(2, 2)),
         "M2(Z2) x Z2[u1,u2]/(u)^2": ring_product(ring_matrix(z2, 2), square_zero(2, 2)),
         "Z2[D3]": ring_group_algebra(2, dihedral_cayley(3)),
+        "[[GF4, GF4], [0, Z2]]": gf4_over_f2_triangular(),
     }
 
 
@@ -750,3 +763,115 @@ def test_group_report_orthogonals_match_the_scan(name):
         orth = annihilated(R.elements(), ideal.elements, algebra)
         assert rep.inverted_right_orthogonal == {
             tuple(b[inverse[t]] for t in range(R.rank)) for b in orth}
+
+
+# -- products decided factor by factor ---------------------------------------
+#
+# A ring built by ring_product keeps its factors, and the functional search
+# and the socle certificate recurse over them.  The same table given to
+# ring_from_table keeps none and takes the direct route, the oracle here.
+
+CORPUS = corpus_rings()
+PAIRS = [(a, b) for a in CORPUS for b in CORPUS
+         if CORPUS[a].cardinality * CORPUS[b].cardinality <= 256]
+
+
+def frobenius_fields(ring):
+    """The first functional's weights and every certificate field."""
+    found = find_frobenius_functional(ring)
+    return (found.weights if found else None), astuple(is_frobenius_socle(ring))
+
+
+def assert_split_matches_direct(ring):
+    n, orders = ring.characteristic, ring.shape.orders
+    table = ring_from_table(n, orders, ring.mul_table, ring.one)
+    assert table.factors is None and table == ring
+    assert frobenius_fields(ring) == frobenius_fields(table)
+    op = ring.opposite()
+    assert op.factors == tuple(f.opposite() for f in ring.factors)
+    transposed = ring_from_table(n, orders, tuple(zip(*ring.mul_table)), ring.one)
+    assert frobenius_fields(op) == frobenius_fields(transposed)
+
+
+def test_the_pairs_cover_the_corpus_and_both_verdicts():
+    assert len(PAIRS) > 300 and {a for a, _ in PAIRS} == set(CORPUS)
+    verdicts = {is_frobenius_socle(ring_product(CORPUS[a], CORPUS[b])).is_frobenius
+                for a, b in PAIRS}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("left", list(CORPUS))
+def test_product_of_two_corpus_rings_matches_its_table(left):
+    for a, b in PAIRS:
+        if a == left:
+            assert_split_matches_direct(ring_product(CORPUS[a], CORPUS[b]))
+
+
+def test_the_triangular_ring_has_socles_of_two_sizes():
+    cert = is_frobenius_socle(RINGS["[[GF4, GF4], [0, Z2]]"])
+    assert (cert.right_socle_size, cert.left_socle_size, cert.radical_size) == (8, 16, 4)
+
+
+@pytest.mark.parametrize("factors", [
+    ("Z2", "Z3", "Z4"),
+    ("Z1", "M2(F2)", "Z1"),
+    ("Z2[u,v]/(u,v)^2", "Z1", "Z5"),
+    ("Z2", "Z2", "Z2", "Z2", "Z2"),
+    ("[[GF4, GF4], [0, Z2]]", "Z3"),
+    ("GF4[x;sq]/(x^2-1)", "[[GF4, GF4], [0, Z2]]"),
+])
+def test_product_of_several_rings_matches_its_table(factors):
+    assert_split_matches_direct(ring_product(*map(RINGS.get, factors)))
+
+
+def test_nested_product_matches_its_table():
+    z = CORPUS
+    inner = ring_product(z["Z2"], ring_product(z["GF4[x;sq]/(x^2-1)"], z["Z1"]))
+    ring = ring_product(inner, z["Z3"])
+    assert ring.factors[0].factors[1].factors[1] is z["Z1"]
+    assert_split_matches_direct(ring)
+    assert_split_matches_direct(ring_product(ring_product(z["Z4"])))
+
+
+def test_opposite_of_a_product_holds_the_factors_opposites():
+    m2 = RINGS["M2(Z2) x Z2[u1,u2]/(u)^2"]
+    op = m2.opposite()
+    assert all(f is g.opposite() for f, g in zip(op.factors, m2.factors, strict=True))
+    assert op.opposite() is m2
+    assert all(f.factors is None for f in m2.factors)
+    assert ring_matrix(RINGS["Z2xZ2"], 2).factors is None  # a matrix ring over a product
+
+
+def test_a_product_is_refused_over_the_cap_as_its_table_is():
+    ring = ring_product(CORPUS["Z4"], CORPUS["M2(F2)"])
+    table = ring_from_table(4, ring.shape.orders, ring.mul_table, ring.one)
+    for route in (find_frobenius_functional, is_frobenius_socle):
+        messages = set()
+        for r in (ring, table):
+            with enumeration_cap(63), pytest.raises(EnumerationCapError) as info:
+                route(r)
+            messages.add(str(info.value))
+        assert len(messages) == 1, route
+
+
+def test_split_search_returns_through_the_verifying_constructor(monkeypatch):
+    """The concatenated form is verified on the whole product, after each
+    factor's own, so routes_agree still compares two computations."""
+    ring = ring_product(CORPUS["Z2"], CORPUS["Z4"])
+    calls = []
+    original = FrobeniusFunctional.__init__
+
+    def verify(self, r, form):
+        calls.append(r)
+        original(self, r, form)
+
+    monkeypatch.setattr(FrobeniusFunctional, "__init__", verify)
+    assert find_frobenius_functional(ring).weights == (2, 1)
+    assert calls[-1] is ring
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_enumerated_forms_equal_checked_forms(name):
+    shape = RINGS[name].shape
+    for form in enumerate_forms(shape):
+        assert form == ZnLinearForm(shape, form.weights)
