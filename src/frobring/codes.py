@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .znmod import (Element, ZnLinearForm, _check_power_cap, _ints, additive_closure,
-                    additive_generators, packed_arithmetic)
+                    additive_generators, linear_kernel, packed_arithmetic)
 from .finring import (
     FiniteRing,
     is_left_ideal,
@@ -48,7 +48,6 @@ from .frobenius import (
     _degeneracy,
     identity_form,
     orthogonal,
-    pairing_of_functional,
 )
 from .skewpoly import SkewQuotient
 
@@ -415,13 +414,12 @@ def skew_cyclic_dual_report(
     additive, so their reversals generate reversal(V), with no second pick.
     """
     ring = quotient.as_finite_ring()
-    pairing = pairing_of_functional(ring, quotient.lifted_form(base_functional))
+    eps = quotient.lifted_form(base_functional)
     V = frozenset(map(quotient.flatten, V))
     gens = list(map(quotient.unflatten, ring_generators(ring, V)))
     e_dual = orthogonal(quotient.euclidean_form, gens, "left")
     reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
-    r_orth = frozenset(map(quotient.unflatten, ring_orthogonal(
-        ring, reversed_gens, lambda a, s: (pairing(a, s),), (ring.characteristic,))))
+    r_orth = frozenset(map(quotient.unflatten, ring_orthogonal(ring, reversed_gens, eps)))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
         dual_is_skew_cyclic=is_skew_cyclic(e_dual, quotient),
@@ -466,12 +464,11 @@ def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgeb
     both orthogonals.
     """
     inv = _inversion_permutation(R)
-    n = R.characteristic
     gens = ring_generators(R, S)
-    e_dual = ring_orthogonal(R, gens, lambda b, s: (sum(x * y for x, y in zip(b, s)) % n,), (n,))
+    images = [[s[i] for s in gens] for i in range(R.rank)]  # basis vector i pairs with s to s_i
+    e_dual = frozenset(linear_kernel(R.shape.orders, images, (R.characteristic,) * len(gens)))
     eps = ZnLinearForm(R.shape, R.one)  # the coefficient of the identity, as 1 is its basis vector
-    pairing = pairing_of_functional(R.opposite(), eps)  # eps(s b) = eps(b *op s)
-    r_orth = ring_orthogonal(R.opposite(), gens, lambda b, s: (pairing(b, s),), (n,))
+    r_orth = ring_orthogonal(R.opposite(), gens, eps)  # eps(s b) = eps(b *op s)
     inverted = frozenset(tuple(b[i] for i in inv) for b in r_orth)
     return GroupAlgebraDualReport(
         dual_matches_inverted_orthogonal=e_dual == inverted,

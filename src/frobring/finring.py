@@ -11,8 +11,9 @@ so the characteristic really is n.
 
 Products run on packed structure constants: each table entry is one int
 with a field per coordinate, wide enough that a product's field sums never
-carry, so a * b costs rank^2 int multiply-adds (FiniteRing.mul).  The
-validation reads the same packed entries: associativity compares
+carry (znmod.packed_fields, the one packed layout), so a * b costs rank^2
+int multiply-adds (FiniteRing.mul).  The validation reads the same packed
+entries: associativity compares
 (e_i e_j) e_l with e_i (e_j e_l) on each basis triple, one packed entry
 per nonzero coordinate of e_i e_j and of e_j e_l, so a sparse table costs
 about rank^3 int multiply-adds and construction multiplies only for the
@@ -31,6 +32,11 @@ pairs of elements:
   found so far are skipped; that span's generators are kept;
 * socles are the annihilators of those radical generators, which by
   bilinearity is the annihilator of the whole radical (ring_orthogonal);
+* every orthogonal is one routine on packed lines
+  (znmod._packed_orthogonal): the packed table is the basis gram of the
+  product, as e_i * g = sum_j g_j (e_i e_j), so annihilators and
+  functional orthogonals make no ring product, and ambient forms on A^m
+  run the same routine on their packed basis grams (frobring.frobenius);
 * the Frobenius test looks for a single socle generator on each side,
   comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
   the socle by size; on a ring built by ring_product it is decided factor
@@ -65,12 +71,13 @@ from .znmod import (
     _check_table_cap,
     _int_vectors,
     _ints,
+    _packed_orthogonal,
     additive_closure,
     additive_generators,
     enumerate_module,
     extend_span,
-    linear_kernel,
     packed_arithmetic,
+    packed_fields,
 )
 
 
@@ -148,15 +155,10 @@ class FiniteRing:
         # reduce: a coordinate of order 1 has no generator besides 0
         self.basis_elements: tuple[Element, ...] = tuple(
             shape.reduce(1 if j == i else 0 for j in range(k)) for i in range(k))
-        # each table entry as one int, coordinate l in bits [W l, W (l + 1)):
-        # a field of a product sums k^2 terms a_i b_j e_ij[l] < n^3, so with
-        # 2^W > k^2 n^3 it never carries into the next
-        width = (k * k * shape.n ** 3).bit_length()
-        shifts = [width * l for l in range(k)]
-        self._packed_table = tuple(
-            tuple(sum(map(operator.lshift, e, shifts)) for e in row) for row in self.mul_table)
-        self._fields = tuple(zip(shifts, shape.orders))
-        self._field_mask = (1 << width) - 1
+        # each table entry as one int: a field of a product sums k^2 terms
+        # a_i b_j e_ij[l] < n^3, so it never carries into the next
+        pack, self._fields, self._field_mask = packed_fields(shape.orders, k * k * shape.n ** 3)
+        self._packed_table = tuple(tuple(map(pack, row)) for row in self.mul_table)
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
         # the rings whose direct product this is, one contiguous block of
@@ -308,8 +310,7 @@ class FiniteRing:
             raise ValueError(f"bad socle side {side!r}")
         if side not in self._socles:
             ring = self if side == "right" else self.opposite()
-            soc = ring_orthogonal(self, self.radical_generators(), ring.mul, self.shape.orders)
-            self._socles[side] = Ideal(side, soc)
+            self._socles[side] = Ideal(side, ring_orthogonal(ring, self.radical_generators()))
         return self._socles[side]
 
     def opposite(self) -> "FiniteRing":
@@ -549,14 +550,15 @@ def ring_generators(ring: FiniteRing, subset: Iterable) -> list[Element]:
     return gens
 
 
-def ring_orthogonal(ring: FiniteRing, gens, pairing, codomain) -> frozenset[Element]:
-    """{a : pairing(a, g) = 0 for every g in gens}: one linear_kernel call on
-    the pairing's values at the basis, rank * |gens| pairings.  pairing must
-    be additive in its first slot, with values in the codomain's orders;
-    for a biadditive pairing this is the orthogonal of everything gens span."""
-    gens = list(gens)
-    images = [tuple(c for g in gens for c in pairing(e, g)) for e in ring.basis_elements]
-    return frozenset(linear_kernel(ring.shape.orders, images, tuple(codomain) * len(gens)))
+def ring_orthogonal(ring: FiniteRing, gens, form=None) -> frozenset[Element]:
+    """{a : a * g = 0 for every g in gens}, or {a : form(a * g) = 0} for a
+    Z_n-linear form on the ring's module: _packed_orthogonal on the packed
+    table, as row i lists e_i e_j and e_i * g = sum_j g_j (e_i e_j).  By
+    biadditivity it is the orthogonal of everything gens span.  Right-handed
+    orthogonals {a : g * a = 0} are those of ring.opposite(), whose packed
+    table is the transpose."""
+    return frozenset(_packed_orthogonal(ring.shape.orders, ring._packed_table, ring._fields,
+                                        ring._field_mask, ring.shape.orders, list(gens), form))
 
 
 def submodule_violation(elems, add, zero, scalars, act):

@@ -22,15 +22,18 @@ Side conventions, fixed once here and used everywhere:
 A pairing is biadditive, so the orthogonal of a subset S is the kernel of
 the Z-linear map x |-> (<x, s>)_s over an additive generating set of S.
 Every orthogonal and kernel is one znmod.linear_kernel call, which holds
-its domain to the enumeration cap: annihilators and functional
-orthogonals in the ring through finring.ring_orthogonal, on the images of
-the basis vectors; pairing kernels in the ring on the pairing's gram
-(_gram_kernel); orthogonals and kernels of ambient forms on A^m on the
+its domain to the enumeration cap.  Orthogonals read the images of the
+basis vectors off packed lines, by the one routine
+znmod._packed_orthogonal: annihilators and functional orthogonals in
+the ring off the ring's packed table (finring.ring_orthogonal), with no
+ring product; orthogonals and kernels of ambient forms on A^m off the
 rows or columns of the form's basis gram, the pairing of the r*m basis
-vectors of A^m, built once per form (_linear_orthogonal): no route calls
-AmbientForm.pairing, and none multiplies in the ring after a form's first
-orthogonal.  An ambient form is A-linear on the left in its first slot and
-on the right in its second, so its kernels are orthogonals of the m unit
+vectors of A^m, built once per form in the same packed layout
+(_linear_orthogonal): no route calls AmbientForm.pairing, and none
+multiplies in the ring after a form's first orthogonal.  Pairing kernels
+in the ring are read off the pairing's Z_n-valued gram (_gram_kernel).
+An ambient form is A-linear on the left in its first slot and on the
+right in its second, so its kernels are orthogonals of the m unit
 vectors of A^m.  The functional search reads only the right socle, where
 every nonzero first-slot kernel shows up, and on a ring built by
 ring_product it searches each factor instead.
@@ -41,15 +44,17 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from functools import cached_property, reduce
 from itertools import chain, islice, product
-from operator import lshift, mul
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .znmod import (
     Element,
     ZnLinearForm,
     _ints,
+    _packed_orthogonal,
     enumerate_forms,
     linear_kernel,
+    packed_fields,
     _check_power_cap,
     _check_table_cap,
 )
@@ -290,8 +295,7 @@ def verify_generator_equivalences(ring: FiniteRing, functional) -> GeneratorEqui
 
 def left_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
     """{a : a * s = 0 for all s in the subset}; always a left ideal."""
-    gens = ring_generators(ring, subset)
-    return Ideal("left", ring_orthogonal(ring, gens, ring.mul, ring.shape.orders))
+    return Ideal("left", ring_orthogonal(ring, ring_generators(ring, subset)))
 
 
 def right_annihilator(ring: FiniteRing, subset: Iterable[Element]) -> Ideal:
@@ -304,9 +308,8 @@ def functional_left_orthogonal(
 ) -> frozenset[Element]:
     """{a : eps(a * s) = 0 for all s}.  For a Frobenius eps and a right
     ideal this coincides with the left annihilator."""
-    pairing = pairing_of_functional(ring, functional)
-    gens = ring_generators(ring, subset)
-    return ring_orthogonal(ring, gens, lambda a, s: (pairing(a, s),), (ring.characteristic,))
+    form = _as_form(ring, functional)
+    return ring_orthogonal(ring, ring_generators(ring, subset), form)
 
 
 def functional_right_orthogonal(
@@ -360,23 +363,22 @@ class AmbientForm:
     @cached_property
     def _basis_gram(self) -> tuple:
         """(rows, columns, fields, mask) of G[(p, k)][(j, l)] = <e_k at p,
-        e_l at j> = e_k Q_pj e_l, packed with coordinate c in bits
-        [W c, W (c + 1)): sum_i s_i G[i] sums r*m terms below n^2 per field,
-        so 2^W > r m n^2 keeps it from carrying.  r (1 + r) products per
-        nonzero entry of Q, on the first orthogonal."""
+        e_l at j> = e_k Q_pj e_l, in the packed layout (packed_fields):
+        sum_i s_i G[i] sums r*m terms below n^2 per field, which r m n^2
+        bounds.  r (1 + r) products per nonzero entry of Q, on the first
+        orthogonal."""
         R, m, r = self.ring, self.m, self.ring.rank
         _check_table_cap(r * m, 2, "basis gram")
-        width = (r * m * R.characteristic ** 2).bit_length()
-        shifts = [width * c for c in range(r)]
+        pack, fields, mask = packed_fields(R.shape.orders, r * m * R.characteristic ** 2)
         rows = [[0] * (r * m) for _ in range(r * m)]
         for p, j in product(range(m), repeat=2):
-            if self.matrix[p][j] != R.zero:
+            if any(self.matrix[p][j]):  # a reduced entry is nonzero
                 for k, e in enumerate(R.basis_elements):
                     eq = R.mul(e, self.matrix[p][j])
-                    rows[p * r + k][j * r:(j + 1) * r] = [
-                        sum(map(lshift, R.mul(eq, f), shifts)) for f in R.basis_elements]
+                    rows[p * r + k][j * r:(j + 1) * r] = [pack(R.mul(eq, f))
+                                                          for f in R.basis_elements]
         rows = tuple(map(tuple, rows))
-        return rows, tuple(zip(*rows)), tuple(zip(shifts, R.shape.orders)), (1 << width) - 1
+        return rows, tuple(zip(*rows)), fields, mask
 
     def left_kernel(self) -> frozenset[Vector]:
         """First-slot kernel {x : <x, y> = 0 for all y}, which is {x : xQ = 0}
@@ -414,17 +416,16 @@ def identity_form(A: FiniteRing, m: int) -> AmbientForm:
 
 
 def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
-                       value: Callable, orders: tuple[int, ...]) -> frozenset[Vector]:
-    """{x : value(<x, s>) = 0 for all s}, with x in the named slot: one
-    linear_kernel call over the r*m basis vectors of A^m, cut back into m
-    ring elements.  value is additive, with values in the given orders.
+                       functional: ZnLinearForm | None = None) -> frozenset[Vector]:
+    """{x : <x, s> = 0 for all s}, or {x : functional(<x, s>) = 0}, with x
+    in the named slot: one _packed_orthogonal call over the r*m basis
+    vectors of A^m, cut back into m ring elements.
 
     By biadditivity the basis vector i of A^m pairs with s to
     sum_j s_j G[i][j] in the first slot and to sum_j s_j G[j][i] in the
     second, over the r*m coordinates s_j of s and the form's basis gram G
-    (AmbientForm._basis_gram): one sum of int products over a row or a
-    column of G and r field reads per basis vector and s, with no ring
-    product once G is built."""
+    (AmbientForm._basis_gram): the lines are G's rows or its columns, and
+    no ring product is made once G is built."""
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
     R, m, r = form.ring, form.m, form.ring.rank
@@ -436,13 +437,8 @@ def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
     if any(len(s) != r * m for s in flats):
         raise ValueError(f"every entry of a vector paired must have {r} coordinates")
     rows, columns, fields, mask = form._basis_gram
-
-    def element(acc: int) -> Element:
-        return tuple([((acc >> shift) & mask) % d for shift, d in fields])
-
-    images = [[c for s in flats for c in value(element(sum(map(mul, s, line))))]
-              for line in (rows if side == "left" else columns)]
-    flat = linear_kernel(R.shape.orders * m, images, orders * len(subset))
+    flat = _packed_orthogonal(R.shape.orders * m, rows if side == "left" else columns,
+                              fields, mask, R.shape.orders, flats, functional)
     if r == 0:
         return frozenset(((),) * m for _ in flat)
     return frozenset(tuple(zip(*[iter(x)] * r)) for x in flat)
@@ -456,7 +452,7 @@ def orthogonal(
     side='left' gives {x : <x, s> = 0 for all s}, side='right' gives
     {y : <s, y> = 0 for all s}.
     """
-    return _linear_orthogonal(form, subset, side, lambda a: a, form.ring.shape.orders)
+    return _linear_orthogonal(form, subset, side)
 
 
 def functional_orthogonal(
@@ -467,6 +463,4 @@ def functional_orthogonal(
     For a Frobenius functional on the alphabet this agrees with the
     ring-valued orthogonal on submodules of the matching side.
     """
-    eps = _as_form(form.ring, functional)
-    return _linear_orthogonal(form, subset, side, lambda a: (eps.evaluate(a),),
-                              (form.ring.characteristic,))
+    return _linear_orthogonal(form, subset, side, _as_form(form.ring, functional))

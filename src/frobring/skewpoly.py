@@ -189,11 +189,15 @@ def check_two_sided(
     remainder.  f * a leaves sum_{i<m} (f_i aut^i(a) - aut^m(a) f_i) x^i,
     zero iff f * a = aut^m(a) * f, hence "scalar-commutation"; f * x leaves
     what its one possible monic quotient x + c, c = f_{m-1} - aut(f_{m-1}),
-    does not remove, hence "shift-quotient".
+    does not remove, hence "shift-quotient".  A modulus of degree 0, or
+    one that is not monic, is refused with a ValueError; SkewQuotient
+    relies on this refusal.
     """
     m = len(modulus) - 1
-    if m < 1 or modulus[m] != ring.one:
-        raise ValueError("modulus must be monic of degree >= 1")
+    if m < 1:
+        raise ValueError("modulus must have degree at least 1")
+    if modulus[m] != ring.one:
+        raise ValueError("modulus must be monic")
     probes = [("scalar-commutation", [a], {"basis": idx})
               for idx, a in enumerate(ring.basis_elements)]
     probes.append(("shift-quotient", [ring.zero, ring.one], {}))
@@ -215,10 +219,6 @@ class SkewQuotient:
         self.modulus: tuple[Element, ...] = tuple(base.element(c) for c in modulus)
         self.m = len(self.modulus) - 1
         self.label = label
-        if self.m < 1:
-            raise ValueError("modulus must have degree at least 1")
-        if self.modulus[self.m] != base.one:
-            raise ValueError("modulus must be monic")
         if aut.ring != base:
             raise ValueError("automorphism acts on a different ring")
         verdict = check_two_sided(base, aut, self.modulus)

@@ -326,6 +326,50 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
             for y in by_image.get(add(moduli - t, 0), ()))
 
 
+def packed_fields(orders: Sequence[int], bound: int) -> tuple[Callable, tuple, int]:
+    """(pack, fields, mask) of the packed layout for vectors over the orders:
+    pack puts coordinate l in bits [W l, W (l + 1)) of one int, with
+    2^W > bound, so a sum of packed ints whose fields stay at or below the
+    bound never carries.  fields lists (W l, d_l) and mask is 2^W - 1:
+    coordinate l reads back as (x >> W l) & mask, reduced mod d_l.  It is
+    the layout of a ring's packed table and of an ambient form's basis
+    gram, each with the bound on its own sums."""
+    width = bound.bit_length()
+    shifts = [width * l for l in range(len(orders))]
+
+    def pack(e: Iterable[int]) -> int:
+        return sum(map(operator.lshift, e, shifts))
+
+    return pack, tuple(zip(shifts, orders)), (1 << width) - 1
+
+
+def _packed_orthogonal(domain: Sequence[int], lines, fields, mask: int, orders: tuple[int, ...],
+                       gens: list, form: ZnLinearForm | None = None) -> Iterator[Element]:
+    """Every x over the domain orders, in lexicographic order, with
+    sum_i x_i v_i(g) = 0 for every g in gens, or form(sum_i x_i v_i(g)) = 0
+    for a Z_n-linear form: one linear_kernel call.  Basis vector i pairs
+    with g as v_i(g) = sum_j g_j lines[i][j], one int sum over a line of
+    values packed by packed_fields over the given orders, read back field
+    by field.  This is the orthogonal of gens, x in the first slot, under
+    every biadditive pairing whose basis gram the lines hold: the one
+    orthogonal routine, run by finring.ring_orthogonal on a ring's packed
+    table and by the ambient orthogonals on a form's basis gram.
+
+    A domain coordinate of order 1 holds only 0: its images are zero and
+    its line is not read.  Fields are read unreduced, as linear_kernel
+    reduces images on entry and a form's weights have w_l d_l = 0 mod n."""
+    codomain = orders if form is None else (form.shape.n,)
+
+    def value(acc: int) -> list[int]:
+        x = [(acc >> s) & mask for s, _ in fields]
+        return x if form is None else [sum(map(operator.mul, form.weights, x))]
+
+    zero = (0,) * (len(codomain) * len(gens))
+    images = [zero if d == 1 else [c for g in gens for c in value(sum(map(operator.mul, g, line)))]
+              for d, line in zip(domain, lines, strict=True)]
+    return linear_kernel(domain, images, codomain * len(gens))
+
+
 def additive_generators(elements: Iterable, add: Callable, zero) -> list:
     """The elements, in sorted order, each kept when outside the additive
     closure of those kept before: an additive generating set of their span."""

@@ -248,6 +248,22 @@ def test_skew_sweep_needs_cyclic_modulus(tmp_path, capsys):
     assert "error" in report
 
 
+@pytest.mark.parametrize("modulus, message", [
+    ([[1]], "modulus must have degree at least 1"),
+    ([[1], [2]], "modulus must be monic"),
+])
+def test_bad_modulus_refusals(tmp_path, capsys, modulus, message):
+    """skew build reports the refusal on stdout, ring validate on stderr;
+    both exit 1 with the same text."""
+    spec = write(tmp_path, "bad.json",
+                 {"kind": "skew_quotient", "base": {"kind": "zn", "n": 4}, "modulus": modulus})
+    assert main(["skew", "build", spec]) == 1
+    assert capsys.readouterr().out == f"command: skew build\nerror: {message}\n"
+    assert main(["ring", "validate", spec]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", [f"error: {message}"])
+
+
 def test_parse_error_exit_codes(tmp_path, capsys):
     assert main(["ring", "validate", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Ring-linear codes, duals, MacWilliams and the two duality bridges."""
 
 import random
+from functools import reduce
 from math import comb
 
 import pytest
@@ -10,8 +11,8 @@ from frobring import codes as codes_module, finring
 from frobring.catalog import gf4_skew_quotient
 from frobring.finring import left_ideals, ring_zn
 from frobring.frobenius import AmbientForm, DegenerateFormError, find_frobenius_functional
-from frobring.skewpoly import RingAutomorphism, poly_left_divmod
-from frobring.znmod import ZnLinearForm, enumeration_cap
+from frobring.skewpoly import RingAutomorphism, SkewQuotient, poly_left_divmod
+from frobring.znmod import ZnLinearForm, annihilated, enumeration_cap
 from frobring.codes import (
     LinearCode,
     TransformError,
@@ -455,6 +456,32 @@ def test_skew_cyclic_duality_bridge(which, q_gf4, q_z4, q_z2_cubic):
         assert rep.dual_matches_reversal_orthogonal
         assert rep.dual_is_skew_cyclic
         assert rep.cardinality_product_ok
+
+
+def z4_cubic():
+    z4 = ring_zn(4)
+    return SkewQuotient(z4, RingAutomorphism.identity(z4), ((3,), (0,), (0,), (1,)))
+
+
+@pytest.mark.parametrize("which", ["gf4", "z4", "z2cubic", "z4cubic"])
+def test_skew_report_orthogonals_match_the_scan(which, q_gf4, q_z4, q_z2_cubic):
+    """Both orthogonals of the report, on every left ideal V, against
+    annihilated over the quotient: the Euclidean dual under
+    sum_i f_i g_i = 0 in A, and the reversal orthogonal against
+    reversal(V) under (g, t) |-> eps((g t)_0), with SkewQuotient.mul."""
+    q = {"gf4": q_gf4, "z4": q_z4, "z2cubic": q_z2_cubic, "z4cubic": z4_cubic()}[which]
+    A, elements = q.base, list(q.elements())
+    eps = find_frobenius_functional(q.base)
+
+    def dot(f, g):
+        return reduce(A.add, map(A.mul, f, g), A.zero)
+
+    for V in quotient_left_ideal_codes(q):
+        rep = skew_cyclic_dual_report(V, q, eps)
+        assert rep.euclidean_dual == annihilated(elements, V, dot, A.zero)
+        reversed_V = [q.reversal(t) for t in V]
+        assert rep.reversal_orthogonal == annihilated(
+            elements, reversed_V, lambda g, t: eps(q.mul(g, t)[0]))
 
 
 # -- group algebra duality -------------------------------------------------

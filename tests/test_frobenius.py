@@ -1,12 +1,17 @@
 """Functionals, pairings, annihilators and ambient orthogonals."""
 
+import random
 import re
 import time
 
 import pytest
 
-from frobring.znmod import EnumerationCapError, ZnLinearForm, enumeration_cap, kernel_elements
-from frobring.finring import is_frobenius_socle, left_ideals, right_ideals, ring_zn
+from conftest import upper_triangular
+from frobring.catalog import gf4_skew_quotient
+from frobring.znmod import (EnumerationCapError, ZnLinearForm, annihilated, enumerate_forms,
+                            enumeration_cap, kernel_elements)
+from frobring.finring import (FiniteRing, is_frobenius_socle, left_ideals, right_ideals,
+                              ring_matrix, ring_zn)
 from frobring.frobenius import (
     AmbientForm,
     DegenerateFormError,
@@ -232,6 +237,50 @@ def test_functional_orthogonal_differs_on_non_ideals(z4):
     assert functional_left_orthogonal(z4, eps, [(1,)]) == {(0,)}
     assert functional_left_orthogonal(z4, eps, [(2,)]) == {(0,), (2,)}
     assert left_annihilator(z4, [(2,)]).elements == {(0,), (2,)}
+
+
+RADICAL_RINGS = {
+    "M2(Z4)": lambda: ring_matrix(ring_zn(4), 2),
+    "T2(Z2)": lambda: upper_triangular(2, 2),
+    "Z8": lambda: ring_zn(8),
+    "GF4[x;sq]/(x^2-1)": lambda: gf4_skew_quotient().as_finite_ring(),
+}
+
+
+@pytest.mark.parametrize("label", RADICAL_RINGS)
+def test_ring_orthogonals_make_no_ring_product(label, monkeypatch):
+    """Socles, annihilators and functional orthogonals read the packed
+    table: with FiniteRing.mul raising, each matches the annihilated scan.
+    The scan, the form and the radical are found first, the scan and the
+    form on a second copy of the ring, as the form search reads its socle.
+    The first three rings have a nonzero radical; the skew quotient is
+    semisimple (it is M2(F2)), so its socles are the whole ring."""
+    oracle, ring = RADICAL_RINGS[label](), RADICAL_RINGS[label]()
+    mul, elements, zero = oracle.mul, oracle.elements(), oracle.zero
+    eps = find_frobenius_functional(oracle) or max(enumerate_forms(oracle.shape),
+                                                   key=lambda f: f.weights)
+    rad = oracle.jacobson_radical().elements
+    rng = random.Random(25)
+    subsets = [rad] + [rng.sample(elements, k) for k in (1, 2, 3)]
+    expected = [annihilated(elements, rad, mul, zero),
+                annihilated(elements, rad, lambda x, s: mul(s, x), zero)]
+    for S in subsets:
+        expected += [annihilated(elements, S, mul, zero),
+                     annihilated(elements, S, lambda x, s: mul(s, x), zero),
+                     annihilated(elements, S, lambda x, s: eps(mul(x, s))),
+                     annihilated(elements, S, lambda x, s: eps(mul(s, x)))]
+    ring.radical_generators(), ring.opposite()
+
+    def refuse(self, a, b):
+        raise AssertionError("ring product in an orthogonal")
+
+    monkeypatch.setattr(FiniteRing, "mul", refuse)
+    found = [ring.socle("right").elements, ring.socle("left").elements]
+    for S in subsets:
+        found += [left_annihilator(ring, S).elements, right_annihilator(ring, S).elements,
+                  functional_left_orthogonal(ring, eps, S),
+                  functional_right_orthogonal(ring, eps, S)]
+    assert found == expected
 
 
 @pytest.mark.parametrize("call, subset, bad", [

@@ -206,11 +206,15 @@ def test_quotient_constructor_rejections(f4, f4_frob):
     with pytest.raises(NotTwoSidedError) as exc:
         SkewQuotient(f4, f4_frob, (w, zero, one))
     assert exc.value.witness == ("shift-quotient", {"degree": 1})
-    with pytest.raises(ValueError):
-        SkewQuotient(f4, f4_frob, (one, zero, w))  # not monic
-    with pytest.raises(ValueError):
-        SkewQuotient(f4, f4_frob, (one,))  # degree 0
+    for modulus, message in [((one, zero, w), "modulus must be monic"),
+                              ((one,), "modulus must have degree at least 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SkewQuotient(f4, f4_frob, modulus)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_two_sided(f4, f4_frob, modulus)
     z4 = ring_zn(4)
+    with pytest.raises(ValueError, match="^automorphism acts on a different ring$"):
+        SkewQuotient(f4, RingAutomorphism.identity(z4), (one,))  # refused before the degree
     with pytest.raises(ValueError):
         # constant coefficient 2 is a zero divisor
         SkewQuotient(z4, RingAutomorphism.identity(z4), ((2,), (0,), (1,)))
