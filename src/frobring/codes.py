@@ -25,7 +25,7 @@ the coefficient-of-identity pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, product
 from math import comb
 from typing import Iterable, Sequence
@@ -121,14 +121,6 @@ class LinearCode:
     @property
     def cardinality(self) -> int:
         return len(self.codewords)
-
-    @cached_property
-    def _generators(self) -> tuple[Vector, ...]:
-        """An additive generating set of the codewords, picked once on their
-        packed codes (znmod.packed_arithmetic), which sort as vectors do."""
-        encode, add = packed_arithmetic(self.alphabet.shape.orders * self.m)
-        decode = {encode(chain.from_iterable(v)): v for v in self.codewords}
-        return tuple(decode[g] for g in additive_generators(decode, add, 0))
 
     def sorted_codewords(self) -> list[Vector]:
         return sorted(self.codewords)
@@ -248,7 +240,8 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     right orthogonal for a left code, left orthogonal for a right code.
     The form must be nondegenerate (first-slot kernel, cached).  The
     orthogonal is taken of the code's additive generating set, picked once
-    per code (LinearCode._generators).
+    per code on the packed codes of its words (znmod.packed_arithmetic),
+    which sort as vectors do, and held by the code.
     """
     if form.ring != code.alphabet or form.m != code.m:
         raise ValueError("form and code live in different ambients")
@@ -259,6 +252,10 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     orth_side = side or _ORTH_FOR_SIDE[code.side]
     if orth_side not in ("left", "right"):
         raise ValueError(f"bad orthogonal side {orth_side!r}")
+    if "_generators" not in code.__dict__:
+        encode, add = packed_arithmetic(code.alphabet.shape.orders * code.m)
+        decode = {encode(chain.from_iterable(v)): v for v in code.codewords}
+        code._generators = tuple(decode[g] for g in additive_generators(decode, add, 0))
     return LinearCode._built(code.alphabet, code.m, orth_side,
                              orthogonal(form, code._generators, orth_side))
 

@@ -245,8 +245,8 @@ def extend_span(span: set, x, add) -> Iterator:
 
 def additive_closure(seeds: Iterable, add: Callable, zero) -> frozenset:
     """Every finite sum of seeds (zero included), one seed at a time by
-    extend_span; it serves elements of a module, vectors of A^m and sums
-    of submodules alike."""
+    extend_span; it serves elements of a module, their packed codes and
+    vectors of A^m alike."""
     span = {zero}
     for x in seeds:
         for _ in extend_span(span, x, add):

@@ -1,3 +1,7 @@
+import time
+from functools import cache
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import settings
 
@@ -12,6 +16,7 @@ from frobring.catalog import (
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
 )
+from frobring.codes import submodule_codes
 from frobring.finring import ring_group_algebra
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
@@ -48,6 +53,71 @@ def upper_triangular(n, t):
     mul = [[unit_vector(r, units.index((a, d))) if b == c else [0] * r for (c, d) in units]
            for (a, b) in units]
     return ring_from_table(n, [n] * r, mul, [1 if a == b else 0 for (a, b) in units])
+
+
+# -- closed-form submodule counts -------------------------------------------
+
+
+def gaussian_binomial(n, k, q):
+    """[n choose k]_q, the number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def gaussian_binomial_sum(n, q):
+    """Number of subspaces of F_q^n: the sum over k of [n choose k]_q."""
+    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+def chain_ring_submodules(q, s, m):
+    """Number of submodules of R^m, R a chain ring of depth s with residue
+    field F_q (Z_{p^s}, GF4, Z2[u]/(u^2), ...), counted as subgroups of an
+    abelian p-group of type (s^m) are (Butler, Mem. AMS 539, 1994; Honold
+    and Landjev, Electron. J. Combin. 7, 2000, R11): a submodule of shape
+    lambda in the m x s box, with conjugate c_1 >= ... >= c_s and
+    c_{s+1} = 0, is one of prod_i q^(c_{i+1} (m - c_i))
+    [m - c_{i+1} choose c_i - c_{i+1}]_q."""
+    total = 0
+    for conjugate in combinations_with_replacement(range(m, -1, -1), s):
+        c, term = conjugate + (0,), 1
+        for i in range(s):
+            term *= q ** (c[i + 1] * (m - c[i])) * gaussian_binomial(m - c[i + 1], c[i] - c[i + 1], q)
+        total += term
+    return total
+
+
+# name: (alphabet builder, m, closed-form count of the submodules of A^m);
+# M_t(F_q)^m has the subspaces of F_q^(tm) (Morita equivalence), Z2[C2] is
+# Z2[u]/(u^2) with u = 1 + g, and a product multiplies its factors' counts
+LATTICE_AMBIENTS = {
+    "Z4^3": (lambda: ring_zn(4), 3, chain_ring_submodules(2, 2, 3)),
+    "Z8^3": (lambda: ring_zn(8), 3, chain_ring_submodules(2, 3, 3)),
+    "Z9^3": (lambda: ring_zn(9), 3, chain_ring_submodules(3, 2, 3)),
+    "Z2^6": (lambda: ring_zn(2), 6, gaussian_binomial_sum(6, 2)),
+    "GF4^3": (gf4, 3, gaussian_binomial_sum(3, 4)),
+    "Z2[C2]^3": (lambda: ring_group_algebra(2, cyclic_cayley(2)), 3, chain_ring_submodules(2, 2, 3)),
+    "M2(F2)^2": (lambda: ring_matrix(ring_zn(2), 2), 2, gaussian_binomial_sum(4, 2)),
+    "(Z2xZ4)^2": (lambda: ring_product(ring_zn(2), ring_zn(4)), 2,
+                  gaussian_binomial_sum(2, 2) * chain_ring_submodules(2, 2, 2)),
+    "Z12^2": (lambda: ring_zn(12), 2, chain_ring_submodules(2, 2, 2) * gaussian_binomial_sum(2, 3)),
+    "Z16^2": (lambda: ring_zn(16), 2, chain_ring_submodules(2, 4, 2)),
+    "Z27^2": (lambda: ring_zn(27), 2, chain_ring_submodules(3, 3, 2)),
+}
+
+
+@cache
+def left_lattice_size(name):
+    """(number of left submodules, seconds to build them) of an ambient of
+    LATTICE_AMBIENTS, built once per session: the count oracle and the
+    lattice budgets share the build."""
+    build, m, _ = LATTICE_AMBIENTS[name]
+    alphabet = build()
+    t0 = time.perf_counter()
+    count = len(submodule_codes(alphabet, m, "left"))
+    return count, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

@@ -55,6 +55,8 @@ from frobring.frobenius import (
 from frobring.skewpoly import SkewQuotient
 from frobring.znmod import ZnLinearForm, enumerate_forms
 
+from conftest import gaussian_binomial_sum, left_lattice_size
+
 
 @lru_cache(maxsize=None)
 def corpus():
@@ -277,21 +279,21 @@ def test_criterion_10_form_count_equals_ring_size():
 # -- budgets at sizes the packed lattice reaches ---------------------------
 
 
-def gaussian_binomial_sum(n, q):
-    """Number of subspaces of F_q^n: the sum over k of [n choose k]_q."""
-    total, term = 0, 1  # term = [n choose k]_q
-    for k in range(n + 1):
-        total += term
-        term = term * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
-    return total
-
-
 def test_budget_left_lattice_of_z2_to_the_6():
     t0 = time.perf_counter()
     codes = submodule_codes(ring_zn(2), 6, "left")
     elapsed = time.perf_counter() - t0
     assert len(codes) == gaussian_binomial_sum(6, 2) == 2825
     assert elapsed < 5, f"lattice took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("name, expected", [("Z8^3", 802), ("Z9^3", 445)])
+def test_budget_left_lattices_of_z8_and_z9_cubed(name, expected):
+    """512 and 729 vectors: the count oracle of tests/test_lattice.py
+    shares this build."""
+    count, elapsed = left_lattice_size(name)
+    assert count == expected
+    assert elapsed < 1, f"lattice took {elapsed:.1f} s"
 
 
 def test_budget_checked_code_of_every_word_of_z4_to_the_5():

@@ -6,11 +6,13 @@ of an ambient M of at most 16 elements, acting directly on the left or on
 the right, with no opposite ring and no closure involved.  The library
 acts with the basis of the ring, the oracle with every element.
 
-On larger ambients the library's lattice, built on packed integer codes,
+On larger ambients the library's lattice, built on bitsets of the ambient,
 must equal member for member and in order the same closure built on tuple
-vectors (tuple_lattice).
+vectors (tuple_lattice).  Closed-form counts, which share nothing with
+either closure, check the lattices of ambients up to 729 vectors.
 """
 
+import random
 from itertools import product
 from math import lcm
 
@@ -36,7 +38,7 @@ from frobring.skewpoly import RingAutomorphism, SkewQuotient
 from frobring.znmod import (DEFAULT_CAP, ModuleShape, additive_closure, additive_generators,
                             enumerate_module)
 
-from conftest import upper_triangular
+from conftest import LATTICE_AMBIENTS, chain_ring_submodules, left_lattice_size, upper_triangular
 
 
 def all_subgroups(elements, add, zero):
@@ -177,6 +179,62 @@ def test_packed_code_lattice_equals_the_tuple_lattice(name, side):
     expected = tuple_lattice(product(A.elements(), repeat=m), vadd(A), (A.zero,) * m,
                              A.basis_elements, act)
     assert [code.codewords for code in submodule_codes(A, m, side)] == expected
+
+
+# -- closed-form counts and the translation primitive ------------------------
+
+COUNTS = {"Z4^3": 129, "Z8^3": 802, "Z9^3": 445, "Z2^6": 2825, "GF4^3": 44, "Z2[C2]^3": 129,
+          "M2(F2)^2": 67, "(Z2xZ4)^2": 75, "Z12^2": 90, "Z16^2": 83, "Z27^2": 76}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_AMBIENTS))
+def test_left_lattice_sizes_match_the_closed_forms(name):
+    """The build shared with the lattice budgets of tests/test_acceptance.py."""
+    _, _, closed = LATTICE_AMBIENTS[name]
+    assert left_lattice_size(name)[0] == closed == COUNTS[name]
+
+
+def test_right_lattice_of_m2_f2_squared_matches_the_closed_form():
+    build, m, closed = LATTICE_AMBIENTS["M2(F2)^2"]
+    assert len(submodule_codes(build(), m, "right")) == closed
+
+
+@pytest.mark.parametrize("orders", [(2, 4, 3), (1, 6), (3, 1, 9), ()])
+def test_translation_moves_each_bit_to_the_sum(orders):
+    """Bit t stands for the t-th element in lexicographic order; adding g
+    moves the bit of x to the bit of x + g, and a set of bits moves as
+    its members do."""
+    elements = list(product(*map(range, orders)))
+    index = {x: t for t, x in enumerate(elements)}
+    shifts, rng = finring._shifts(orders), random.Random(0)
+    for g in elements:
+        steps = shifts(g)
+        moved = [1 << index[tuple((a + b) % d for a, b, d in zip(x, g, orders))]
+                 for x in elements]
+        assert [finring._translate(1 << t, steps) for t in range(len(elements))] == moved
+        subset = rng.getrandbits(len(elements))
+        assert finring._translate(subset, steps) == sum(
+            bit for t, bit in enumerate(moved) if subset >> t & 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_one_element_ambient_has_one_submodule(m):
+    zero = (ring_zn(1).zero,) * m
+    for side in ("left", "right", "additive"):
+        assert codewords(ring_zn(1), m, side) == [frozenset({zero})]
+
+
+def test_an_order_one_coordinate_changes_no_lattice():
+    """Z1 x Z4 is Z4 with a coordinate of order 1 in front."""
+    A = ring_product(ring_zn(1), ring_zn(4))
+    assert A.shape.orders == (1, 4)
+    for side, act in (("left", left_vector_action(A)), ("right", right_vector_action(A)),
+                      ("additive", lambda a, v: v)):
+        scalars = [A.one] if side == "additive" else A.basis_elements
+        found = codewords(A, 2, side)
+        assert found == tuple_lattice(product(A.elements(), repeat=2), vadd(A), (A.zero,) * 2,
+                                      scalars, act)
+        assert len(found) == chain_ring_submodules(2, 2, 2)
 
 
 def plain_quotient(n, *coefficients):
