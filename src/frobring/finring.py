@@ -39,9 +39,10 @@ pairs of elements:
   run the same routine on their packed basis grams (frobring.frobenius);
 * the Frobenius test looks for a single socle generator on each side,
   comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
-  the socle by size; on a ring built by ring_product it is decided factor
-  by factor, as the product's sizes multiply and its first generators
-  concatenate (is_frobenius_socle);
+  the socle by size; a table whose coordinates fall into two or more
+  blocks with no product across them is decided block by block, as the
+  sizes multiply and the first generators sit on their blocks'
+  coordinates (_table_blocks, is_frobenius_socle);
 * a submodule lattice holds each submodule as one int, a bitset of the
   ambient with a bit per vector in lexicographic order, so C <= I is one
   int operation and a sum I + C a few masked shifts per generator of C
@@ -51,9 +52,9 @@ pairs of elements:
 
 Right-handed notions are the left-handed ones of the opposite ring: the
 validated table transposed, whose checks carry over, built once on demand
-(FiniteRing.opposite); the opposite of a product is the product of the
-factors' opposites.  Rings cache all this, a ring and its opposite in
-one shared record where the side does not matter; treat them as immutable.
+(FiniteRing.opposite), which has the same blocks.  Rings cache all this,
+a ring and its opposite in one shared record where the side does not
+matter; treat them as immutable.
 """
 
 from __future__ import annotations
@@ -165,11 +166,8 @@ class FiniteRing:
         self._packed_table = tuple(tuple(map(pack, row)) for row in self.mul_table)
         self.label = label
         self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
-        # the rings whose direct product this is, one contiguous block of
-        # coordinates each, set by ring_product alone
-        self.factors: tuple[FiniteRing, ...] | None = None
         self._side_free: dict[str, object] = {}  # by name, shared with the opposite
-        self._socles: dict[str, Ideal] = {}
+        self._own: dict[str, object] = {}  # socles by side and the block rings, not shared
         # the opposite ring, held weakly by an opposite for its original
         self._opposite: FiniteRing | weakref.ref | None = None
         for check_name, ok, witness in table_validation_report(self):
@@ -312,10 +310,10 @@ class FiniteRing:
         bilinearity it is enough to annihilate J's additive generators."""
         if side not in ("left", "right"):
             raise ValueError(f"bad socle side {side!r}")
-        if side not in self._socles:
+        if side not in self._own:
             ring = self if side == "right" else self.opposite()
-            self._socles[side] = Ideal(side, ring_orthogonal(ring, self.radical_generators()))
-        return self._socles[side]
+            self._own[side] = Ideal(side, ring_orthogonal(ring, self.radical_generators()))
+        return self._own[side]
 
     def opposite(self) -> "FiniteRing":
         """The same module with a * b computed as b * a: this ring with the
@@ -323,10 +321,11 @@ class FiniteRing:
         check carries over (entry (i, j) tests both d_i and d_j, the
         opposite's associativity at (i, j, l) is this ring's at (l, j, i),
         the unit laws swap sides).  The two share one record of elements,
-        units, nilpotents and the radical (J(R) = J(R^op)), whichever finds
-        them, and keep their own socles.  It holds this ring weakly (no
-        reference cycle) and rebuilds it, on the same record, if it is gone.
-        The opposite of a product has the factors' opposites as factors."""
+        units, nilpotents, the radical (J(R) = J(R^op)) and the blocks of the
+        table (the transpose has the same components), whichever finds them,
+        and keep their own socles and block rings.  It holds this ring weakly
+        (no reference cycle) and rebuilds it, on the same record, if it is
+        gone."""
         op = self._opposite
         if isinstance(op, weakref.ref):
             op = op()
@@ -334,11 +333,9 @@ class FiniteRing:
             op = copy.copy(self)
             op.mul_table = tuple(zip(*self.mul_table))
             op._packed_table = tuple(zip(*self._packed_table))
-            op._socles = {}
+            op._own = {}
             op.label = f"{self.label}^op" if self.label else None
             op.cayley = None if self.cayley is None else tuple(zip(*self.cayley))
-            op.factors = None if self.factors is None else tuple(
-                f.opposite() for f in self.factors)
             op._opposite = weakref.ref(self)
             self._opposite = op
         return op
@@ -458,9 +455,10 @@ def ring_from_table(
 
 
 def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
-    """Direct product; the characteristic is the lcm of the factors'.  The
-    factors are kept on the ring (attribute ``factors``), each on its block
-    of coordinates, for the Frobenius tests to decide one at a time."""
+    """Direct product; the characteristic is the lcm of the factors'.  Each
+    factor takes a contiguous run of coordinates, with no product across
+    runs, so the Frobenius tests find the factors again as blocks of the
+    table (_blocks)."""
     if not rings:
         raise ValueError("product needs at least one factor")
     n = lcm(*(r.characteristic for r in rings))
@@ -477,9 +475,7 @@ def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
             table[off + i][off + j] = pad[0] + r.mul_table[i][j] + pad[1]
         off += r.rank
     one = tuple(c for r in rings for c in r.one)
-    ring = FiniteRing(shape, table, one, label=label)
-    ring.factors = rings
-    return ring
+    return FiniteRing(shape, table, one, label=label)
 
 
 def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> FiniteRing:
@@ -744,7 +740,49 @@ def right_ideals(ring: FiniteRing) -> list[Ideal]:
     return [Ideal("right", ideal.elements) for ideal in left_ideals(ring.opposite())]
 
 
-# -- the socle Frobenius test ---------------------------------------------
+# -- blocks of the table and the socle Frobenius test ----------------------
+
+
+def _table_blocks(ring: FiniteRing) -> list[list[int]]:
+    """The connected components of the coordinates of order above 1, where
+    i is joined to the support of every nonzero e_i e_j and e_j e_i: the
+    nonzero fields of packed row i and column i, or-ed together.  Products
+    across components vanish, so R is the product of the components'
+    subrings, and their identities are the components of 1."""
+    table, fields, mask = ring._packed_table, ring._fields, ring._field_mask
+    blocks: list[set[int]] = []
+    for i, (row, column) in enumerate(zip(table, zip(*table))):
+        if ring.shape.orders[i] > 1:
+            line = reduce(operator.or_, row + column)
+            block = {i}.union(l for l, (shift, _) in enumerate(fields) if line >> shift & mask)
+            joined = [b for b in blocks if b & block]
+            blocks = [b for b in blocks if not b & block] + [block.union(*joined)]
+    return sorted(map(sorted, blocks))
+
+
+def _blocks(ring: FiniteRing) -> list[tuple[list[int], FiniteRing]]:
+    """(coordinates, ring) of each block of the table, or [] when it has
+    fewer than two.  The blocks are one record with the opposite; each
+    block ring is built from its sub-table, of characteristic the lcm of
+    its orders, which is the order of its identity 1_B (d e_i = d 1_B e_i)."""
+    if "blocks" not in ring._side_free:
+        ring._side_free["blocks"] = _table_blocks(ring)
+    blocks, orders, table = ring._side_free["blocks"], ring.shape.orders, ring.mul_table
+    if len(blocks) > 1 and "blocks" not in ring._own:
+        ring._own["blocks"] = [(b, FiniteRing(
+            ModuleShape(lcm(*(orders[i] for i in b)), tuple(orders[i] for i in b)),
+            [[[table[i][j][l] for l in b] for j in b] for i in b], [ring.one[i] for i in b]))
+            for b in blocks]
+    return ring._own.get("blocks", [])
+
+
+def _on_blocks(ring: FiniteRing, pieces: Sequence) -> Element | None:
+    """The element with each block's piece on the block's coordinates and
+    0 on the coordinates of order 1, or None if a piece is None."""
+    if None in pieces:
+        return None
+    x = dict(zip(chain.from_iterable(b for b, _ in _blocks(ring)), chain.from_iterable(pieces)))
+    return tuple(x.get(i, 0) for i in range(ring.rank))
 
 
 def is_frobenius_socle(ring: FiniteRing) -> SocleCertificate:
@@ -756,19 +794,20 @@ def is_frobenius_socle(ring: FiniteRing) -> SocleCertificate:
     is exactly a module isomorphism R/J -> Soc(R) sending 1 + J to s, and
     symmetrically on the left.  Both one-sided conditions are verified.
 
-    A ring built by ring_product is decided factor by factor, after the
-    cap check the direct route's socle kernel makes on R.  The radical,
-    R/J and the socles are products of the factors', and s R is the
-    product of the blocks s_i R_i.  A cyclic socle s R has at most |R/J|
-    elements, as s J = 0, so the sizes match on the product iff they
-    match on every factor.  The generators therefore form a product set,
-    empty iff some factor has none, and its first member in sorted order
-    is the concatenation of the factors' first generators.
+    A table of two or more blocks (_blocks) is decided block by block,
+    after the cap check the direct route's first listing makes on R.  The
+    radical, R/J and the socles are products of the blocks', and s R is
+    the product of the s_B B.  A cyclic socle s R has at most |R/J|
+    elements, as s J = 0, so the sizes match on R iff they match on every
+    block.  The generators therefore form a product set, empty iff some
+    block has none, and its first member in sorted order has each block's
+    first generator on the block's coordinates: sorted order compares the
+    coordinates in index order, however the blocks interleave.
     """
-    if ring.factors:
-        _check_cap(ring.cardinality, "module")
-        certs = [is_frobenius_socle(f) for f in ring.factors]
-        right, left = (None if None in ws else tuple(chain.from_iterable(ws))
+    _check_cap(ring.cardinality, "module")
+    if blocks := _blocks(ring):
+        certs = [is_frobenius_socle(b) for _, b in blocks]
+        right, left = (_on_blocks(ring, ws)
                        for ws in zip(*((c.right_witness, c.left_witness) for c in certs)))
         return SocleCertificate(
             is_frobenius=right is not None and left is not None,

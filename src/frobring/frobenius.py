@@ -35,8 +35,8 @@ in the ring are read off the pairing's Z_n-valued gram (_gram_kernel).
 An ambient form is A-linear on the left in its first slot and on the
 right in its second, so its kernels are orthogonals of the m unit
 vectors of A^m.  The functional search reads only the right socle, where
-every nonzero first-slot kernel shows up, and on a ring built by
-ring_product it searches each factor instead.
+every nonzero first-slot kernel shows up, and on a table of two or more
+blocks it searches each block instead (finring._blocks).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .znmod import (
     _check_power_cap,
     _check_table_cap,
 )
-from .finring import FiniteRing, Ideal, ring_generators, ring_orthogonal
+from .finring import FiniteRing, Ideal, _blocks, _on_blocks, ring_generators, ring_orthogonal
 
 Vector = tuple[Element, ...]
 
@@ -213,24 +213,26 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     found is returned through the verifying constructor, which decides
     its kernel off the gram again, or None.
 
-    A ring built by ring_product is searched factor by factor, after the
-    cap check on its form space.  Its forms are the concatenations of the
-    factors' forms, each weight scaled by n / char R_i, an order-keeping
-    bijection; eps(a * b) adds the blocks' values, so a form's first-slot
+    A table of two or more blocks (finring._blocks) is searched block by
+    block, after the cap check on its form space.  Its forms are the forms
+    of the blocks, each on its block's coordinates with its weights scaled
+    by n / char B, an order-keeping bijection (a coordinate of order 1 has
+    weight 0); eps(a * b) adds the blocks' values, so a form's first-slot
     kernel is the product of the blocks' kernels.  The Frobenius forms are
-    therefore a product set, empty iff some factor has none, and the
-    first is the concatenation of the factors' first forms.
+    therefore a product set, empty iff some block has none, and as weight
+    order compares the coordinates in index order, however the blocks
+    interleave, the first has each block's first form on its coordinates.
     """
     forms = enumerate_forms(ring.shape)
     n = ring.characteristic
-    if ring.factors:
+    if blocks := _blocks(ring):
         weights = []
-        for factor in ring.factors:
-            found = find_frobenius_functional(factor)
+        for _, block in blocks:
+            found = find_frobenius_functional(block)
             if found is None:
                 return None
-            weights.extend(w * (n // factor.characteristic) for w in found.weights)
-        return FrobeniusFunctional(ring, ZnLinearForm(ring.shape, tuple(weights)))
+            weights.append([w * (n // block.characteristic) for w in found.weights])
+        return FrobeniusFunctional(ring, ZnLinearForm(ring.shape, _on_blocks(ring, weights)))
     socle = sorted(ring.socle("right").elements - {ring.zero})
     images: list[list[Element]] = []  # s * e_1, ..., s * e_k for the socle visited so far
     for form in forms:

@@ -8,6 +8,7 @@ generators brought into reach.
 """
 
 import json
+import random
 import time
 from functools import lru_cache
 from itertools import product
@@ -22,7 +23,8 @@ from frobring.catalog import (
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
 )
-from frobring.cli import main
+from frobring import finring
+from frobring.cli import build_ring, main
 from frobring.codes import (
     LinearCode,
     identity_form,
@@ -53,7 +55,7 @@ from frobring.frobenius import (
     right_annihilator,
 )
 from frobring.skewpoly import SkewQuotient
-from frobring.znmod import ZnLinearForm, enumerate_forms
+from frobring.znmod import DEFAULT_CAP, ZnLinearForm, enumerate_forms
 
 from conftest import gaussian_binomial_sum, left_lattice_size
 
@@ -431,3 +433,35 @@ def test_budget_frobenius_verdict_on_a_semisimple_product(name, factors, first, 
     assert report["functional_weights"] == first
     assert report["right_socle_generator"] == report["left_socle_generator"] == first
     assert elapsed < 1, f"{name} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("name, factors, first", PRODUCT_BUDGETS,
+                         ids=[b[0] for b in PRODUCT_BUDGETS])
+def test_budget_frobenius_verdict_on_a_shuffled_semisimple_product(name, factors, first, tmp_path,
+                                                                   capsys, monkeypatch):
+    """The product's table with its coordinates shuffled by a seed, as a
+    table spec: its blocks interleave, and it is decided block by block.
+    With one coordinate per factor its report is the product spec's;
+    otherwise the shuffle moves the first form, and the oracle is the
+    direct route on the same table, its block record set to one block."""
+    ring = build_ring({"kind": "product", "factors": factors}, DEFAULT_CAP)
+    perm = list(range(ring.rank))
+    random.Random(name).shuffle(perm)
+    assert perm != sorted(perm)
+    spec = tmp_path / "shuffled.json"
+    spec.write_text(json.dumps({
+        "kind": "table", "n": ring.characteristic, "orders": [ring.shape.orders[i] for i in perm],
+        "mul": [[[ring.mul_table[i][j][l] for l in perm] for j in perm] for i in perm],
+        "one": [ring.one[i] for i in perm]}))
+    t0 = time.perf_counter()
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    if ring.rank == len(factors):
+        spec = tmp_path / "product.json"
+        spec.write_text(json.dumps({"kind": "product", "factors": factors}))
+    else:
+        monkeypatch.setattr(finring, "_table_blocks", lambda r: [list(range(r.rank))])
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 0
+    assert out == capsys.readouterr().out
+    assert elapsed < 1, f"shuffled {name} took {elapsed:.2f} s"

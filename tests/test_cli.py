@@ -18,6 +18,8 @@ from frobring.finring import TABLE_CHECKS, FiniteRing
 from frobring.skewpoly import SkewQuotient
 from frobring.znmod import DEFAULT_CAP, EnumerationCapError, ZnLinearForm, enumeration_cap
 
+from ring_families import FAMILY_SPECS
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -450,8 +452,8 @@ def test_cap_flag_limits_enumeration(tmp_path, capsys):
 
 
 def test_product_meets_the_cap_as_its_table_does(tmp_path, capsys):
-    """A product spec is decided factor by factor, after the same cap
-    check on its form space as the table spec of the same ring."""
+    """A product spec is decided block by block, after the same cap check
+    on its form space as the table spec of the same ring."""
     product_spec = {"kind": "product", "factors": [
         {"kind": "zn", "n": 4}, {"kind": "matrix", "base": {"kind": "zn", "n": 2}, "size": 2}]}
     ring = build_ring(product_spec, DEFAULT_CAP)
@@ -467,6 +469,21 @@ def test_product_meets_the_cap_as_its_table_does(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["functional_weights"] == [1, 0, 2, 2, 0]  # Z4's (1), M2(F2)'s (0, 1, 1, 0) doubled
+
+
+@pytest.mark.parametrize("name, spec", FAMILY_SPECS, ids=[name for name, _ in FAMILY_SPECS])
+def test_frobenius_report_does_not_depend_on_the_spec_kind(name, spec, tmp_path, capsys):
+    """A family ring and the table spec of its own table print the same
+    report, with and without --json: the route is chosen by the table."""
+    ring = build_ring(spec, DEFAULT_CAP)
+    table_spec = {"kind": "table", "n": ring.characteristic, "orders": list(ring.shape.orders),
+                  "mul": [[list(e) for e in row] for row in ring.mul_table], "one": list(ring.one)}
+    for flags in ([], ["--json"]):
+        outs = set()
+        for index, s in enumerate((spec, table_spec)):
+            exit_code = main(["ring", "frobenius", write(tmp_path, f"r{index}.json", s), *flags])
+            outs.add((exit_code, capsys.readouterr().out))
+        assert len(outs) == 1, outs
 
 
 def test_cap_does_not_depend_on_the_spec_kind(tmp_path, capsys):

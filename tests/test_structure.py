@@ -56,7 +56,7 @@ from frobring.codes import LinearCode, is_skew_cyclic, quotient_left_ideal_codes
 from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left_ideals
 from frobring.skewpoly import AutomorphismError, RingAutomorphism, SkewQuotient
 from frobring.frobenius import is_nondegenerate, pairing_kernel
-from frobring import frobenius, skewpoly
+from frobring import finring, frobenius, skewpoly
 from frobring.znmod import (EnumerationCapError, ZnLinearForm, additive_generators, annihilated,
                             enumeration_cap, linear_kernel)
 
@@ -765,11 +765,11 @@ def test_group_report_orthogonals_match_the_scan(name):
             tuple(b[inverse[t]] for t in range(R.rank)) for b in orth}
 
 
-# -- products decided factor by factor ---------------------------------------
+# -- products decided block by block -----------------------------------------
 #
-# A ring built by ring_product keeps its factors, and the functional search
-# and the socle certificate recurse over them.  The same table given to
-# ring_from_table keeps none and takes the direct route, the oracle here.
+# A table of two or more blocks is decided block by block, whatever built
+# it.  The direct route is the oracle: a copy of the table whose block
+# record is set to one block, so that nothing splits.
 
 CORPUS = corpus_rings()
 PAIRS = [(a, b) for a in CORPUS for b in CORPUS
@@ -782,29 +782,52 @@ def frobenius_fields(ring):
     return (found.weights if found else None), astuple(is_frobenius_socle(ring))
 
 
+def shuffled(ring, seed):
+    """The ring with its coordinates permuted by a seeded permutation:
+    coordinate t of the copy is coordinate perm[t] of the ring."""
+    perm = list(range(ring.rank))
+    random.Random(seed).shuffle(perm)
+    table = [[[ring.mul_table[i][j][l] for l in perm] for j in perm] for i in perm]
+    return ring_from_table(ring.characteristic, [ring.shape.orders[i] for i in perm], table,
+                           [ring.one[i] for i in perm])
+
+
+def direct(ring):
+    """A copy of the ring that takes the direct route: its block record,
+    shared with its opposite, holds one block."""
+    copy = ring_from_table(ring.characteristic, ring.shape.orders, ring.mul_table, ring.one)
+    copy._side_free["blocks"] = [list(range(ring.rank))]
+    return copy
+
+
 def assert_split_matches_direct(ring):
-    n, orders = ring.characteristic, ring.shape.orders
-    table = ring_from_table(n, orders, ring.mul_table, ring.one)
-    assert table.factors is None and table == ring
-    assert frobenius_fields(ring) == frobenius_fields(table)
-    op = ring.opposite()
-    assert op.factors == tuple(f.opposite() for f in ring.factors)
-    transposed = ring_from_table(n, orders, tuple(zip(*ring.mul_table)), ring.one)
-    assert frobenius_fields(op) == frobenius_fields(transposed)
+    """The ring and its opposite against the direct route; True if it split."""
+    oracle = direct(ring)
+    assert oracle == ring
+    for r, o in ((ring, oracle), (ring.opposite(), oracle.opposite())):
+        assert frobenius_fields(r) == frobenius_fields(o)
+    return len(finring._blocks(ring)) > 1
+
+
+def shuffled_pair(a, b):
+    """The product of two corpus rings, its coordinates shuffled by a seed."""
+    return shuffled(ring_product(CORPUS[a], CORPUS[b]), f"{a}*{b}")
 
 
 def test_the_pairs_cover_the_corpus_and_both_verdicts():
-    assert len(PAIRS) > 300 and {a for a, _ in PAIRS} == set(CORPUS)
+    assert len(PAIRS) == 387 and {a for a, _ in PAIRS} == set(CORPUS)
     verdicts = {is_frobenius_socle(ring_product(CORPUS[a], CORPUS[b])).is_frobenius
                 for a, b in PAIRS}
     assert verdicts == {True, False}
+    # the rest have a factor Z1 and a one-block factor
+    assert sum(len(finring._blocks(shuffled_pair(a, b))) > 1 for a, b in PAIRS) == 352
 
 
 @pytest.mark.parametrize("left", list(CORPUS))
 def test_product_of_two_corpus_rings_matches_its_table(left):
     for a, b in PAIRS:
         if a == left:
-            assert_split_matches_direct(ring_product(CORPUS[a], CORPUS[b]))
+            assert_split_matches_direct(shuffled_pair(a, b))
 
 
 def test_the_triangular_ring_has_socles_of_two_sizes():
@@ -821,25 +844,51 @@ def test_the_triangular_ring_has_socles_of_two_sizes():
     ("GF4[x;sq]/(x^2-1)", "[[GF4, GF4], [0, Z2]]"),
 ])
 def test_product_of_several_rings_matches_its_table(factors):
-    assert_split_matches_direct(ring_product(*map(RINGS.get, factors)))
+    ring = ring_product(*map(RINGS.get, factors))
+    assert_split_matches_direct(ring)
+    assert_split_matches_direct(shuffled(ring, "+".join(factors)))
 
 
 def test_nested_product_matches_its_table():
     z = CORPUS
     inner = ring_product(z["Z2"], ring_product(z["GF4[x;sq]/(x^2-1)"], z["Z1"]))
-    ring = ring_product(inner, z["Z3"])
-    assert ring.factors[0].factors[1].factors[1] is z["Z1"]
-    assert_split_matches_direct(ring)
-    assert_split_matches_direct(ring_product(ring_product(z["Z4"])))
+    assert assert_split_matches_direct(ring_product(inner, z["Z3"]))
+    assert not assert_split_matches_direct(ring_product(ring_product(z["Z4"])))
 
 
-def test_opposite_of_a_product_holds_the_factors_opposites():
-    m2 = RINGS["M2(Z2) x Z2[u1,u2]/(u)^2"]
-    op = m2.opposite()
-    assert all(f is g.opposite() for f, g in zip(op.factors, m2.factors, strict=True))
-    assert op.opposite() is m2
-    assert all(f.factors is None for f in m2.factors)
-    assert ring_matrix(RINGS["Z2xZ2"], 2).factors is None  # a matrix ring over a product
+@pytest.mark.parametrize("other, n", [("Z4", 4), ("Z3", 6)])
+def test_matrix_ring_over_a_product_splits_into_interleaved_blocks(other, n):
+    """M2(Z2 x Z_m) on the basis E_pq e_i, ordered by (p, q, i): the
+    blocks are the even and the odd coordinates."""
+    ring = ring_matrix(ring_product(CORPUS["Z2"], CORPUS[other]), 2)
+    assert ring.characteristic == n and assert_split_matches_direct(ring)
+    assert [b for b, _ in finring._blocks(ring)] == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert [b for b, _ in finring._blocks(ring.opposite())] == [[0, 2, 4, 6], [1, 3, 5, 7]]
+
+
+@pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])
+def test_one_block_rings_build_no_ring_to_decide(name, monkeypatch):
+    """A table of one block takes the direct route and builds no ring; a
+    table of two builds each block ring once, for both decisions."""
+    ring = fresh(name)
+    built = []
+    original = FiniteRing.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteRing, "__init__", counting)
+    for r in (ring, ring.opposite()):
+        find_frobenius_functional(r)
+        is_frobenius_socle(r)
+    assert built == [] and len(ring._side_free["blocks"]) == 1
+    product_ring = ring_product(ring, RINGS["Z3"])
+    built.clear()
+    find_frobenius_functional(product_ring)
+    assert len(built) == 2  # the blocks, once each
+    is_frobenius_socle(product_ring)
+    assert len(built) == 2
 
 
 def test_a_product_is_refused_over_the_cap_as_its_table_is():
