@@ -19,7 +19,9 @@ closed under the twisted coordinate shift, and the Euclidean dual of such
 a code V equals the left orthogonal of reversal(V) under the quotient's
 Frobenius pairing.  For a group algebra Z_n[G], the Euclidean dual of a
 left ideal is the support-inversion image of its right orthogonal under
-the coefficient-of-identity pairing.
+the coefficient-of-identity pairing.  A ring counts as Z_n[G] by its
+table alone: every basis product a basis element, every row holding 1,
+as Z_n = Z_n[{1}] does.
 """
 
 from __future__ import annotations
@@ -372,11 +374,15 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
     closed under every left multiple (the shift-closure of Boucher,
     Geiselmann and Ulmer, AAECC 18, 2007), tested on flattened words in
     the uncapped table ring of SkewQuotient.mul, whose basis opens with A's.
+    A word whose flattening is not an element of that ring is refused
+    (submodule_violation): words are read by their flattening, as in
+    skew_cyclic_dual_report.
     """
     ring, flat = quotient._table_ring, quotient.flatten
     words = frozenset(map(flat, code.codewords if isinstance(code, LinearCode) else code))
     generators = [flat(quotient.shift_generator()), *ring.basis_elements[:quotient.base.rank]]
-    return submodule_violation(words, ring.add, ring.zero, generators, ring.mul) is None
+    return submodule_violation(words, ring.add, ring.zero, generators, ring.mul,
+                               ring.shape.contains) is None
 
 
 def quotient_left_ideal_codes(quotient: SkewQuotient) -> list[frozenset[Vector]]:
@@ -438,15 +444,20 @@ class GroupAlgebraDualReport:
 
 
 def group_inversion(R: FiniteRing, a: Element) -> Element:
-    """Support inversion sum a_g g |-> sum a_g g^{-1} of a group algebra."""
+    """Support inversion sum a_g g |-> sum a_g g^{-1} of a group algebra
+    Z_n[G] on its basis G (_inversion_permutation)."""
     return tuple(a[i] for i in _inversion_permutation(R))
 
 
 def _inversion_permutation(R: FiniteRing) -> list[int]:
-    if R.cayley is None:
-        raise ValueError("alphabet is not a group algebra (no Cayley table attached)")
-    identity = next(e for e, row in enumerate(R.cayley) if row[e] == e)  # the one idempotent
-    return [row.index(identity) for row in R.cayley]
+    """The inverse of each basis element, read off the table.  R is a
+    group algebra on its basis when every basis product is a basis element
+    and every row holds 1: the basis is then a finite monoid with right
+    inverses, a group.  The inverse of e_i is the e_j with e_i e_j = 1."""
+    basis, table = set(R.basis_elements), R.mul_table
+    if not all(e in basis for row in table for e in row) or any(R.one not in row for row in table):
+        raise ValueError(f"{R!r} is not a group algebra on its basis")
+    return [row.index(R.one) for row in table]
 
 
 def group_algebra_dual_report(R: FiniteRing, S: Iterable[Element]) -> GroupAlgebraDualReport:

@@ -50,16 +50,20 @@ pairs of elements:
   znmod.packed_arithmetic codes, which sort like the tuples and add in
   five int operations.
 
-Right-handed notions are the left-handed ones of the opposite ring: the
-validated table transposed, whose checks carry over, built once on demand
-(FiniteRing.opposite), which has the same blocks.  Rings cache all this,
-a ring and its opposite in one shared record where the side does not
-matter; treat them as immutable.
+A ring is its validated table.  One fill step (FiniteRing._fill) sets
+every field from a reduced table: the constructor's, which it then
+validates; the opposite's, the table and packed table transposed, built
+once on demand (FiniteRing.opposite); and each block ring's, a sub-table
+(_blocks).  Neither derived ring is checked again, as the checks carry
+over.
+Right-handed notions are the left-handed ones of the opposite ring, which
+has the same blocks.  Rings cache all this, a ring and its opposite in
+one shared record where the side does not matter; treat them as
+immutable.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
 import weakref
 from dataclasses import dataclass
@@ -145,34 +149,43 @@ class FiniteRing:
         one: Iterable[int],
         *,
         label: str | None = None,
-        cayley: Sequence[Sequence[int]] | None = None,
     ):
-        self.shape = shape
         k = shape.rank
         if len(mul_table) != k or any(len(row) != k for row in mul_table):
             raise RingValidationError(
                 "table-shape", (len(mul_table), k), f"multiplication table must be {k}x{k}"
             )
-        self.mul_table: tuple[tuple[Element, ...], ...] = tuple(
-            tuple(map(shape.reduce, _int_vectors(row, "table entry"))) for row in mul_table
-        )
-        self.one: Element = shape.reduce(_ints(one, "identity"))
-        # reduce: a coordinate of order 1 has no generator besides 0
-        self.basis_elements: tuple[Element, ...] = tuple(
-            shape.reduce(1 if j == i else 0 for j in range(k)) for i in range(k))
-        # each table entry as one int: a field of a product sums k^2 terms
-        # a_i b_j e_ij[l] < n^3, so it never carries into the next
-        pack, self._fields, self._field_mask = packed_fields(shape.orders, k * k * shape.n ** 3)
-        self._packed_table = tuple(tuple(map(pack, row)) for row in self.mul_table)
-        self.label = label
-        self.cayley = tuple(tuple(row) for row in cayley) if cayley is not None else None
-        self._side_free: dict[str, object] = {}  # by name, shared with the opposite
-        self._own: dict[str, object] = {}  # socles by side and the block rings, not shared
-        # the opposite ring, held weakly by an opposite for its original
-        self._opposite: FiniteRing | weakref.ref | None = None
+        table = tuple(
+            tuple(map(shape.reduce, _int_vectors(row, "table entry"))) for row in mul_table)
+        self._fill(shape, table, shape.reduce(_ints(one, "identity")), {}, label)
         for check_name, ok, witness in table_validation_report(self):
             if not ok:
                 raise RingValidationError(check_name, witness)
+
+    def _fill(self, shape: ModuleShape, table: tuple, one: Element, side_free: dict,
+              label: str | None = None, packed: tuple | None = None) -> "FiniteRing":
+        """Set every field of the ring from a reduced table, packing it
+        unless its packed table is given, and return the ring: the one step
+        that makes a ring.  The constructor fills from reduced outside
+        input, then runs the presentation checks, which read these fields.
+        The opposite (the table transposed) and the block rings (sub-tables)
+        are filled from tables whose checks hold by derivation, and are not
+        checked.  side_free is the record of the facts that do not depend
+        on the side, which a ring shares with its opposite."""
+        k = shape.rank
+        self.shape, self.mul_table, self.one, self.label = shape, table, one, label
+        # a coordinate of order 1 has no generator besides 0
+        self.basis_elements: tuple[Element, ...] = tuple(
+            tuple(1 % d if j == i else 0 for j, d in enumerate(shape.orders)) for i in range(k))
+        # each table entry as one int: a field of a product sums k^2 terms
+        # a_i b_j e_ij[l] < n^3, so it never carries into the next
+        pack, self._fields, self._field_mask = packed_fields(shape.orders, k * k * shape.n ** 3)
+        self._packed_table = packed or tuple(tuple(map(pack, row)) for row in table)
+        self._side_free: dict[str, object] = side_free  # by name
+        self._own: dict[str, object] = {}  # socles by side and the block rings, not shared
+        # the opposite ring, held weakly by an opposite for its original
+        self._opposite: FiniteRing | weakref.ref | None = None
+        return self
 
     # -- basic structure ---------------------------------------------------
 
@@ -316,26 +329,23 @@ class FiniteRing:
         return self._own[side]
 
     def opposite(self) -> "FiniteRing":
-        """The same module with a * b computed as b * a: this ring with the
-        basis table transposed, built once and not validated again, as each
-        check carries over (entry (i, j) tests both d_i and d_j, the
-        opposite's associativity at (i, j, l) is this ring's at (l, j, i),
-        the unit laws swap sides).  The two share one record of elements,
-        units, nilpotents, the radical (J(R) = J(R^op)) and the blocks of the
-        table (the transpose has the same components), whichever finds them,
-        and keep their own socles and block rings.  It holds this ring weakly
-        (no reference cycle) and rebuilds it, on the same record, if it is
-        gone."""
+        """The same module with a * b computed as b * a: this ring's table
+        and packed table transposed, made once by the fill step and not
+        validated again, as each check carries over (entry (i, j) tests
+        both d_i and d_j, the opposite's associativity at (i, j, l) is this
+        ring's at (l, j, i), the unit laws swap sides).  The two share one
+        record of elements, units, nilpotents, the radical (J(R) = J(R^op))
+        and the blocks of the table (the transpose has the same
+        components), whichever finds them, and keep their own socles and
+        block rings.  It holds this ring weakly (no reference cycle) and
+        rebuilds it, on the same record, if it is gone."""
         op = self._opposite
         if isinstance(op, weakref.ref):
             op = op()
         if op is None:
-            op = copy.copy(self)
-            op.mul_table = tuple(zip(*self.mul_table))
-            op._packed_table = tuple(zip(*self._packed_table))
-            op._own = {}
-            op.label = f"{self.label}^op" if self.label else None
-            op.cayley = None if self.cayley is None else tuple(zip(*self.cayley))
+            op = FiniteRing.__new__(FiniteRing)._fill(
+                self.shape, tuple(zip(*self.mul_table)), self.one, self._side_free,
+                f"{self.label}^op" if self.label else None, tuple(zip(*self._packed_table)))
             op._opposite = weakref.ref(self)
             self._opposite = op
         return op
@@ -509,8 +519,9 @@ def ring_group_algebra(
     """Group algebra Z_n[G] from a Cayley table (indices into the group).
 
     The table must be a finite group: a Latin square with a two-sided
-    identity and associative composition.  The group basis is kept on the
-    ring (attribute ``cayley``) so duality helpers can invert elements.
+    identity and associative composition.  The ring keeps no record of
+    it: every basis product is a basis element, so duality helpers read
+    the group off the ring's table (codes.group_inversion).
     """
     g = len(cayley)
     if g < 1 or any(len(row) != g for row in cayley):
@@ -534,7 +545,7 @@ def ring_group_algebra(
         for i in range(g)
     ]
     one = tuple(1 if l == identity else 0 for l in range(g))
-    return FiniteRing(shape, table, one, label=label or f"Z{n}[G{g}]", cayley=rows)
+    return FiniteRing(shape, table, one, label=label or f"Z{n}[G{g}]")
 
 
 # -- ideal machinery -------------------------------------------------------
@@ -561,7 +572,7 @@ def ring_orthogonal(ring: FiniteRing, gens, form=None) -> frozenset[Element]:
                                         ring._field_mask, ring.shape.orders, list(gens), form))
 
 
-def submodule_violation(elems, add, zero, scalars, act):
+def submodule_violation(elems, add, zero, scalars, act, member=None):
     """First witness that elems is not a submodule, or None when it is one.
 
     The one submodule test: ('zero', zero) when zero is missing, then
@@ -574,13 +585,20 @@ def submodule_violation(elems, add, zero, scalars, act):
     elems is closed under its own span, at about |elems| log|elems| adds.
     The scalars act on those generators only: elems is then a subgroup and
     act(r, -) is additive, so act(r, elems) lies in elems iff each
-    act(r, g) does, and the first failing r is the same.
+    act(r, g) does, and the first failing r is the same.  Given member, a
+    b that fails it, a non-element, is refused with a ValueError when it
+    would be kept: the span of the generators before it holds elements
+    only, so every non-element is tested unless a witness comes first, at
+    one test per generator.  Without it, every member of elems is taken
+    to be an element (LinearCode checks its words first).
     """
     if zero not in elems:
         return ("zero", zero)
     ordered, spanned, gens = sorted(elems), {zero}, []
     for b in ordered:
         if b not in spanned:
+            if member and not member(b):
+                raise ValueError(f"{b!r} is not an element")
             for a in ordered:
                 if add(a, b) not in elems:
                     return ("sum", (a, b))
@@ -594,7 +612,9 @@ def submodule_violation(elems, add, zero, scalars, act):
 
 
 def is_left_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
-    return submodule_violation(elems, ring.add, ring.zero, ring.basis_elements, ring.mul) is None
+    """Is elems a left ideal?  A non-element is refused (submodule_violation)."""
+    return submodule_violation(elems, ring.add, ring.zero, ring.basis_elements, ring.mul,
+                               ring.shape.contains) is None
 
 
 def is_right_ideal(ring: FiniteRing, elems: frozenset[Element]) -> bool:
@@ -763,16 +783,18 @@ def _table_blocks(ring: FiniteRing) -> list[list[int]]:
 def _blocks(ring: FiniteRing) -> list[tuple[list[int], FiniteRing]]:
     """(coordinates, ring) of each block of the table, or [] when it has
     fewer than two.  The blocks are one record with the opposite; each
-    block ring is built from its sub-table, of characteristic the lcm of
-    its orders, which is the order of its identity 1_B (d e_i = d 1_B e_i)."""
+    block ring is filled from its sub-table with no check, as the ring's
+    checks cover it: its entries stay in the block, and its identity 1_B,
+    the block's part of 1, has order the lcm of the block's orders, its
+    characteristic (d e_i = d 1_B e_i)."""
     if "blocks" not in ring._side_free:
         ring._side_free["blocks"] = _table_blocks(ring)
     blocks, orders, table = ring._side_free["blocks"], ring.shape.orders, ring.mul_table
     if len(blocks) > 1 and "blocks" not in ring._own:
-        ring._own["blocks"] = [(b, FiniteRing(
+        ring._own["blocks"] = [(b, FiniteRing.__new__(FiniteRing)._fill(
             ModuleShape(lcm(*(orders[i] for i in b)), tuple(orders[i] for i in b)),
-            [[[table[i][j][l] for l in b] for j in b] for i in b], [ring.one[i] for i in b]))
-            for b in blocks]
+            tuple(tuple(tuple(table[i][j][l] for l in b) for j in b) for i in b),
+            tuple(ring.one[i] for i in b), {})) for b in blocks]
     return ring._own.get("blocks", [])
 
 

@@ -2,17 +2,19 @@
 
 import random
 from functools import reduce
+from itertools import permutations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from frobring import codes as codes_module, finring
-from frobring.catalog import gf4_skew_quotient
-from frobring.finring import left_ideals, ring_zn
+from frobring.catalog import corpus_rings, gf4, gf4_skew_quotient
+from frobring.cli import build_ring
+from frobring.finring import FiniteRing, left_ideals, ring_from_table, ring_group_algebra, ring_zn
 from frobring.frobenius import AmbientForm, DegenerateFormError, find_frobenius_functional
 from frobring.skewpoly import RingAutomorphism, SkewQuotient, poly_left_divmod
-from frobring.znmod import ZnLinearForm, annihilated, enumeration_cap
+from frobring.znmod import DEFAULT_CAP, ZnLinearForm, annihilated, enumeration_cap
 from frobring.codes import (
     LinearCode,
     TransformError,
@@ -382,6 +384,14 @@ def test_is_skew_cyclic(q_z2_cubic):
     assert not is_skew_cyclic(union, q)
 
 
+def test_is_skew_cyclic_refuses_a_word_that_is_not_a_vector(q_z2_cubic):
+    """((2,), (2,), (2,)) is no word of Z2^3, though x and 1 map it into
+    the set once reduced."""
+    q = q_z2_cubic
+    with pytest.raises(ValueError, match=r"^\(2, 2, 2\) is not an element"):
+        is_skew_cyclic({q.zero, ((2,), (2,), (2,))}, q)
+
+
 def left_ideal_oracle(words, q):
     """The full closure: a subgroup closed under left multiplication by
     every element of the quotient."""
@@ -492,9 +502,50 @@ def test_group_inversion(z3c3):
     assert group_inversion(z3c3, (2, 1, 1)) == (2, 1, 1)
 
 
-def test_group_inversion_needs_cayley(z4):
-    with pytest.raises(ValueError):
-        group_inversion(z4, (1,))
+def test_group_inversion_needs_a_group_algebra(z4):
+    """The group is read off the table: Z_n is Z_n[{1}], and a ring with a
+    basis product outside the basis is refused by both group routes."""
+    assert group_inversion(z4, (1,)) == (1,)
+    corpus = corpus_rings()
+    f9 = ring_from_table(3, (3, 3), [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))  # i^2 = -1
+    # Z2 x Z2 on 1, e with e^2 = e: the algebra of the monoid {1, e}, whose row e lacks 1
+    monoid = ring_from_table(2, (2, 2), [[(1, 0), (0, 1)], [(0, 1), (0, 1)]], (1, 0))
+    # GF4 on w, w^2: each row holds 1 = w w^2 = w + w^2, which is no basis element
+    units = ring_from_table(2, (2, 2), [[(0, 1), (1, 1)], [(1, 1), (1, 0)]], (1, 1))
+    for ring in (gf4(), corpus["M2(F2)"], corpus["Z2xZ2"], corpus["Z2[u,v]/(u,v)^2"], f9, monoid,
+                 units):
+        for route in (group_inversion, group_algebra_dual_report):
+            with pytest.raises(ValueError, match="is not a group algebra on its basis"):
+                route(ring, [ring.zero])
+
+
+def test_group_routes_read_the_group_off_a_shuffled_table():
+    """Z2[S3] and a table spec of it with its coordinates permuted are the
+    same ring, and the group routes agree on them coordinate by coordinate;
+    the ring constructor takes no Cayley table."""
+    perms = list(permutations(range(3)))  # g h is g after h
+    s3 = [[perms.index(tuple(g[i] for i in h)) for h in perms] for g in perms]
+    ring = ring_group_algebra(2, s3)
+    perm = [4, 0, 5, 2, 1, 3]  # coordinate t of the copy is coordinate perm[t]
+    spec = {"kind": "table", "n": 2, "orders": [2] * 6, "one": [ring.one[i] for i in perm],
+            "mul": [[[ring.mul_table[i][j][l] for l in perm] for j in perm] for i in perm]}
+    copy = build_ring(spec, DEFAULT_CAP)
+
+    def moved(x):
+        return tuple(x[i] for i in perm)
+
+    for a in ring.elements():
+        assert group_inversion(copy, moved(a)) == moved(group_inversion(ring, a))
+    ideals = left_ideals(ring)
+    assert len(ideals) > 2
+    for ideal in ideals:
+        rep = group_algebra_dual_report(ring, ideal.elements)
+        shuffled = group_algebra_dual_report(copy, map(moved, ideal.elements))
+        assert rep.dual_matches_inverted_orthogonal and shuffled.dual_matches_inverted_orthogonal
+        assert shuffled.euclidean_dual == set(map(moved, rep.euclidean_dual))
+        assert shuffled.inverted_right_orthogonal == set(map(moved, rep.inverted_right_orthogonal))
+    with pytest.raises(TypeError):
+        FiniteRing(ring.shape, ring.mul_table, ring.one, cayley=s3)
 
 
 def test_z2c2_self_dual_ideal(z2c2):

@@ -1,6 +1,7 @@
 """Ring construction, table validation, radicals, socles and ideals."""
 
 import gc
+import re
 import time
 import weakref
 from itertools import combinations, product
@@ -127,7 +128,7 @@ def test_matrix_units_match_determinant_oracle(m2f2):
 
 def test_group_algebra(z2c2):
     assert z2c2.cardinality == 4
-    assert z2c2.cayley == ((0, 1), (1, 0))
+    assert z2c2.mul_table == (((1, 0), (0, 1)), ((0, 1), (1, 0)))
     g = (0, 1)
     assert z2c2.mul(g, g) == z2c2.one
     assert z2c2.mul((1, 1), (1, 1)) == (0, 0)
@@ -339,6 +340,17 @@ def test_ideal_predicates(z4):
     assert is_left_ideal(z4, frozenset({(0,), (2,)}))
     assert not is_left_ideal(z4, frozenset({(0,), (1,)}))
     assert not is_left_ideal(z4, frozenset({(2,)}))  # no zero
+
+
+@pytest.mark.parametrize("elems, bad", [
+    ({(0,), (2,), (4,)}, (4,)),  # unreduced: 4 + x and 4x reduce into the set
+    ({(0,), (2,), (2, 0)}, (2, 0)),  # too long: sums and products zip it short
+])
+def test_ideal_predicates_refuse_non_elements(z4, elems, bad):
+    """A set with a non-element is refused by name, never an ideal."""
+    for predicate in (is_left_ideal, is_right_ideal):
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} is not an element"):
+            predicate(z4, frozenset(elems))
 
 
 def test_double_nil_has_five_ideals(dn8):

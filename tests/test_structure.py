@@ -52,15 +52,17 @@ from frobring.catalog import (
     z2_quotient_x3_minus_1,
     z4_quotient_x2_minus_1,
 )
+from frobring.cli import build_ring
 from frobring.codes import LinearCode, is_skew_cyclic, quotient_left_ideal_codes
 from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left_ideals
 from frobring.skewpoly import AutomorphismError, RingAutomorphism, SkewQuotient
 from frobring.frobenius import is_nondegenerate, pairing_kernel
 from frobring import finring, frobenius, skewpoly
-from frobring.znmod import (EnumerationCapError, ZnLinearForm, additive_generators, annihilated,
-                            enumeration_cap, linear_kernel)
+from frobring.znmod import (DEFAULT_CAP, EnumerationCapError, ZnLinearForm, additive_generators,
+                            annihilated, enumeration_cap, linear_kernel)
 
 from conftest import table_product, unit_vector, upper_triangular
+from ring_families import FAMILY_SPECS
 
 
 # -- constructed rings from the benchmark's families ---------------------------
@@ -136,7 +138,7 @@ SMALL = [name for name in NAMES if RINGS[name].cardinality <= 64]
 def fresh(name: str) -> FiniteRing:
     """A ring with empty caches, so that each route runs from scratch."""
     ring = RINGS[name]
-    return FiniteRing(ring.shape, ring.mul_table, ring.one, cayley=ring.cayley)
+    return FiniteRing(ring.shape, ring.mul_table, ring.one)
 
 
 # -- the brute-force oracles -------------------------------------------------
@@ -748,8 +750,7 @@ def test_skew_routes_run_without_quotient_arithmetic(build, monkeypatch):
 def test_group_report_orthogonals_match_the_scan(name):
     R = RINGS[name]  # Z2[D3] is Z2[S3]
     n = R.characteristic
-    identity = R.one.index(1)
-    inverse = [row.index(identity) for row in R.cayley]
+    inverse = [row.index(R.one) for row in R.mul_table]  # e_i e_j = 1
 
     def euclid(b, s):
         return sum(x * y for x, y in zip(b, s)) % n
@@ -868,17 +869,20 @@ def test_matrix_ring_over_a_product_splits_into_interleaved_blocks(other, n):
 
 @pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])
 def test_one_block_rings_build_no_ring_to_decide(name, monkeypatch):
-    """A table of one block takes the direct route and builds no ring; a
-    table of two builds each block ring once, for both decisions."""
+    """A table of one block takes the direct route and derives no ring
+    from a table; a table of two derives each block ring once, for both
+    decisions.  Derivations are counted at the fill step, which every ring
+    goes through; an opposite, filled from its packed table, is not one."""
     ring = fresh(name)
     built = []
-    original = FiniteRing.__init__
+    original = FiniteRing._fill
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
+    def counting(self, shape, table, one, side_free, label=None, packed=None):
+        if packed is None:
+            built.append(self)
+        return original(self, shape, table, one, side_free, label, packed)
 
-    monkeypatch.setattr(FiniteRing, "__init__", counting)
+    monkeypatch.setattr(FiniteRing, "_fill", counting)
     for r in (ring, ring.opposite()):
         find_frobenius_functional(r)
         is_frobenius_socle(r)
@@ -889,6 +893,55 @@ def test_one_block_rings_build_no_ring_to_decide(name, monkeypatch):
     assert len(built) == 2  # the blocks, once each
     is_frobenius_socle(product_ring)
     assert len(built) == 2
+
+
+def derived_rings(ring):
+    """The opposite, the block rings and the block rings of the opposite."""
+    op = ring.opposite()
+    return [op] + [b for r in (ring, op) for _, b in finring._blocks(r)]
+
+
+def assert_derived_rings_pass_the_checks(ring):
+    for derived in derived_rings(ring):
+        assert all(ok for _, ok, _ in finring.table_validation_report(derived)), derived
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_derived_rings_pass_the_presentation_checks(name):
+    """Rings derived without a check pass every check when it is run: on
+    each corpus ring and on each shuffled product with it on the left."""
+    assert_derived_rings_pass_the_checks(CORPUS[name])
+    for a, b in PAIRS:
+        if a == name:
+            assert_derived_rings_pass_the_checks(shuffled_pair(a, b))
+
+
+@pytest.mark.parametrize("name, spec", FAMILY_SPECS, ids=[name for name, _ in FAMILY_SPECS])
+def test_derived_family_rings_pass_the_presentation_checks(name, spec):
+    assert_derived_rings_pass_the_checks(build_ring(spec, DEFAULT_CAP))
+
+
+@pytest.mark.parametrize("other", ["Z4", "Z3"])
+def test_derived_rings_of_an_interleaved_matrix_ring_pass_the_checks(other):
+    ring = ring_matrix(ring_product(CORPUS["Z2"], CORPUS[other]), 2)
+    assert len(derived_rings(ring)) == 5  # the opposite and two blocks on each side
+    assert_derived_rings_pass_the_checks(ring)
+
+
+def test_deciding_a_shuffled_product_checks_no_block_ring(monkeypatch):
+    rings = [shuffled_pair(a, b) for a, b in PAIRS]
+
+    def refused(ring):
+        raise AssertionError("a block ring was validated again")
+
+    monkeypatch.setattr(finring, "table_validation_report", refused)
+    split = 0
+    for ring in rings:
+        for r in (ring, ring.opposite()):
+            find_frobenius_functional(r)
+            is_frobenius_socle(r)
+        split += len(finring._blocks(ring)) > 1
+    assert split == 352
 
 
 def test_a_product_is_refused_over_the_cap_as_its_table_is():
