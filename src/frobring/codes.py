@@ -2,7 +2,11 @@
 
 A code is a left, right, or merely additive submodule of A^m, stored with
 its full codeword set (these are small-alphabet, short-length objects by
-design).  Duals are orthogonals under an ambient bilinear form; the dual
+design).  Words of A^m meet their coordinates only through the one layout
+of znmod._word_layout: a LinearCode checks its words and generators with
+znmod._flat_vectors before it hashes them, dual packs the flattened words
+and pairs its flat generators, and the skew-cyclic routes read and write
+words through SkewQuotient.flatten and unflatten, the same pair.  Duals are orthogonals under an ambient bilinear form; the dual
 of a left code is the right orthogonal {y : <c, y> = 0} and lands on the
 opposite module side, and conversely.
 
@@ -28,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
-from .znmod import (Element, ZnLinearForm, _check_power_cap, _ints, additive_closure,
-                    additive_generators, linear_kernel, packed_arithmetic)
+from .znmod import (Element, ZnLinearForm, _check_power_cap, _flat_vectors, _ints, _word_layout,
+                    additive_closure, additive_generators, linear_kernel, packed_arithmetic)
 from .finring import (
     FiniteRing,
     is_left_ideal,
@@ -48,8 +52,8 @@ from .frobenius import (
     DegenerateFormError,
     Vector,
     _degeneracy,
+    _linear_orthogonal,
     identity_form,
-    orthogonal,
 )
 from .skewpoly import SkewQuotient
 
@@ -65,8 +69,7 @@ class LinearCode:
     def __init__(self, alphabet: FiniteRing, m: int, side: str, codewords: Iterable[Vector]):
         _check_ambient(m, side)
         self.alphabet, self.m, self.side = alphabet, m, side
-        self.codewords = frozenset(codewords)
-        self._validate()
+        self._validate(list(codewords))
 
     @classmethod
     def _built(cls, alphabet: FiniteRing, m: int, side: str, codewords) -> "LinearCode":
@@ -91,24 +94,20 @@ class LinearCode:
         _check_ambient(m, side)
         _check_power_cap(alphabet.cardinality, m, "ambient module")
         gens = [tuple(alphabet.element(c) for c in g) for g in generators]
-        for g in gens:
-            if len(g) != m:
-                raise ValueError(f"generator {g!r} does not have length {m}")
+        _flat_vectors(alphabet.shape, m, gens)  # refuses a generator of another length
         scalars, act = _action(alphabet, side)
         seeds = [act(s, g) for g in gens for s in scalars]
         closed = additive_closure(seeds, partial(_vadd, alphabet), (alphabet.zero,) * m)
         return cls._built(alphabet, m, side, closed)
 
-    def _validate(self):
+    def _validate(self, words: list):
         """ValueError unless every word is a vector of A^m and the words
-        are a submodule on the side, naming the first witness."""
+        are a submodule on the side, naming the first witness.  The words
+        are checked before they are hashed into the code's set."""
         A = self.alphabet
-        for v in self.codewords:
-            if not (isinstance(v, tuple) and len(v) == self.m
-                    and all(A.shape.contains(c) for c in v)):
-                raise ValueError(f"codeword {v!r} is not a vector of A^{self.m}")
-        zero = (A.zero,) * self.m
-        bad = submodule_violation(self.codewords, partial(_vadd, A), zero,
+        _flat_vectors(A.shape, self.m, words)
+        self.codewords = frozenset(words)
+        bad = submodule_violation(self.codewords, partial(_vadd, A), (A.zero,) * self.m,
                                   *_action(A, self.side))
         if bad is None:
             return
@@ -245,21 +244,18 @@ def dual(code: LinearCode, form: AmbientForm, side: str | None = None) -> Linear
     per code on the packed codes of its words (znmod.packed_arithmetic),
     which sort as vectors do, and held by the code.
     """
-    if form.ring != code.alphabet or form.m != code.m:
+    A, m = code.alphabet, code.m
+    if form.ring != A or form.m != m:
         raise ValueError("form and code live in different ambients")
-    zero_vec = (code.alphabet.zero,) * code.m
-    bad = _degeneracy("both", (form.left_kernel, form.right_kernel), zero_vec)
+    bad = _degeneracy("both", (form.left_kernel, form.right_kernel), (A.zero,) * m)
     if bad is not None:
         raise DegenerateFormError(*bad)
-    orth_side = side or _ORTH_FOR_SIDE[code.side]
-    if orth_side not in ("left", "right"):
-        raise ValueError(f"bad orthogonal side {orth_side!r}")
+    orth_side = side or _ORTH_FOR_SIDE[code.side]  # _linear_orthogonal refuses a bad side
     if "_generators" not in code.__dict__:
-        encode, add = packed_arithmetic(code.alphabet.shape.orders * code.m)
-        decode = {encode(chain.from_iterable(v)): v for v in code.codewords}
-        code._generators = tuple(decode[g] for g in additive_generators(decode, add, 0))
-    return LinearCode._built(code.alphabet, code.m, orth_side,
-                             orthogonal(form, code._generators, orth_side))
+        encode, add = packed_arithmetic(A.shape.orders * m)
+        decode = {encode(v): v for v in map(_word_layout(m, A.rank)[0], code.codewords)}
+        code._generators = [decode[g] for g in additive_generators(decode, add, 0)]
+    return LinearCode._built(A, m, orth_side, _linear_orthogonal(form, code._generators, orth_side))
 
 
 def euclidean_dual(code: LinearCode, side: str | None = None) -> LinearCode:
@@ -374,9 +370,10 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
     closed under every left multiple (the shift-closure of Boucher,
     Geiselmann and Ulmer, AAECC 18, 2007), tested on flattened words in
     the uncapped table ring of SkewQuotient.mul, whose basis opens with A's.
-    A word whose flattening is not an element of that ring is refused
-    (submodule_violation): words are read by their flattening, as in
-    skew_cyclic_dual_report.
+    Words are read through SkewQuotient.flatten, which refuses, naming it,
+    a word that is not nested as a vector of A^m; a word whose coordinates
+    are then not an element of the table ring is refused by
+    submodule_violation, naming its coordinates.
     """
     ring, flat = quotient._table_ring, quotient.flatten
     words = frozenset(map(flat, code.codewords if isinstance(code, LinearCode) else code))
@@ -387,11 +384,8 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
 
 def quotient_left_ideal_codes(quotient: SkewQuotient) -> list[frozenset[Vector]]:
     """All left ideals of the quotient ring, as coefficient-vector sets."""
-    ring = quotient.as_finite_ring()
-    out = []
-    for ideal in left_ideals(ring):
-        out.append(frozenset(quotient.unflatten(v) for v in ideal.elements))
-    return out
+    return [frozenset(map(quotient.unflatten, ideal.elements))
+            for ideal in left_ideals(quotient.as_finite_ring())]
 
 
 @dataclass(frozen=True)
@@ -411,17 +405,20 @@ def skew_cyclic_dual_report(
     The Euclidean dual here is {f : sum_i f_i g_i = 0 for all g in V},
     i.e. the first-slot orthogonal under the identity form; it must equal
     the first-slot orthogonal of reversal(V) under the pairing
-    (g, t) |-> eps((g t)_0), and must itself be skew-cyclic.  V's additive
-    generators are picked on its flattened words by ring_generators, which
-    refuses a word that is not an element of the table ring; reversal is
-    additive, so their reversals generate reversal(V), with no second pick.
+    (g, t) |-> eps((g t)_0), and must itself be skew-cyclic.  V is read
+    through SkewQuotient.flatten, which refuses a word that is not nested
+    as a vector of A^m, and its additive generators are picked on the flat
+    words by ring_generators, which refuses one whose coordinates are not
+    an element of the table ring.  The flat generators pair in the
+    Euclidean dual as they are; reversal is additive, so their reversals
+    generate reversal(V), with no second pick.
     """
     ring = quotient.as_finite_ring()
     eps = quotient.lifted_form(base_functional)
     V = frozenset(map(quotient.flatten, V))
-    gens = list(map(quotient.unflatten, ring_generators(ring, V)))
-    e_dual = orthogonal(quotient.euclidean_form, gens, "left")
-    reversed_gens = [quotient.flatten(quotient.reversal(g)) for g in gens]
+    gens = ring_generators(ring, V)
+    e_dual = _linear_orthogonal(quotient.euclidean_form, gens, "left")
+    reversed_gens = [quotient.flatten(quotient.reversal(quotient.unflatten(g))) for g in gens]
     r_orth = frozenset(map(quotient.unflatten, ring_orthogonal(ring, reversed_gens, eps)))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
@@ -445,8 +442,12 @@ class GroupAlgebraDualReport:
 
 def group_inversion(R: FiniteRing, a: Element) -> Element:
     """Support inversion sum a_g g |-> sum a_g g^{-1} of a group algebra
-    Z_n[G] on its basis G (_inversion_permutation)."""
-    return tuple(a[i] for i in _inversion_permutation(R))
+    Z_n[G] on its basis G (_inversion_permutation); then an a that is not
+    an element is refused with a ValueError."""
+    inverse = _inversion_permutation(R)
+    if not R.shape.contains(a):
+        raise ValueError(f"{a!r} is not an element of {R!r}")
+    return tuple(a[i] for i in inverse)
 
 
 def _inversion_permutation(R: FiniteRing) -> list[int]:

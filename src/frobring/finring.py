@@ -551,10 +551,22 @@ def ring_group_algebra(
 # -- ideal machinery -------------------------------------------------------
 
 
+def _tuples_of_ints(members) -> list:
+    """members as a list, each confirmed a tuple of ints by C-level
+    builtins, so that they sort; a ValueError names the first that is not."""
+    members = list(members)
+    if not (set(map(type, members)) <= {tuple} and {int}.issuperset(map(type, chain(*members)))):
+        bad = next(x for x in members if type(x) is not tuple or not {int}.issuperset(map(type, x)))
+        raise ValueError(f"{bad!r} is not an element")
+    return members
+
+
 def ring_generators(ring: FiniteRing, subset: Iterable) -> list[Element]:
     """additive_generators of the subset, refusing the first non-element:
-    none is in the span of the elements kept before it, so each is kept."""
-    gens = additive_generators(subset, ring.add, ring.zero)
+    a member that is not a tuple of ints before the sort (_tuples_of_ints),
+    then a kept generator that is not an element; no non-element is in the
+    span of the elements kept before it, so each is kept."""
+    gens = additive_generators(_tuples_of_ints(subset), ring.add, ring.zero)
     for g in gens:
         if not ring.shape.contains(g):
             raise ValueError(f"{g!r} is not an element of {ring!r}")
@@ -589,12 +601,14 @@ def submodule_violation(elems, add, zero, scalars, act, member=None):
     b that fails it, a non-element, is refused with a ValueError when it
     would be kept: the span of the generators before it holds elements
     only, so every non-element is tested unless a witness comes first, at
-    one test per generator.  Without it, every member of elems is taken
-    to be an element (LinearCode checks its words first).
+    one test per generator.  Given member, every member of elems is first
+    confirmed a tuple of ints (_tuples_of_ints), so the sort cannot fail on
+    a stray.  Without it, every member of elems is taken to be an element
+    (LinearCode checks its words first).
     """
+    ordered, spanned, gens = sorted(_tuples_of_ints(elems) if member else elems), {zero}, []
     if zero not in elems:
         return ("zero", zero)
-    ordered, spanned, gens = sorted(elems), {zero}, []
     for b in ordered:
         if b not in spanned:
             if member and not member(b):

@@ -30,11 +30,17 @@ ring product; orthogonals and kernels of ambient forms on A^m off the
 rows or columns of the form's basis gram, the pairing of the r*m basis
 vectors of A^m, built once per form in the same packed layout
 (_linear_orthogonal): no route calls AmbientForm.pairing, and none
-multiplies in the ring after a form's first orthogonal.  Pairing kernels
-in the ring are read off the pairing's Z_n-valued gram (_gram_kernel).
-An ambient form is A-linear on the left in its first slot and on the
-right in its second, so its kernels are orthogonals of the m unit
-vectors of A^m.  The functional search reads only the right socle, where
+multiplies in the ring after a form's first orthogonal.
+_linear_orthogonal takes flat vectors, the r*m coordinates of words of
+A^m in the one layout (znmod._word_layout), and cuts its kernel back into
+words by the layout's inverse.  orthogonal and functional_orthogonal
+flatten their subset on entry and check that each entry is an element
+(znmod._flat_vectors); codes.dual and the form's kernels pass flat
+vectors the library built, unchecked.  Pairing kernels in the ring are
+read off the pairing's Z_n-valued gram (_gram_kernel).  An ambient form
+is A-linear on the left in its first slot and on the right in its
+second, so its kernels are orthogonals of the m unit vectors of A^m, the
+rows of identity_form's gram.  The functional search reads only the right socle, where
 every nonzero first-slot kernel shows up, and on a table of two or more
 blocks it searches each block instead (finring._blocks).
 """
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from functools import cached_property, reduce
-from itertools import chain, islice, product
+from itertools import islice, product
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -51,7 +57,9 @@ from .znmod import (
     Element,
     ZnLinearForm,
     _ints,
+    _flat_vectors,
     _packed_orthogonal,
+    _word_layout,
     enumerate_forms,
     linear_kernel,
     packed_fields,
@@ -394,7 +402,9 @@ class AmbientForm:
 
     def _unit_orthogonal(self, side: str) -> frozenset[Vector]:
         if side not in self._kernels:
-            self._kernels[side] = orthogonal(self, _unit_vectors(self.ring, self.m), side)
+            flatten = _word_layout(self.m, self.ring.rank)[0]
+            units = list(map(flatten, identity_form(self.ring, self.m).matrix))
+            self._kernels[side] = _linear_orthogonal(self, units, side)
         return self._kernels[side]
 
     def is_nondegenerate(self, side: str = "both") -> bool:
@@ -403,66 +413,53 @@ class AmbientForm:
         return _degeneracy(side, kernels, (self.ring.zero,) * self.m) is None
 
 
-def _unit_vectors(A: FiniteRing, m: int) -> tuple[Vector, ...]:
-    """1_0, ..., 1_(m-1) of A^m, sliced from the reduced A.zero and A.one."""
-    zeros = (A.zero,) * m
-    return tuple(zeros[:i] + (A.one,) + zeros[i + 1:] for i in range(m))
-
-
 def identity_form(A: FiniteRing, m: int) -> AmbientForm:
-    """<x, y> = sum x_i y_i, whose gram's rows are the unit vectors of A^m."""
+    """<x, y> = sum x_i y_i, whose gram's rows are the unit vectors
+    1_0, ..., 1_(m-1) of A^m, sliced from the reduced A.zero and A.one."""
     _check_table_cap(_ints((m,), "ambient length")[0], 2, "gram matrix")  # before building it
     if m < 1:
         raise ValueError("ambient length must be positive")
-    return AmbientForm._built(A, m, _unit_vectors(A, m))
+    zeros = (A.zero,) * m
+    return AmbientForm._built(A, m, tuple(zeros[:i] + (A.one,) + zeros[i + 1:] for i in range(m)))
 
 
-def _linear_orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str,
+def _linear_orthogonal(form: AmbientForm, flats: list[Element], side: str,
                        functional: ZnLinearForm | None = None) -> frozenset[Vector]:
     """{x : <x, s> = 0 for all s}, or {x : functional(<x, s>) = 0}, with x
-    in the named slot: one _packed_orthogonal call over the r*m basis
-    vectors of A^m, cut back into m ring elements.
+    in the named slot, for flat vectors s, the r*m coordinates of words of
+    A^m (znmod._word_layout), taken as they are: one _packed_orthogonal
+    call over the r*m basis vectors of A^m, each kernel vector cut back
+    into a word by the layout's inverse.
 
     By biadditivity the basis vector i of A^m pairs with s to
     sum_j s_j G[i][j] in the first slot and to sum_j s_j G[j][i] in the
-    second, over the r*m coordinates s_j of s and the form's basis gram G
-    (AmbientForm._basis_gram): the lines are G's rows or its columns, and
-    no ring product is made once G is built."""
+    second, over the form's basis gram G (AmbientForm._basis_gram): the
+    lines are G's rows or its columns, and no ring product is made once G
+    is built."""
     if side not in ("left", "right"):
         raise ValueError(f"bad side {side!r}")
-    R, m, r = form.ring, form.m, form.ring.rank
-    _check_power_cap(R.cardinality, m, "ambient module")
-    subset = list(subset)
-    if any(len(s) != m for s in subset):
-        raise ValueError(f"every vector paired must have length {m}")
-    flats = [tuple(chain.from_iterable(s)) for s in subset]
-    if any(len(s) != r * m for s in flats):
-        raise ValueError(f"every entry of a vector paired must have {r} coordinates")
+    _check_power_cap(form.ring.cardinality, form.m, "ambient module")
     rows, columns, fields, mask = form._basis_gram
-    flat = _packed_orthogonal(R.shape.orders * m, rows if side == "left" else columns,
-                              fields, mask, R.shape.orders, flats, functional)
-    if r == 0:
-        return frozenset(((),) * m for _ in flat)
-    return frozenset(tuple(zip(*[iter(x)] * r)) for x in flat)
+    flat = _packed_orthogonal(form.ring.shape.orders * form.m, rows if side == "left" else columns,
+                              fields, mask, form.ring.shape.orders, flats, functional)
+    return frozenset(map(_word_layout(form.m, form.ring.rank)[1], flat))
 
 
-def orthogonal(
-    form: AmbientForm, subset: Iterable[Vector], side: str
-) -> frozenset[Vector]:
+def orthogonal(form: AmbientForm, subset: Iterable[Vector], side: str) -> frozenset[Vector]:
     """Ring-valued orthogonal of a subset, in the named slot.
 
     side='left' gives {x : <x, s> = 0 for all s}, side='right' gives
     {y : <s, y> = 0 for all s}.
     """
-    return _linear_orthogonal(form, subset, side)
+    return _linear_orthogonal(form, _flat_vectors(form.ring.shape, form.m, subset), side)
 
 
-def functional_orthogonal(
-    form: AmbientForm, functional, subset: Iterable[Vector], side: str
-) -> frozenset[Vector]:
+def functional_orthogonal(form: AmbientForm, functional, subset: Iterable[Vector],
+                          side: str) -> frozenset[Vector]:
     """Z_n-valued orthogonal: composes the pairing with a functional.
 
     For a Frobenius functional on the alphabet this agrees with the
     ring-valued orthogonal on submodules of the matching side.
     """
-    return _linear_orthogonal(form, subset, side, _as_form(form.ring, functional))
+    flats = _flat_vectors(form.ring.shape, form.m, subset)
+    return _linear_orthogonal(form, flats, side, _as_form(form.ring, functional))

@@ -19,7 +19,9 @@ sum g_i x^i |-> sum aut^{-i}(g_i) x^{-i} (indices mod m), which reverses
 products and links the Euclidean dual of a code to a form orthogonal.
 
 Quotient elements are tuples of m coefficient elements of A, coefficient
-index = degree, so they double directly as length-m codewords over A.
+index = degree, so they double directly as length-m codewords over A;
+flatten and unflatten, the layout of A^m (znmod._word_layout), carry them
+to the coordinates of the quotient's table ring and back.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .znmod import Element, ModuleShape, ZnLinearForm, _check_power_cap, linear_kernel
+from .znmod import (Element, ModuleShape, ZnLinearForm, _check_power_cap, _word_layout,
+                    linear_kernel)
 from .finring import FiniteRing
 from .frobenius import AmbientForm, FrobeniusFunctional, _as_form, identity_form
 
@@ -210,7 +213,15 @@ def check_two_sided(
 
 
 class SkewQuotient:
-    """The finite ring A[x; aut] / (f) for a monic two-sided f."""
+    """The finite ring A[x; aut] / (f) for a monic two-sided f.
+
+    flatten and unflatten are the layout of A^m at (m, rank A), shared with
+    every other route on words of A^m (znmod._word_layout): an element, a
+    word of m coefficients, and its m * rank(A) coordinates in the table
+    ring (as_finite_ring).  flatten refuses, with a ValueError naming it,
+    a word that is not a tuple of m entries of rank(A) coordinates each;
+    whether the coordinates are an element is read where elements are
+    checked, in the table ring."""
 
     def __init__(self, base: FiniteRing, aut: RingAutomorphism,
                  modulus: Sequence[Iterable[int]], *, label: str | None = None):
@@ -218,6 +229,7 @@ class SkewQuotient:
         self.aut = aut
         self.modulus: tuple[Element, ...] = tuple(base.element(c) for c in modulus)
         self.m = len(self.modulus) - 1
+        self.flatten, self.unflatten = _word_layout(self.m, base.rank)
         self.label = label
         if aut.ring != base:
             raise ValueError("automorphism acts on a different ring")
@@ -292,13 +304,6 @@ class SkewQuotient:
         return out
 
     # -- the quotient as a plain finite ring -------------------------------
-
-    def flatten(self, g: QElement) -> Element:
-        return tuple(c for coeff in g for c in coeff)
-
-    def unflatten(self, flat: Element) -> QElement:
-        k = self.base.rank
-        return tuple(tuple(flat[j * k : (j + 1) * k]) for j in range(self.m))
 
     def as_finite_ring(self) -> FiniteRing:
         """Structure-constant presentation on the basis e_i x^j, within the cap.

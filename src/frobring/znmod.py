@@ -9,6 +9,14 @@ condition weight * d = 0 (mod n) needed for the map to be well defined.
 Counting those choices gives d forms per coordinate, hence as many forms as
 elements in total.
 
+A word of A^m, for a module A of rank r, is a tuple of m elements; its
+coordinates are the r*m ints of its entries in order.  _word_layout is
+the one place that turns words into coordinates and back: every route
+that pairs, packs or tests words of A^m (the ambient orthogonals and
+duals of frobenius and codes, and the skew quotient's table ring) reads
+them through it, and _flat_vectors adds the check that each entry is an
+element.
+
 Everything is immutable and all operations are pure, apart from the one
 setting they read: enumerations run in lexicographic coordinate order and
 are guarded by the size cap of the enclosing enumeration_cap block
@@ -22,7 +30,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,6 +64,53 @@ def _int_vectors(vectors: Iterable[Iterable], what: str) -> list[tuple]:
     if not set(map(type, chain.from_iterable(vectors))) <= {int}:
         _ints(chain.from_iterable(vectors), what)
     return vectors
+
+
+@lru_cache
+def _word_layout(m: int, r: int) -> tuple[Callable, Callable]:
+    """(flatten, unflatten): the one layout of A^m, A of rank r, built
+    once per (m, r).
+
+    flatten is faithful: it turns a word, a tuple of m entries of r
+    coordinates each, into its r*m coordinates, in order, and refuses any
+    other nesting with a ValueError naming the word as given, so a word of
+    another length, an entry of another rank, or ((1, 1), (0,), ()) at
+    m = 3, r = 1, is never read as the coordinates it would chain to.  It
+    reads the word's type and its entries' lengths only: whether each
+    coordinate is an int in range is left to the caller, which checks it
+    where it checks elements (_flat_vectors, or the kept generators of
+    finring.ring_generators and finring.submodule_violation).  unflatten
+    is its inverse, m slices of r coordinates each, so at r = 0 it gives m
+    empty entries.  Both run on C-level builtins, at about the cost of an
+    unchecked chain per word."""
+    # m slices of r coordinates, and an empty one that keeps the result a
+    # tuple at m = 1 and that unflatten drops
+    cut = operator.itemgetter(*(slice(i * r, i * r + r) for i in range(m)), slice(0))
+    lengths = (r,) * m
+
+    def flatten(word) -> Element:
+        try:  # an entry without a length raises TypeError
+            if type(word) is tuple and tuple(map(len, word)) == lengths:
+                return tuple(chain(*word))
+        except TypeError:
+            pass
+        raise ValueError(f"{word!r} is not a vector of length {m} of tuples of {r} coordinates")
+
+    return flatten, lambda flat: cut(flat)[:-1]
+
+
+def _flat_vectors(shape: ModuleShape, m: int, words: Iterable) -> list[Element]:
+    """The words, flattened by _word_layout, as a list: the checked way
+    into the coordinates of A^m, A the shape's module.  A word whose
+    nesting is not that of A^m, or with an entry that is not an element,
+    is refused with a ValueError naming it.  LinearCode checks its words
+    and generators here, and the ambient orthogonals their subsets."""
+    words = list(words)
+    flats = list(map(_word_layout(m, shape.rank)[0], words))
+    for word in words:
+        if not all(map(shape.contains, word)):
+            raise ValueError(f"{word!r} is not a vector of A^{m}")
+    return flats
 
 
 @dataclass(frozen=True)
