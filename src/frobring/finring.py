@@ -5,9 +5,9 @@ A FiniteRing is a Z_n-algebra: an additive group Z_{d_1} x ... x Z_{d_k}
 vectors e_1, ..., e_k and a distinguished identity element.  Products of
 arbitrary elements come from extending the table Z-bilinearly, which is
 well defined exactly when d_i * (e_i e_j) = d_j * (e_i e_j) = 0 holds for
-every table entry.  Construction validates well-definedness, associativity
-and the unit laws on the basis, and that the additive order of 1 equals n,
-so the characteristic really is n.
+every table entry.  A table from outside (ring_from_table) is validated:
+well-definedness, associativity and the unit laws on the basis, and that
+the additive order of 1 equals n, so the characteristic really is n.
 
 Products run on packed structure constants: each table entry is one int
 with a field per coordinate, wide enough that a product's field sums never
@@ -16,7 +16,7 @@ int multiply-adds (FiniteRing.mul).  The validation reads the same packed
 entries: associativity compares
 (e_i e_j) e_l with e_i (e_j e_l) on each basis triple, one packed entry
 per nonzero coordinate of e_i e_j and of e_j e_l, so a sparse table costs
-about rank^3 int multiply-adds and construction multiplies only for the
+about rank^3 int multiply-adds and validation multiplies only for the
 unit laws (table_validation_report).
 
 Structural computations enumerate the element list, sized for rings of a
@@ -51,11 +51,13 @@ pairs of elements:
   five int operations.
 
 A ring is its validated table.  One fill step (FiniteRing._fill) sets
-every field from a reduced table: the constructor's, which it then
-validates; the opposite's, the table and packed table transposed, built
-once on demand (FiniteRing.opposite); and each block ring's, a sub-table
-(_blocks).  Neither derived ring is checked again, as the checks carry
-over.
+every field from a reduced table: the constructor's, from outside, which
+it then validates; the opposite's, the table and packed table transposed,
+built once on demand (FiniteRing.opposite); and that of every ring the one
+builder (_derived_ring) places from copies of checked tables: products,
+matrix rings, group algebras, Z_n, block rings (_blocks) and the tables of
+skew quotients.  No derived ring is checked, as the checks hold by
+derivation.
 Right-handed notions are the left-handed ones of the opposite ring, which
 has the same blocks.  Rings cache all this, a ring and its opposite in
 one shared record where the side does not matter; treat them as
@@ -168,10 +170,11 @@ class FiniteRing:
         unless its packed table is given, and return the ring: the one step
         that makes a ring.  The constructor fills from reduced outside
         input, then runs the presentation checks, which read these fields.
-        The opposite (the table transposed) and the block rings (sub-tables)
-        are filled from tables whose checks hold by derivation, and are not
-        checked.  side_free is the record of the facts that do not depend
-        on the side, which a ring shares with its opposite."""
+        The opposite (the table transposed) and the rings of _derived_ring
+        (copies of checked tables) are filled from tables whose checks hold
+        by derivation, and are not checked.  side_free is the record of the
+        facts that do not depend on the side, which a ring shares with its
+        opposite."""
         k = shape.rank
         self.shape, self.mul_table, self.one, self.label = shape, table, one, label
         # a coordinate of order 1 has no generator besides 0
@@ -368,7 +371,8 @@ class FiniteRing:
         return f"<{name}: char {self.characteristic}, orders {self.shape.orders}>"
 
 
-# the presentation checks every ring passes on construction, in order
+# the presentation checks, in order: a table from outside is refused at the
+# first that fails, and a derived ring passes them by derivation
 TABLE_CHECKS = ("bilinear-well-defined", "associativity", "unit-laws", "characteristic")
 
 
@@ -446,10 +450,27 @@ def table_validation_report(ring: FiniteRing) -> list[tuple[str, bool, object]]:
 # -- constructors ----------------------------------------------------------
 
 
+def _derived_ring(shape: ModuleShape, copies, one: Element,
+                  label: str | None = None) -> FiniteRing:
+    """The ring on shape whose table is zero but for copies of checked
+    tables, filled with no presentation check: each copy (i, j, l, T) puts
+    T[a][b] at entry (i + a, j + b), on coordinates l, l + 1, ....  The
+    one builder of a ring derived from checked rings (products, matrix
+    rings, group algebras, Z_n, block rings, skew-quotient tables), each a
+    ring by its derivation; the entries and one come reduced."""
+    k = shape.rank
+    table = [[shape.zero] * k for _ in range(k)]
+    for i, j, l, T in copies:
+        pad = (0,) * l, (0,) * (k - l - len(T))
+        for a, b in product(range(len(T)), repeat=2):
+            table[i + a][j + b] = pad[0] + T[a][b] + pad[1]
+    return FiniteRing.__new__(FiniteRing)._fill(shape, tuple(map(tuple, table)), one, {}, label)
+
+
 def ring_zn(n: int, *, label: str | None = None) -> FiniteRing:
     """The ring Z_n itself; n = 1 gives the zero ring."""
     shape = ModuleShape(n, (n,))
-    return FiniteRing(shape, (((1,),),), (1,), label=label or f"Z{n}")
+    return _derived_ring(shape, [(0, 0, 0, (((1 % n,),),))], (1 % n,), label or f"Z{n}")
 
 
 def ring_from_table(
@@ -460,7 +481,8 @@ def ring_from_table(
     *,
     label: str | None = None,
 ) -> FiniteRing:
-    """Build and fully validate a ring from an explicit presentation."""
+    """Build and fully validate a ring from an explicit presentation: the
+    one way in for a table from outside."""
     return FiniteRing(ModuleShape(n, tuple(orders)), mul, one, label=label)
 
 
@@ -471,21 +493,11 @@ def ring_product(*rings: FiniteRing, label: str | None = None) -> FiniteRing:
     table (_blocks)."""
     if not rings:
         raise ValueError("product needs at least one factor")
-    n = lcm(*(r.characteristic for r in rings))
-    orders: list[int] = []
-    for r in rings:
-        orders.extend(r.shape.orders)
-    shape = ModuleShape(n, tuple(orders))
-    k = shape.rank
-    table = [[shape.zero] * k for _ in range(k)]
-    off = 0  # each factor's block of coordinates starts here
-    for r in rings:
-        pad = (0,) * off, (0,) * (k - off - r.rank)
-        for i, j in product(range(r.rank), repeat=2):
-            table[off + i][off + j] = pad[0] + r.mul_table[i][j] + pad[1]
-        off += r.rank
-    one = tuple(c for r in rings for c in r.one)
-    return FiniteRing(shape, table, one, label=label)
+    shape = ModuleShape(lcm(*(r.characteristic for r in rings)),
+                        tuple(d for r in rings for d in r.shape.orders))
+    offsets = accumulate((r.rank for r in rings), initial=0)
+    return _derived_ring(shape, [(off, off, off, r.mul_table) for off, r in zip(offsets, rings)],
+                         tuple(c for r in rings for c in r.one), label)
 
 
 def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> FiniteRing:
@@ -494,23 +506,15 @@ def ring_matrix(base: FiniteRing, t: int, *, label: str | None = None) -> Finite
         raise ValueError("matrix size must be positive")
     _check_power_cap(base.cardinality, t * t, "matrix ring")
     k0 = base.rank
-    k = t * t * k0
-    _check_table_cap(k, 3, "matrix ring table")  # k^3 ints, for a base like the zero ring
-    orders = tuple(base.shape.orders[i] for _ in range(t * t) for i in range(k0))
-    shape = ModuleShape(base.characteristic, orders)
-
-    def flat(p: int, q: int, i: int) -> int:
-        return (p * t + q) * k0 + i
-
-    table = [[shape.zero] * k for _ in range(k)]
-    # E_pq E_rs vanishes unless r = q, where it is E_ps
-    for p, q, s in product(range(t), repeat=3):
-        pad = (0,) * flat(p, s, 0), (0,) * (k - flat(p, s, k0))
-        for i, j in product(range(k0), repeat=2):
-            table[flat(p, q, i)][flat(q, s, j)] = pad[0] + base.mul_table[i][j] + pad[1]
+    _check_table_cap(t * t * k0, 3, "matrix ring table")  # rank^3 ints, as for the zero ring
+    shape = ModuleShape(base.characteristic, base.shape.orders * (t * t))
+    # E_pq E_qs = E_ps, and E_pq E_rs vanishes for r != q
+    copies = [((p * t + q) * k0, (q * t + s) * k0, (p * t + s) * k0, base.mul_table)
+              for p, q, s in product(range(t), repeat=3)]
     one = tuple(c for p, q in product(range(t), repeat=2)
                 for c in (base.one if p == q else base.zero))
-    return FiniteRing(shape, table, one, label=label or f"M{t}({base.label})")
+    return _derived_ring(shape, copies, one,
+                         label or (f"M{t}({base.label})" if base.label else None))
 
 
 def ring_group_algebra(
@@ -540,12 +544,10 @@ def ring_group_algebra(
             raise RingValidationError("group-associativity", (a, b, c))
 
     shape = ModuleShape(n, (n,) * g)
-    table = [
-        [tuple(1 if l == rows[i][j] else 0 for l in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    one = tuple(1 if l == identity else 0 for l in range(g))
-    return FiniteRing(shape, table, one, label=label or f"Z{n}[G{g}]")
+    # e_i e_j = e_ij: Z_n's table placed at (i, j) -> ij
+    copies = [(i, j, rows[i][j], (((1 % n,),),)) for i, j in product(range(g), repeat=2)]
+    one = tuple(1 % n if l == identity else 0 for l in range(g))
+    return _derived_ring(shape, copies, one, label or f"Z{n}[G{g}]")
 
 
 # -- ideal machinery -------------------------------------------------------
@@ -805,10 +807,10 @@ def _blocks(ring: FiniteRing) -> list[tuple[list[int], FiniteRing]]:
         ring._side_free["blocks"] = _table_blocks(ring)
     blocks, orders, table = ring._side_free["blocks"], ring.shape.orders, ring.mul_table
     if len(blocks) > 1 and "blocks" not in ring._own:
-        ring._own["blocks"] = [(b, FiniteRing.__new__(FiniteRing)._fill(
+        ring._own["blocks"] = [(b, _derived_ring(
             ModuleShape(lcm(*(orders[i] for i in b)), tuple(orders[i] for i in b)),
-            tuple(tuple(tuple(table[i][j][l] for l in b) for j in b) for i in b),
-            tuple(ring.one[i] for i in b), {})) for b in blocks]
+            [(0, 0, 0, [[tuple(table[i][j][l] for l in b) for j in b] for i in b])],
+            tuple(ring.one[i] for i in b))) for b in blocks]
     return ring._own.get("blocks", [])
 
 

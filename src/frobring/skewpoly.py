@@ -31,9 +31,9 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .znmod import (Element, ModuleShape, ZnLinearForm, _check_power_cap, _word_layout,
-                    linear_kernel)
-from .finring import FiniteRing
+from .znmod import (Element, ModuleShape, ZnLinearForm, _check_power_cap, _flat_vectors,
+                    _word_layout, linear_kernel)
+from .finring import FiniteRing, _derived_ring
 from .frobenius import AmbientForm, FrobeniusFunctional, _as_form, identity_form
 
 QElement = tuple[Element, ...]
@@ -221,7 +221,9 @@ class SkewQuotient:
     ring (as_finite_ring).  flatten refuses, with a ValueError naming it,
     a word that is not a tuple of m entries of rank(A) coordinates each;
     whether the coordinates are an element is read where elements are
-    checked, in the table ring."""
+    checked, in the table ring.  The arithmetic (add, neg, mul, reversal,
+    constant_term_product) reads each argument through
+    znmod._flat_vectors, which refuses a word that is not an element."""
 
     def __init__(self, base: FiniteRing, aut: RingAutomorphism,
                  modulus: Sequence[Iterable[int]], *, label: str | None = None):
@@ -271,14 +273,16 @@ class SkewQuotient:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, g: QElement, h: QElement) -> QElement:
+        _flat_vectors(self.base.shape, self.m, (g, h))
         return tuple(self.base.add(a, b) for a, b in zip(g, h))
 
     def neg(self, g: QElement) -> QElement:
+        _flat_vectors(self.base.shape, self.m, (g,))
         return tuple(self.base.neg(a) for a in g)
 
     def mul(self, g: QElement, h: QElement) -> QElement:
         """The ring product, read off the quotient's structure table."""
-        return self.unflatten(self._table_ring.mul(self.flatten(g), self.flatten(h)))
+        return self.unflatten(self._table_ring.mul(*_flat_vectors(self.base.shape, self.m, (g, h))))
 
     def constant_term_product(self, g: QElement, h: QElement) -> Element:
         """Closed form for the constant coefficient of g * h:
@@ -296,6 +300,7 @@ class SkewQuotient:
             raise UnsupportedModulusError(
                 "constant-term closed form needs f_j = 0 for 2 <= j <= m - 1"
             )
+        _flat_vectors(base.shape, self.m, (g, h))
         out = base.mul(g[0], h[0])
         f0 = self.modulus[0]
         for i in range(1, self.m):
@@ -308,8 +313,9 @@ class SkewQuotient:
     def as_finite_ring(self) -> FiniteRing:
         """Structure-constant presentation on the basis e_i x^j, within the cap.
 
-        The additive orders of A repeat once per degree; the FiniteRing
-        constructor re-validates associativity, units and characteristic.
+        The additive orders of A repeat once per degree.  The table is not
+        validated again: the quotient is a ring once aut is checked to be an
+        automorphism and f to be two-sided (_table_ring).
         """
         _check_power_cap(self.base.cardinality, self.m, "skew quotient")  # before the table
         return self._table_ring
@@ -320,6 +326,9 @@ class SkewQuotient:
 
         Its basis products are left remainders of skew products, so the
         polynomial arithmetic only builds the table (and is its oracle).
+        It is placed as one copy (finring._derived_ring) with no
+        presentation check: the constructor has checked that aut is an
+        automorphism and f two-sided, so A[x; aut]/(f) is a ring.
         """
         base = self.base
         shape = ModuleShape(base.characteristic, base.shape.orders * self.m)
@@ -327,8 +336,8 @@ class SkewQuotient:
                  for j in range(self.m) for e in base.basis_elements]  # e_i x^j
         table = [[self.flatten(self.reduce_poly(poly_mul(base, self.aut, g, h)))
                   for h in basis] for g in basis]
-        return FiniteRing(shape, table, self.flatten(self.one),
-                          label=self.label or "skew-quotient")
+        return _derived_ring(shape, [(0, 0, 0, table)], self.flatten(self.one),
+                             self.label or "skew-quotient")
 
     @cached_property
     def euclidean_form(self) -> AmbientForm:
@@ -378,9 +387,10 @@ class SkewQuotient:
             raise UnsupportedModulusError(
                 "reversal needs modulus x^m - 1 and automorphism order dividing m"
             )
+        _flat_vectors(self.base.shape, self.m, (g,))
         out = [self.base.zero] * self.m
-        for i, gi in enumerate(g):
-            out[(self.m - i) % self.m] = self.aut.apply_power(-i, gi)
+        for i, gi in enumerate(g):  # aut^-i is the identity where the order divides i
+            out[(self.m - i) % self.m] = self.aut.apply_power(-i, gi) if i % self.aut.order else gi
         return tuple(out)
 
     def __repr__(self) -> str:

@@ -103,12 +103,17 @@ def _flat_vectors(shape: ModuleShape, m: int, words: Iterable) -> list[Element]:
     """The words, flattened by _word_layout, as a list: the checked way
     into the coordinates of A^m, A the shape's module.  A word whose
     nesting is not that of A^m, or with an entry that is not an element,
-    is refused with a ValueError naming it.  LinearCode checks its words
-    and generators here, and the ambient orthogonals their subsets."""
+    is refused with a ValueError naming it.  An element's entries are
+    tuples and its coordinates ints in range, read by type, as flatten
+    reads the word, on C-level builtins, at about the cost of the
+    flattening.  LinearCode checks its words and generators here, the
+    ambient orthogonals their subsets and SkewQuotient its arguments."""
     words = list(words)
     flats = list(map(_word_layout(m, shape.rank)[0], words))
-    for word in words:
-        if not all(map(shape.contains, word)):
+    bounds = shape.orders * m
+    for word, flat in zip(words, flats):
+        if not ({tuple}.issuperset(map(type, word)) and {int}.issuperset(map(type, flat))
+                and min(flat, default=0) >= 0 and all(map(operator.lt, flat, bounds))):
             raise ValueError(f"{word!r} is not a vector of A^{m}")
     return flats
 

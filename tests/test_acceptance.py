@@ -375,6 +375,24 @@ def test_budget_validate_of_the_group_algebra_of_c60_over_z2(tmp_path, capsys):
     assert elapsed < 1, f"validation took {elapsed:.1f} s"
 
 
+def test_budget_validate_of_the_group_algebra_of_c60_over_z2_as_a_table(tmp_path, capsys):
+    """The same ring given as its table: a table from outside is the input
+    that the presentation checks run on (a group algebra is placed from
+    its checked Cayley table), so this budget times the validator."""
+    unit = [[int(l == g) for l in range(60)] for g in range(60)]
+    spec = tmp_path / "z2_c60_table.json"
+    spec.write_text(json.dumps({"kind": "table", "n": 2, "orders": [2] * 60, "one": unit[0],
+                                "mul": [[unit[(g + h) % 60] for h in range(60)]
+                                        for g in range(60)]}))
+    t0 = time.perf_counter()
+    assert main(["ring", "validate", str(spec)]) == 0
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert out.startswith("command: ring validate\nvalid: true\n")
+    assert f"cardinality: {2 ** 60}\n" in out and '"associativity": true' in out
+    assert elapsed < 1, f"validation took {elapsed:.1f} s"
+
+
 def test_budget_left_ideals_of_gf4_squaring_mod_x6_minus_1():
     """GF4[x;sq]/(x^6 - 1), 4096 elements and 1080 units: one additive
     closure per unit orbit, 35 in all, not one per element."""

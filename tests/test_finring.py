@@ -113,6 +113,16 @@ def test_matrix_ring(m2f2):
     assert m2f2.mul((0, 0, 1, 0), (0, 1, 0, 0)) == (0, 0, 0, 1)
 
 
+def test_matrix_ring_over_an_unlabelled_base_has_no_label():
+    """M_t names its base's label, and keeps none when the base has none."""
+    unlabelled = ring_from_table(2, (2,), [[(1,)]], (1,))
+    for base in (unlabelled, ring_product(ring_zn(2), ring_zn(2))):
+        ring = ring_matrix(base, 2)
+        assert ring.label is None and repr(ring).startswith("<FiniteRing: "), repr(ring)
+    assert repr(ring_matrix(ring_zn(2), 2)).startswith("<M2(Z2): ")
+    assert ring_matrix(unlabelled, 2, label="M").label == "M"
+
+
 def test_matrix_units_match_determinant_oracle(m2f2):
     invertible = {
         (a, b, c, d)

@@ -43,7 +43,8 @@ MALFORMED = {
     "word of another ambient": (((1, 1, 1),), ((1, 1, 1),)),
 }
 
-# name: (reads words, call on [zero, member] or, for group_inversion, the member)
+# name: (reads words, call on [zero, member] or, for group_inversion and the
+# one-argument SkewQuotient methods, the member)
 ENTRY_POINTS = {
     "is_left_ideal": (False, lambda s: is_left_ideal(R, s)),
     "is_right_ideal": (False, lambda s: is_right_ideal(R, s)),
@@ -58,6 +59,11 @@ ENTRY_POINTS = {
     "functional_orthogonal": (True, lambda s: functional_orthogonal(FORM, EPS_A, s, "right")),
     "is_skew_cyclic": (True, lambda s: is_skew_cyclic(s, Q)),
     "skew_cyclic_dual_report": (True, lambda s: skew_cyclic_dual_report(s, Q, EPS_A)),
+    "SkewQuotient.add": (True, lambda s: Q.add(*s)),
+    "SkewQuotient.neg": (True, lambda s: Q.neg(s[1])),
+    "SkewQuotient.mul": (True, lambda s: Q.mul(*s)),
+    "SkewQuotient.reversal": (True, lambda s: Q.reversal(s[1])),
+    "SkewQuotient.constant_term_product": (True, lambda s: Q.constant_term_product(*s)),
 }
 
 SKEW = ("is_skew_cyclic", "skew_cyclic_dual_report")

@@ -16,6 +16,7 @@ radical and functional oracles use in its place.
 
 import random
 from dataclasses import astuple
+from functools import partial
 from itertools import product
 from math import lcm
 
@@ -62,7 +63,9 @@ from frobring.znmod import (DEFAULT_CAP, EnumerationCapError, ZnLinearForm, addi
                             annihilated, enumeration_cap, linear_kernel)
 
 from conftest import table_product, unit_vector, upper_triangular
-from ring_families import FAMILY_SPECS
+from ring_families import FAMILY_SPECS, cyclic, dihedral, quaternion_group
+from ring_families import direct as direct_product
+from test_lattice import SKEW_QUOTIENTS
 
 
 # -- constructed rings from the benchmark's families ---------------------------
@@ -902,18 +905,56 @@ def derived_rings(ring):
 
 
 def assert_derived_rings_pass_the_checks(ring):
-    for derived in derived_rings(ring):
+    """The ring, which a builder may have derived, and the rings derived
+    from it pass every check, and each is the ring its table validates to."""
+    for derived in [ring, *derived_rings(ring)]:
         assert all(ok for _, ok, _ in finring.table_validation_report(derived)), derived
+        assert derived == ring_from_table(derived.characteristic, derived.shape.orders,
+                                          derived.mul_table, derived.one), derived
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_derived_rings_pass_the_presentation_checks(name):
     """Rings derived without a check pass every check when it is run: on
-    each corpus ring and on each shuffled product with it on the left."""
+    each corpus ring, on each product with it on the left, plain and
+    shuffled, and on M2 over it when that fits the cap."""
     assert_derived_rings_pass_the_checks(CORPUS[name])
     for a, b in PAIRS:
         if a == name:
+            assert_derived_rings_pass_the_checks(ring_product(CORPUS[a], CORPUS[b]))
             assert_derived_rings_pass_the_checks(shuffled_pair(a, b))
+    if CORPUS[name].cardinality ** 4 <= DEFAULT_CAP:
+        assert_derived_rings_pass_the_checks(ring_matrix(CORPUS[name], 2))
+
+
+GROUPS = {"C1": cyclic(1), "C2": cyclic(2), "C5": cyclic(5), "D3": dihedral(3), "D4": dihedral(4),
+          "Q8": quaternion_group(), "C2xC2": direct_product(cyclic(2), cyclic(2)),
+          "C2xC3": direct_product(cyclic(2), cyclic(3))}
+BUILT = {
+    **{f"Z{n}": partial(ring_zn, n) for n in range(1, 13)},
+    **{f"Z{n}[{g}]": partial(ring_group_algebra, n, cayley)
+       for n in (1, 2, 3, 4) for g, cayley in GROUPS.items()},
+    **{name: quotient.as_finite_ring for name, quotient in SKEW_QUOTIENTS.items()},
+    **{f.__name__: lambda f=f: f().as_finite_ring()
+       for f in (gf4_skew_quotient, z4_quotient_x2_minus_1, z2_quotient_x3_minus_1)},
+}
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_built_rings_pass_the_presentation_checks(name):
+    """Z_n, group algebras (the zero ring's among them) and the table rings
+    of skew quotients are placed with no check; each passes them all."""
+    assert_derived_rings_pass_the_checks(BUILT[name]())
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_a_group_algebra_multiplies_its_basis_by_the_cayley_table(name):
+    """e_a e_b = e_ab, which for D3, D4 and Q8 is not e_ba: the opposite
+    group's algebra would pass every check."""
+    cayley = GROUPS[name]
+    ring = ring_group_algebra(3, cayley)
+    for a, b in product(range(len(cayley)), repeat=2):
+        assert ring.mul(ring.basis(a), ring.basis(b)) == ring.basis(cayley[a][b])
 
 
 @pytest.mark.parametrize("name, spec", FAMILY_SPECS, ids=[name for name, _ in FAMILY_SPECS])

@@ -265,7 +265,9 @@ BUILDS = {
 @pytest.mark.parametrize("kind", BUILDS)
 def test_building_multiplies_only_for_the_unit_laws(kind, monkeypatch):
     """Two products per basis element, 1 e_i and e_i 1, and no more, for
-    the ring, and none for its opposite; the bases are built beforehand."""
+    a table from outside; none, and no presentation check, for a ring
+    derived from checked rings (a product, a matrix ring, a group
+    algebra); none for the opposite.  The bases are built beforehand."""
     bases = {"Z1": ring_zn(1), "Z2": ring_zn(2), "Z4": ring_zn(4), "GF4": gf4()}
     calls = [0]
     mul = FiniteRing.mul
@@ -274,9 +276,18 @@ def test_building_multiplies_only_for_the_unit_laws(kind, monkeypatch):
         calls[0] += 1
         return mul(self, a, b)
 
+    def refused(ring):
+        raise AssertionError("a derived ring was validated again")
+
     monkeypatch.setattr(FiniteRing, "mul", counted)
-    ring = BUILDS[kind](bases)
-    assert 0 < calls[0] <= 2 * ring.rank
+    if kind in ("table", "quaternions"):
+        ring = BUILDS[kind](bases)
+        assert 0 < calls[0] <= 2 * ring.rank
+    else:
+        with monkeypatch.context() as patched:
+            patched.setattr(finring, "table_validation_report", refused)
+            ring = BUILDS[kind](bases)
+        assert calls[0] == 0
     calls[0] = 0
     ring.opposite()
     assert calls[0] == 0

@@ -22,6 +22,7 @@ from frobring.znmod import (
     packed_arithmetic,
     span,
     _check_power_cap,
+    _flat_vectors,
 )
 
 
@@ -437,3 +438,21 @@ def test_forms_are_additive(data):
     x = shape.reduce(data.draw(st.tuples(st.integers(0, 11), st.integers(0, 11))))
     y = shape.reduce(data.draw(st.tuples(st.integers(0, 11), st.integers(0, 11))))
     assert f.evaluate(shape.add(x, y)) == (f.evaluate(x) + f.evaluate(y)) % 12
+
+
+@pytest.mark.parametrize("bad", [
+    ((3, 1), (0, -1)),   # negative coordinate
+    ((4, 1), (0, 0)),    # coordinate of order 4 out of range
+    ((3, 2), (0, 0)),    # coordinate of order 2 out of range
+    ((3, True), (0, 0)),
+    ((3, 1.0), (0, 0)),
+    ([3, 1], (0, 0)),    # an entry that flattens but is not a tuple
+])
+def test_flat_vectors_refuse_a_word_with_an_entry_that_is_not_an_element(bad):
+    """The element check reads the flattened coordinates and each entry's
+    type: every word above has the nesting of A^2 and is refused by name."""
+    shape = ModuleShape(4, (4, 2))
+    assert _flat_vectors(shape, 2, [((3, 1), (0, 0))]) == [(3, 1, 0, 0)]
+    with pytest.raises(ValueError) as raised:
+        _flat_vectors(shape, 2, [((3, 1), (0, 0)), bad])
+    assert str(raised.value).startswith(f"{bad!r} is not a vector of A^2")
