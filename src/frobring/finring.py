@@ -594,9 +594,15 @@ def submodule_violation(elems, add, zero, scalars, act, member=None):
     act(r, a) outside, with r running over scalars (none for a bare
     additive subgroup).  As the action is biadditive, scalars may be any
     additive generating set of the acting ring; callers pass its basis.
-    Sums are tested against generators only: in sorted order, each b
-    outside the span of those before must keep elems + b inside elems, so
-    elems is closed under its own span, at about |elems| log|elems| adds.
+    Sums are tested on the span the generators build: in sorted order,
+    each b outside the span of those before is kept, and the span grows by
+    b (extend_span) until a new member falls outside elems.  Then some a
+    in elems has a + b outside (with s + k b the first such member over
+    the smallest k, a = s + (k - 1) b), and the first a in sorted order is
+    the witness.  Otherwise every member is a generator or in the span of
+    those before, and the span lies inside elems, so elems is that span,
+    a subgroup, at fewer than 2 |elems| adds (one per member and one per
+    coset, in extend_span).
     The scalars act on those generators only: elems is then a subgroup and
     act(r, -) is additive, so act(r, elems) lies in elems iff each
     act(r, g) does, and the first failing r is the same.  Given member, a
@@ -615,12 +621,9 @@ def submodule_violation(elems, add, zero, scalars, act, member=None):
         if b not in spanned:
             if member and not member(b):
                 raise ValueError(f"{b!r} is not an element")
-            for a in ordered:
-                if add(a, b) not in elems:
-                    return ("sum", (a, b))
+            if any(y not in elems for y in extend_span(spanned, b, add)):
+                return ("sum", (next(a for a in ordered if add(a, b) not in elems), b))
             gens.append(b)
-            for _ in extend_span(spanned, b, add):
-                pass
     for r, g in product(scalars, gens):
         if act(r, g) not in elems:
             return ("scalar", (r, g))

@@ -370,12 +370,15 @@ class SkewQuotient:
 
     def has_cyclic_modulus(self) -> bool:
         """True when f = x^m - 1 and aut^m = id."""
-        base = self.base
-        if self.modulus[0] != base.neg(base.one):
-            return False
-        if any(self.modulus[i] != base.zero for i in range(1, self.m)):
-            return False
-        return self.m % self.aut.order == 0
+        return self._cyclic_modulus
+
+    @cached_property
+    def _cyclic_modulus(self) -> bool:
+        """has_cyclic_modulus, decided on first use: f and aut never
+        change, and every reversal asks it."""
+        base, f = self.base, self.modulus
+        return (f[0] == base.neg(base.one) and all(c == base.zero for c in f[1:self.m])
+                and self.m % self.aut.order == 0)
 
     def reversal(self, g: QElement) -> QElement:
         """The involution sum g_i x^i |-> sum aut^{-i}(g_i) x^{(m-i) mod m}.
@@ -383,7 +386,7 @@ class SkewQuotient:
         Defined only for f = x^m - 1 with aut^m = id, where x is a unit
         with inverse x^{m-1}.  Additive, fixes 1, and reverses products.
         """
-        if not self.has_cyclic_modulus():
+        if not self._cyclic_modulus:
             raise UnsupportedModulusError(
                 "reversal needs modulus x^m - 1 and automorphism order dividing m"
             )

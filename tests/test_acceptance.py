@@ -308,6 +308,17 @@ def test_budget_checked_code_of_every_word_of_z4_to_the_5():
     assert elapsed < 2, f"submodule check took {elapsed:.1f} s"
 
 
+def test_budget_checked_code_of_every_word_of_z2_to_the_14():
+    """The sum check grows the span of the kept generators and stops there,
+    so the 16384 words cost fewer than 2 * 16384 additions."""
+    words = [tuple((c,) for c in v) for v in product(range(2), repeat=14)]
+    t0 = time.perf_counter()
+    code = LinearCode(ring_zn(2), 14, "left", words)
+    elapsed = time.perf_counter() - t0
+    assert code.cardinality == 16384
+    assert elapsed < 1.5, f"submodule check took {elapsed:.1f} s"
+
+
 def test_budget_skew_sweep_of_gf4_squaring_mod_x4_minus_1(tmp_path, capsys):
     spec = tmp_path / "quotient.json"
     spec.write_text(json.dumps({

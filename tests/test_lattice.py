@@ -339,6 +339,59 @@ def test_sum_check_by_generators_matches_all_pairs(orders):
             assert kind == "sum" and a in S and b in S and shape.add(a, b) not in S
 
 
+@pytest.mark.parametrize("orders", [(2,) * 12, (9, 9, 9), (4, 2, 8, 3)])
+def test_sum_check_of_a_whole_group_makes_fewer_than_two_adds_per_member(orders):
+    """On a subgroup S the sum check only grows the span of the kept
+    generators: one addition per member and one per coset, under 2 |S|."""
+    shape = ModuleShape(lcm(*orders), orders)
+    S = frozenset(enumerate_module(shape))
+    calls = []
+
+    def add(x, y):
+        calls.append(None)
+        return shape.add(x, y)
+
+    assert submodule_violation(S, add, shape.zero, (), None) is None
+    assert len(calls) < 2 * len(S), len(calls)
+
+
+DIFFERENTIAL_GROUPS = [(2, 2, 2, 2), (4, 4), (2, 8), (3, 9), (5, 5), (6, 6), (2, 4, 4),
+                       (4, 2, 8), (8, 8)]
+
+
+def seeded_subsets(shape, rng):
+    """Eight subgroups spanned by one to three random elements, each also
+    with one member added and with one removed, and eight random subsets
+    holding 0."""
+    els = list(enumerate_module(shape))
+    for _ in range(8):
+        G = additive_closure(rng.sample(els, rng.randint(1, 3)), shape.add, shape.zero)
+        yield G
+        outside = [e for e in els if e not in G]
+        if outside:
+            yield G | {rng.choice(outside)}
+        yield G - {rng.choice(sorted(G))}
+        yield frozenset(e for e in els if e == shape.zero or rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("orders", DIFFERENTIAL_GROUPS)
+def test_sum_check_matches_the_all_pairs_closure_on_seeded_sets(orders):
+    """The verdict is the all-pairs oracle's, and a sum witness (a, b) has
+    a and b in S, a + b outside, and b a generator additive_generators keeps."""
+    shape = ModuleShape(lcm(*orders), orders)
+    rng = random.Random(sum(orders) * 1000 + len(orders))
+    for S in seeded_subsets(shape, rng):
+        found = submodule_violation(S, shape.add, shape.zero, (), None)
+        if shape.zero not in S:
+            assert found == ("zero", shape.zero), S
+        elif all(shape.add(a, b) in S for a in S for b in S):
+            assert found is None, S
+        else:
+            kind, (a, b) = found
+            assert kind == "sum" and a in S and b in S and shape.add(a, b) not in S, S
+            assert b in additive_generators(S, shape.add, shape.zero), S
+
+
 def test_code_validation_keeps_its_messages():
     z4 = ring_zn(4)
     with pytest.raises(ValueError, match="does not contain the zero word"):
