@@ -52,6 +52,7 @@ from .frobenius import (
     DegenerateFormError,
     Vector,
     _degeneracy,
+    _flat_orthogonal,
     _linear_orthogonal,
     identity_form,
 )
@@ -375,11 +376,20 @@ def is_skew_cyclic(code, quotient: SkewQuotient) -> bool:
     are then not an element of the table ring is refused by
     submodule_violation, naming its coordinates.
     """
-    ring, flat = quotient._table_ring, quotient.flatten
-    words = frozenset(map(flat, code.codewords if isinstance(code, LinearCode) else code))
-    generators = [flat(quotient.shift_generator()), *ring.basis_elements[:quotient.base.rank]]
-    return submodule_violation(words, ring.add, ring.zero, generators, ring.mul,
-                               ring.shape.contains) is None
+    words = code.codewords if isinstance(code, LinearCode) else code
+    words = frozenset(map(quotient.flatten, words))
+    return _shift_closed(quotient, words, quotient._table_ring.shape.contains)
+
+
+def _shift_closed(quotient: SkewQuotient, words: frozenset[Element], member=None) -> bool:
+    """Is the set of flat words a left ideal of the quotient's table ring?
+    submodule_violation under x and A's basis scalars; given member, a
+    word that is not an element is refused there, without it every word is
+    taken to be one."""
+    ring = quotient._table_ring
+    generators = [quotient.flatten(quotient.shift_generator()),
+                  *ring.basis_elements[:quotient.base.rank]]
+    return submodule_violation(words, ring.add, ring.zero, generators, ring.mul, member) is None
 
 
 def quotient_left_ideal_codes(quotient: SkewQuotient) -> list[frozenset[Vector]]:
@@ -411,18 +421,21 @@ def skew_cyclic_dual_report(
     words by ring_generators, which refuses one whose coordinates are not
     an element of the table ring.  The flat generators pair in the
     Euclidean dual as they are; reversal is additive, so their reversals
-    generate reversal(V), with no second pick.
+    generate reversal(V), with no second pick.  The dual is tested
+    skew-cyclic on the flat vectors its kernel lists, elements by
+    construction, so they are neither flattened nor checked again.
     """
     ring = quotient.as_finite_ring()
     eps = quotient.lifted_form(base_functional)
     V = frozenset(map(quotient.flatten, V))
     gens = ring_generators(ring, V)
-    e_dual = _linear_orthogonal(quotient.euclidean_form, gens, "left")
+    flat_dual = frozenset(_flat_orthogonal(quotient.euclidean_form, gens, "left"))
+    e_dual = frozenset(map(quotient.unflatten, flat_dual))
     reversed_gens = [quotient.flatten(quotient.reversal(quotient.unflatten(g))) for g in gens]
     r_orth = frozenset(map(quotient.unflatten, ring_orthogonal(ring, reversed_gens, eps)))
     return SkewCyclicDualReport(
         dual_matches_reversal_orthogonal=e_dual == r_orth,
-        dual_is_skew_cyclic=is_skew_cyclic(e_dual, quotient),
+        dual_is_skew_cyclic=_shift_closed(quotient, flat_dual),
         cardinality_product_ok=len(V) * len(e_dual) == quotient.cardinality,
         euclidean_dual=e_dual,
         reversal_orthogonal=r_orth,

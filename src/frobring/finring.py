@@ -39,9 +39,10 @@ pairs of elements:
   run the same routine on their packed basis grams (frobring.frobenius);
 * the Frobenius test looks for a single socle generator on each side,
   comparing the additive span of s*e_1, ..., s*e_k (which is s*R) with
-  the socle by size; a table whose coordinates fall into two or more
-  blocks with no product across them is decided block by block, as the
-  sizes multiply and the first generators sit on their blocks'
+  the socle by size, and skipping the members of each s*R that falls
+  short (_right_generator); a table whose coordinates fall into two or
+  more blocks with no product across them is decided block by block, as
+  the sizes multiply and the first generators sit on their blocks'
   coordinates (_table_blocks, is_frobenius_socle);
 * a submodule lattice holds each submodule as one int, a bitset of the
   ambient with a bit per vector in lexicographic order, so C <= I is one
@@ -881,9 +882,16 @@ def _right_generator(ring: FiniteRing, socle: frozenset[Element]) -> Element | N
     """First s, in sorted order, with s * R equal to the socle.
 
     s * R is the additive span of s * e_1, ..., s * e_k, and it lies in
-    the socle (a right ideal) when s does, so comparing sizes suffices."""
+    the socle (a right ideal) when s does, so comparing sizes suffices.
+    Once s * R falls short, each t in it has t * R inside s * R and is
+    skipped, as is 0 unless the socle is {0}: the first generator is the
+    same, at fewer closures."""
+    covered = {ring.zero} if len(socle) > 1 else set()
     for s in sorted(socle):
-        s_R = additive_closure((ring.mul(s, e) for e in ring.basis_elements), ring.add, ring.zero)
-        if len(s_R) == len(socle):
-            return s
+        if s not in covered:
+            s_R = additive_closure((ring.mul(s, e) for e in ring.basis_elements),
+                                   ring.add, ring.zero)
+            if len(s_R) == len(socle):
+                return s
+            covered |= s_R
     return None

@@ -21,28 +21,31 @@ Side conventions, fixed once here and used everywhere:
 
 A pairing is biadditive, so the orthogonal of a subset S is the kernel of
 the Z-linear map x |-> (<x, s>)_s over an additive generating set of S.
-Every orthogonal and kernel is one znmod.linear_kernel call, which holds
-its domain to the enumeration cap.  Orthogonals read the images of the
-basis vectors off packed lines, by the one routine
-znmod._packed_orthogonal: annihilators and functional orthogonals in
-the ring off the ring's packed table (finring.ring_orthogonal), with no
-ring product; orthogonals and kernels of ambient forms on A^m off the
-rows or columns of the form's basis gram, the pairing of the r*m basis
-vectors of A^m, built once per form in the same packed layout
-(_linear_orthogonal): no route calls AmbientForm.pairing, and none
-multiplies in the ring after a form's first orthogonal.
-_linear_orthogonal takes flat vectors, the r*m coordinates of words of
-A^m in the one layout (znmod._word_layout), and cuts its kernel back into
-words by the layout's inverse.  orthogonal and functional_orthogonal
-flatten their subset on entry and check that each entry is an element
-(znmod._flat_vectors); codes.dual and the form's kernels pass flat
-vectors the library built, unchecked.  Pairing kernels in the ring are
-read off the pairing's Z_n-valued gram (_gram_kernel).  An ambient form
-is A-linear on the left in its first slot and on the right in its
-second, so its kernels are orthogonals of the m unit vectors of A^m, the
-rows of identity_form's gram.  The functional search reads only the right socle, where
-every nonzero first-slot kernel shows up, and on a table of two or more
-blocks it searches each block instead (finring._blocks).
+Every orthogonal and kernel is one meet in the middle on packed images,
+znmod._packed_kernel, which holds its domain to the enumeration cap.
+Pairing kernels in the ring reach it through znmod.linear_kernel on their
+gram's rows or columns; orthogonals through the one routine
+znmod._packed_orthogonal, which writes the images of the basis vectors
+straight from packed lines into packed codes: annihilators and functional
+orthogonals in the ring off the ring's packed table
+(finring.ring_orthogonal), with no ring product; orthogonals and kernels
+of ambient forms on A^m off the rows or columns of the form's basis gram,
+the pairing of the r*m basis vectors of A^m, built once per form in the
+same packed layout (_flat_orthogonal): no route calls AmbientForm.pairing,
+and none multiplies in the ring after a form's first orthogonal.
+_flat_orthogonal takes flat vectors, the r*m coordinates of words of A^m
+in the one layout (znmod._word_layout), and lists flat vectors;
+_linear_orthogonal cuts them back into words by the layout's inverse.
+orthogonal and functional_orthogonal flatten their subset on entry and
+check that each entry is an element (znmod._flat_vectors); codes.dual,
+the skew report and the form's kernels pass flat vectors the library
+built, unchecked.  Pairing kernels in the ring are read off the
+pairing's Z_n-valued gram (_gram_kernel).  An ambient form is A-linear
+on the left in its first slot and on the right in its second, so its
+kernels are orthogonals of the m unit vectors of A^m, the rows of
+identity_form's gram.  The functional search reads only the right
+socle, where every nonzero first-slot kernel shows up, and on a table of
+two or more blocks it searches each block instead (finring._blocks).
 """
 
 from __future__ import annotations
@@ -423,13 +426,13 @@ def identity_form(A: FiniteRing, m: int) -> AmbientForm:
     return AmbientForm._built(A, m, tuple(zeros[:i] + (A.one,) + zeros[i + 1:] for i in range(m)))
 
 
-def _linear_orthogonal(form: AmbientForm, flats: list[Element], side: str,
-                       functional: ZnLinearForm | None = None) -> frozenset[Vector]:
+def _flat_orthogonal(form: AmbientForm, flats: list[Element], side: str,
+                     functional: ZnLinearForm | None = None) -> Iterator[Element]:
     """{x : <x, s> = 0 for all s}, or {x : functional(<x, s>) = 0}, with x
     in the named slot, for flat vectors s, the r*m coordinates of words of
     A^m (znmod._word_layout), taken as they are: one _packed_orthogonal
-    call over the r*m basis vectors of A^m, each kernel vector cut back
-    into a word by the layout's inverse.
+    call over the r*m basis vectors of A^m, listing flat vectors in
+    lexicographic order.
 
     By biadditivity the basis vector i of A^m pairs with s to
     sum_j s_j G[i][j] in the first slot and to sum_j s_j G[j][i] in the
@@ -440,8 +443,15 @@ def _linear_orthogonal(form: AmbientForm, flats: list[Element], side: str,
         raise ValueError(f"bad side {side!r}")
     _check_power_cap(form.ring.cardinality, form.m, "ambient module")
     rows, columns, fields, mask = form._basis_gram
-    flat = _packed_orthogonal(form.ring.shape.orders * form.m, rows if side == "left" else columns,
+    return _packed_orthogonal(form.ring.shape.orders * form.m, rows if side == "left" else columns,
                               fields, mask, form.ring.shape.orders, flats, functional)
+
+
+def _linear_orthogonal(form: AmbientForm, flats: list[Element], side: str,
+                       functional: ZnLinearForm | None = None) -> frozenset[Vector]:
+    """_flat_orthogonal, each kernel vector cut back into a word by the
+    layout's inverse."""
+    flat = _flat_orthogonal(form, flats, side, functional)
     return frozenset(map(_word_layout(form.m, form.ring.rank)[1], flat))
 
 

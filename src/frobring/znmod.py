@@ -17,6 +17,13 @@ duals of frobenius and codes, and the skew quotient's table ring) reads
 them through it, and _flat_vectors adds the check that each entry is an
 element.
 
+Every orthogonal and kernel in the package lists its members by one meet
+in the middle on packed images, _packed_kernel.  linear_kernel checks
+and encodes tuple images for it; _packed_orthogonal, the one orthogonal
+routine, writes each basis vector's image straight from packed lines
+into its packed_arithmetic code and hands the codes over with no tuple
+in between.
+
 Everything is immutable and all operations are pure, apart from the one
 setting they read: enumerations run in lexicographic coordinate order and
 are guarded by the size cap of the enclosing enumeration_cap block
@@ -314,8 +321,10 @@ def additive_closure(seeds: Iterable, add: Callable, zero) -> frozenset:
     return frozenset(span)
 
 
-def packed_arithmetic(orders: Sequence[int]) -> tuple[Callable, Callable]:
-    """(encode, add) for Z_{d_1} x ... x Z_{d_K}, each element one int.
+@lru_cache
+def packed_arithmetic(orders: tuple[int, ...]) -> tuple[Callable, Callable]:
+    """(encode, add) for Z_{d_1} x ... x Z_{d_K}, each element one int,
+    built once per orders tuple.
 
     encode packs the coordinates most significant first into fields of
     B + 1 bits, 2^B > max d_j, so codes sort as the tuples do.  A field
@@ -347,21 +356,34 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
     """Every x in Z_{d_1} x ... x Z_{d_k}, in lexicographic order, with
     sum_i x_i * images[i] = 0 in the codomain Z_{q_1} x ... x Z_{q_l}.
 
-    domain lists the orders d_i, codomain the orders q_j.  Meet in the
-    middle: the coordinates are split where the two halves have about
-    equal size, the second half's elements are indexed by their image,
-    and each first-half prefix, in order, is joined to the second-half
-    entries with the negated image.  Images are reduced on entry and held
-    as packed codomain codes (packed_arithmetic): each element's image is
-    one int, its predecessor's plus one packed add, so the cost is about
-    2 * sqrt(|domain|) + |kernel| int operations, against |domain| for a
-    scan.  A half may list the whole domain, so its size is held to the
-    cap on the call, as enumerate_module holds a module's.
+    domain lists the orders d_i, codomain the orders q_j.  Images are
+    reduced on entry and encoded as packed codomain codes
+    (packed_arithmetic) for _packed_kernel, which lists the kernel by
+    meet in the middle in about 2 * sqrt(|domain|) + |kernel| int
+    operations and holds the domain to the cap on the call.
     """
     domain, codomain = tuple(domain), tuple(codomain)
     images = [tuple(v) for v in images]
     if len(images) != len(domain) or any(len(v) != len(codomain) for v in images):
         raise ValueError("need one image in the codomain per domain coordinate")
+    encode = packed_arithmetic(codomain)[0]
+    return _packed_kernel(domain, [encode(map(operator.mod, v, codomain)) for v in images],
+                          codomain)
+
+
+def _packed_kernel(domain: tuple[int, ...], packed: list[int],
+                   codomain: tuple[int, ...]) -> Iterator[Element]:
+    """linear_kernel on images given as reduced packed codomain codes.
+
+    Meet in the middle: the coordinates are split where the two halves
+    have about equal size, the second half's elements are indexed by their
+    image, and each first-half prefix, in order, is joined to the
+    second-half entries with the negated image.  Each element's image is
+    one int, its predecessor's plus one packed add, so the cost is about
+    2 * sqrt(|domain|) + |kernel| int operations, against |domain| for a
+    scan.  A half may list the whole domain, so its size is held to the
+    cap on the call, as enumerate_module holds a module's.
+    """
     cut, size, cardinality = 0, 1, prod(domain)
     _check_cap(cardinality, "module")
     while cut < len(domain) and size * size < cardinality:
@@ -369,7 +391,6 @@ def linear_kernel(domain: Sequence[int], images: Sequence[Element],
         cut += 1
     encode, add = packed_arithmetic(codomain)
     moduli = encode(codomain)
-    packed = [encode(g % q for g, q in zip(v, codomain)) for v in images]
 
     def half(orders, gens) -> Iterator[tuple[Element, int]]:
         # (x, packed image of x) for every x over the orders, lexicographically
@@ -407,27 +428,35 @@ def _packed_orthogonal(domain: Sequence[int], lines, fields, mask: int, orders: 
                        gens: list, form: ZnLinearForm | None = None) -> Iterator[Element]:
     """Every x over the domain orders, in lexicographic order, with
     sum_i x_i v_i(g) = 0 for every g in gens, or form(sum_i x_i v_i(g)) = 0
-    for a Z_n-linear form: one linear_kernel call.  Basis vector i pairs
+    for a Z_n-linear form: one _packed_kernel call.  Basis vector i pairs
     with g as v_i(g) = sum_j g_j lines[i][j], one int sum over a line of
-    values packed by packed_fields over the given orders, read back field
-    by field.  This is the orthogonal of gens, x in the first slot, under
-    every biadditive pairing whose basis gram the lines hold: the one
-    orthogonal routine, run by finring.ring_orthogonal on a ring's packed
-    table and by the ambient orthogonals on a form's basis gram.
+    values packed by packed_fields over the given orders.  This is the
+    orthogonal of gens, x in the first slot, under every biadditive
+    pairing whose basis gram the lines hold: the one orthogonal routine,
+    run by finring.ring_orthogonal on a ring's packed table and by the
+    ambient orthogonals on a form's basis gram.
 
-    A domain coordinate of order 1 holds only 0: its images are zero and
-    its line is not read.  Fields are read unreduced, as linear_kernel
-    reduces images on entry and a form's weights have w_l d_l = 0 mod n."""
+    Each image goes straight into its packed_arithmetic code over the
+    codomain, generator by generator, most significant first: each field
+    read back, reduced mod its order, or for a form the weighted sum of
+    the fields mod n (exact unreduced, as a form's weights have
+    w_l d_l = 0 mod n), shifted in.  A domain coordinate of order 1 holds
+    only 0: its image is zero and its line is not read."""
     codomain = orders if form is None else (form.shape.n,)
-
-    def value(acc: int) -> list[int]:
-        x = [(acc >> s) & mask for s, _ in fields]
-        return x if form is None else [sum(map(operator.mul, form.weights, x))]
-
-    zero = (0,) * (len(codomain) * len(gens))
-    images = [zero if d == 1 else [c for g in gens for c in value(sum(map(operator.mul, g, line)))]
-              for d, line in zip(domain, lines, strict=True)]
-    return linear_kernel(domain, images, codomain * len(gens))
+    width = max(codomain, default=1).bit_length() + 1  # packed_arithmetic's field
+    packed = []
+    for d, line in zip(domain, lines, strict=True):
+        code = 0
+        for g in gens if d > 1 else ():
+            acc = sum(map(operator.mul, g, line))
+            if form is None:
+                for s, q in fields:
+                    code = code << width | ((acc >> s) & mask) % q
+            else:
+                x = [(acc >> s) & mask for s, _ in fields]
+                code = code << width | sum(map(operator.mul, form.weights, x)) % form.shape.n
+        packed.append(code)
+    return _packed_kernel(tuple(domain), packed, codomain * len(gens))
 
 
 def additive_generators(elements: Iterable, add: Callable, zero) -> list:

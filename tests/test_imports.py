@@ -12,8 +12,8 @@ No module rebuilds a ring's basis by calling .basis(i) over a range:
 FiniteRing.basis_elements is the one basis list.
 
 Only the functions in ELEMENT_SCANS_KEPT call .elements() or
-enumerate_module: kernels and bijections are decided by linear_kernel,
-and element scans live on as oracles in the tests.  Likewise only the
+enumerate_module: kernels and bijections are decided by linear_kernel
+and _packed_orthogonal, both on znmod._packed_kernel, and element scans live on as oracles in the tests.  Likewise only the
 functions in FORM_SCANS_KEPT call enumerate_forms: the form search walks
 the forms, and every other question about forms is read off a gram.
 

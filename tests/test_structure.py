@@ -306,6 +306,37 @@ def test_structure_matches_the_scans(name):
     assert cert.is_frobenius == (right is not None and left is not None)
 
 
+SOCLE_GENERATOR_CASES = ([pytest.param(lambda name=name: fresh(name), id=name) for name in NAMES]
+                         + [pytest.param(lambda spec=spec: build_ring(spec, DEFAULT_CAP),
+                                         id=f"family-{name}") for name, spec in FAMILY_SPECS])
+
+
+@pytest.mark.parametrize("built", SOCLE_GENERATOR_CASES)
+def test_socle_generator_matches_the_scan(built):
+    """_right_generator skips each member of an s R that falls short, yet
+    finds the scan's first generator of either socle, whatever its size."""
+    ring = built()
+    for r, side in ((ring, "right"), (ring.opposite(), "left")):
+        socle = ring.socle(side).elements
+        assert finring._right_generator(r, socle) == right_generator_oracle(r, socle), side
+
+
+def test_socle_generator_closes_only_uncovered_members(monkeypatch):
+    """T2(Z6): each socle has 36 elements and no generator.  Skipping 0
+    and the members of every s R closed before, each side closes 12 of
+    its 36 members."""
+    closures = []
+    original = finring.additive_closure
+    monkeypatch.setattr(finring, "additive_closure",
+                        lambda *args: closures.append(1) or original(*args))
+    ring = upper_triangular(6, 2)
+    for r, side in ((ring, "right"), (ring.opposite(), "left")):
+        socle = ring.socle(side).elements
+        closures.clear()
+        assert finring._right_generator(r, socle) is None
+        assert (len(socle), len(closures)) == (36, 12), side
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_functional_search_matches_all_pairs(name):
     ring = fresh(name)

@@ -1,7 +1,9 @@
 """Module shapes, linear forms, spans and brute-force kernels."""
 
+import random
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +22,11 @@ from frobring.znmod import (
     kernel_elements,
     linear_kernel,
     packed_arithmetic,
+    packed_fields,
     span,
     _check_power_cap,
     _flat_vectors,
+    _packed_orthogonal,
 )
 
 
@@ -456,3 +460,100 @@ def test_flat_vectors_refuse_a_word_with_an_entry_that_is_not_an_element(bad):
     with pytest.raises(ValueError) as raised:
         _flat_vectors(shape, 2, [((3, 1), (0, 0)), bad])
     assert str(raised.value).startswith(f"{bad!r} is not a vector of A^2")
+
+
+# -- the packed orthogonal -------------------------------------------------
+
+# (n, orders): the module shapes of mixed orders the random pairings draw from
+PAIRING_SHAPES = [(4, (2, 4)), (6, (6,)), (9, (9,)), (12, (12,))]
+
+
+def random_pairing(rnd, n, orders):
+    """(domain, right, codomain, values): a biadditive map from
+    Z_domain x Z_right to Z_codomain, each order drawn from the shape's
+    orders and their divisors above 1, beside one order-1 coordinate.
+    values[i][j] is the pairing of basis vectors i and j, a multiple of
+    q / gcd(q, d, e) in each codomain coordinate of order q, so the map is
+    well defined on the domain order d and the right order e.  The domain
+    has at most 256 elements, for the scans."""
+    choices = orders + tuple(g for g in range(2, n + 1) if n % g == 0)
+    draw = lambda k: [1] + [rnd.choice(choices) for _ in range(k)]
+    domain = draw(3)
+    while prod(domain) > 256:
+        domain = draw(rnd.randint(1, 3))
+    right, codomain = draw(rnd.randint(1, 2)), draw(2)
+    for side in (domain, right, codomain):
+        rnd.shuffle(side)
+    values = [[tuple(rnd.randrange(gcd(q, d, e)) * (q // gcd(q, d, e)) for q in codomain)
+               for e in right] for d in domain]
+    return tuple(domain), tuple(right), tuple(codomain), values
+
+
+def pairing_cases():
+    """Seeded random pairings over every shape, each against random
+    generators and the largest right vector, against none, and against the
+    right module's basis."""
+    rnd = random.Random(32)
+    for n, orders in PAIRING_SHAPES:
+        for _ in range(5):
+            domain, right, codomain, values = random_pairing(rnd, n, orders)
+            picks = [tuple(rnd.randrange(e) for e in right) for _ in range(rnd.randint(0, 2))]
+            picks.append(tuple(e - 1 for e in right))  # the largest sums
+            forms = rnd.sample(list(enumerate_forms(ModuleShape(n, codomain))), 2)
+            for gens in ("picks", "none", "basis"):
+                yield pytest.param(n, domain, right, codomain, values, gens, picks, forms,
+                                   id=f"Z{n}-{domain}-{right}-{codomain}-{gens}")
+
+
+def paired(values, codomain):
+    """The ring-valued pairing sum_ij x_i s_j values[i][j], reduced."""
+    def pairing(x, s):
+        return tuple(sum(a * b * values[i][j][l] for i, a in enumerate(x) for j, b in enumerate(s))
+                     % q for l, q in enumerate(codomain))
+    return pairing
+
+
+@pytest.mark.parametrize("n, domain, right, codomain, values, against, picks, forms",
+                         list(pairing_cases()))
+def test_packed_orthogonal_matches_the_scans(n, domain, right, codomain, values, against, picks,
+                                             forms):
+    """The fused path lists the oracle's members in lexicographic order,
+    ring-valued and under Z_n-linear forms of the codomain, and so does
+    linear_kernel on the same images as tuples.  Against the right
+    module's basis the oracles scan the whole right module: annihilated
+    for the ring-valued pairing, kernel_elements for the forms."""
+    # fields as narrow as the largest sum allows, which the last pick reaches
+    top = max(sum((e - 1) * v[l] for e, v in zip(right, row))
+              for row in values for l in range(len(codomain)))
+    pack, fields, mask = packed_fields(codomain, top)
+    lines = [[pack(v) for v in row] for row in values]
+    left_shape, right_shape = ModuleShape(n, domain), ModuleShape(n, right)
+    basis = [tuple(int(i == j) for j in range(len(right))) for i in range(len(right))]
+    gens = {"picks": picks, "none": [], "basis": basis}[against]
+    pairing = paired(values, codomain)
+    scanned = list(enumerate_module(right_shape)) if against == "basis" else gens
+    expected = sorted(annihilated(enumerate_module(left_shape), scanned, pairing,
+                                  (0,) * len(codomain)))
+    assert list(_packed_orthogonal(domain, lines, fields, mask, codomain, gens)) == expected
+    # the same images as tuples, unreduced, some negative
+    images = [[sum(map(mul, g, column)) - q for g in gens for column, q in zip(zip(*row), codomain)]
+              for row in values]
+    assert list(linear_kernel(domain, images, codomain * len(gens))) == expected
+    for form in forms:
+        valued = lambda x, s: form(pairing(x, s))
+        if against == "basis":
+            expected = sorted(kernel_elements(valued, left_shape, right_shape))
+        else:
+            expected = sorted(annihilated(enumerate_module(left_shape), gens, valued))
+        assert list(_packed_orthogonal(domain, lines, fields, mask, codomain, gens, form)) == expected
+
+
+def test_packed_orthogonal_meets_the_cap_on_the_call():
+    """A domain above the cap is refused on the call, before any member is
+    listed; at the cap the kernel is listed."""
+    pack, fields, mask = packed_fields((2,), 2)
+    with enumeration_cap(16):
+        with pytest.raises(EnumerationCapError, match="module has 32 entries, cap is 16"):
+            _packed_orthogonal((2,) * 5, [[pack((1,))]] * 5, fields, mask, (2,), [(1,)])
+        assert len(list(_packed_orthogonal((2,) * 4, [[pack((1,))]] * 4, fields, mask, (2,),
+                                           [(1,)]))) == 8
