@@ -43,8 +43,9 @@ built, unchecked.  Pairing kernels in the ring are read off the
 pairing's Z_n-valued gram (_gram_kernel).  An ambient form is A-linear
 on the left in its first slot and on the right in its second, so its
 kernels are orthogonals of the m unit vectors of A^m, the rows of
-identity_form's gram.  The functional search reads only the right
-socle, where every nonzero first-slot kernel shows up, and on a table of
+identity_form's gram.  The functional search decides each form once,
+off its gram, or skips it on a first-slot kernel witness of a form it
+rejected before; it reads no units, radical or socle, and on a table of
 two or more blocks it searches each block instead (finring._blocks).
 """
 
@@ -53,7 +54,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from functools import cached_property, reduce
 from itertools import islice, product
-from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .znmod import (
@@ -215,14 +215,16 @@ class FrobeniusFunctional:
 def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     """First form, in weight-lexicographic order, that is Frobenius.
 
-    The first-slot kernel {a : eps(a * b) = 0 for all b} is a right ideal;
-    if it is nonzero it holds a minimal right ideal M, and M J = 0, so it
-    meets the right socle {x : x J = 0}.  A form is therefore Frobenius iff
-    no nonzero socle element s has eps(s * e_j) = 0 for every j (see
-    _degeneracy for the second slot).  The s * e_j are computed on the
-    first visit to each s, at most rank * |Soc| products in all.  The form
-    found is returned through the verifying constructor, which decides
-    its kernel off the gram again, or None.
+    A form is Frobenius iff its first-slot kernel {a : eps(a * b) = 0 for
+    all b} is zero (see _degeneracy for the second slot), and x lies in
+    that kernel iff eps(x * e_j) = 0 for every j, as b |-> eps(x * b) is
+    additive.  Each form goes once to the verifying constructor, which
+    decides it off its gram: the first it accepts is returned.  A form it
+    rejects leaves its witness x, the smallest nonzero member of its
+    first-slot kernel, as the images x * e_1, ..., x * e_k, rank products
+    per rejection; a later form that sends every image of some witness to
+    0 has that witness in its kernel, and is skipped undecided.  No units,
+    radical or socle are read.  None when no form is Frobenius.
 
     A table of two or more blocks (finring._blocks) is searched block by
     block, after the cap check on its form space.  Its forms are the forms
@@ -244,17 +246,14 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
                 return None
             weights.append([w * (n // block.characteristic) for w in found.weights])
         return FrobeniusFunctional(ring, ZnLinearForm(ring.shape, _on_blocks(ring, weights)))
-    socle = sorted(ring.socle("right").elements - {ring.zero})
-    images: list[list[Element]] = []  # s * e_1, ..., s * e_k for the socle visited so far
+    witnesses: list[list[Element]] = []  # x * e_1, ..., x * e_k for each witness x met
     for form in forms:
-        w = form.weights
-        for t, s in enumerate(socle):
-            if t == len(images):
-                images.append([ring.mul(s, e) for e in ring.basis_elements])
-            if all(sum(map(mul, w, v)) % n == 0 for v in images[t]):
-                break  # s is in the first-slot kernel
-        else:
+        if any(all(form(v) == 0 for v in images) for images in witnesses):
+            continue  # the witness is in this form's first-slot kernel too
+        try:
             return FrobeniusFunctional(ring, form)
+        except DegenerateFormError as error:
+            witnesses.append([ring.mul(error.witness, e) for e in ring.basis_elements])
     return None
 
 

@@ -221,7 +221,7 @@ class ZnLinearForm:
         return form
 
     def evaluate(self, x: Element) -> int:
-        return sum(w * c for w, c in zip(self.weights, x)) % self.shape.n
+        return sum(map(operator.mul, self.weights, x)) % self.shape.n
 
     __call__ = evaluate
 

@@ -354,6 +354,23 @@ def test_budget_frobenius_verdict_on_z2_with_twelve_square_zero_variables(tmp_pa
     assert elapsed < 4, f"verdict took {elapsed:.1f} s"
 
 
+def test_budget_frobenius_verdict_on_z2_cyclic_of_length_15(tmp_path, capsys):
+    """Z2[x]/(x^15 - 1), 32768 elements, semisimple on a basis that does
+    not split into blocks: the search decides two forms, one gram kernel
+    each, as the zero form's witness x^14 is not in the kernel of the
+    second, (0, ..., 0, 1), which is Frobenius."""
+    spec = tmp_path / "cyclic15.json"
+    spec.write_text(json.dumps({"kind": "skew_quotient", "base": {"kind": "zn", "n": 2},
+                                "modulus": [1] + [0] * 14 + [1]}))
+    t0 = time.perf_counter()
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert report["functional_weights"] == [0] * 14 + [1]
+    assert report["frobenius"] is True and report["routes_agree"] is True
+    assert elapsed < 2, f"verdict took {elapsed:.2f} s"
+
+
 def test_budget_validate_of_one_hundred_zero_ring_factors(tmp_path, capsys):
     """Z1^100 has rank 100 but one element: every basis element is 0, so
     the associativity check has no triple to multiply."""

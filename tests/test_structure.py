@@ -2,10 +2,10 @@
 
 The power walk for units and nilpotents, the radical as the nilpotent x
 with R x nil, socles through the radical's generators, socle generators
-by the size of span{s e_j}, and the functional search on the right socle
-all replace scans over pairs of elements.  Annihilators, functional
-orthogonals and the skew and group-algebra duality reports solve one
-linear map over an additive generating set, and pairing kernels, the
+by the size of span{s e_j}, and the functional search by kept kernel
+witnesses all replace scans over pairs of elements.  Annihilators,
+functional orthogonals and the skew and group-algebra duality reports
+solve one linear map over an additive generating set, and pairing kernels, the
 generator-orbit equivalences of a functional and the bijectivity of
 automorphisms are one linear map kernel each.  Each scan
 is kept here as the oracle, and both must give the same sets, witnesses,
@@ -345,6 +345,27 @@ def test_functional_search_matches_all_pairs(name):
     assert (found is not None) == is_frobenius_socle(ring).is_frobenius
 
 
+def first_accepted_form(ring):
+    """Weights of the first form of enumerate_forms that FrobeniusFunctional
+    accepts, or None: every form decided, none skipped."""
+    for form in enumerate_forms(ring.shape):
+        try:
+            return FrobeniusFunctional(ring, form).weights
+        except DegenerateFormError:
+            pass
+    return None
+
+
+@pytest.mark.parametrize("name, spec", FAMILY_SPECS, ids=[name for name, _ in FAMILY_SPECS])
+def test_functional_search_skips_no_frobenius_form(name, spec):
+    """On rings of up to 256 elements, past the all-pairs oracle: a form
+    skipped on a kept witness is never one the constructor accepts."""
+    ring = build_ring(spec, DEFAULT_CAP)
+    for r in (ring, ring.opposite()):
+        found = find_frobenius_functional(r)
+        assert (found.weights if found else None) == first_accepted_form(r)
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_degenerate_form_error_matches_all_pairs(name):
     ring = fresh(name)
@@ -459,8 +480,8 @@ def radical_candidates(ring):
 @pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]", "T3(Z2)", "Z3 x T2(Z2)"])
 def test_no_quadratic_product_scan(name, mul_calls):
     """Units take at most |R| products, the radical rank per candidate it
-    tests, and the form search, with the right socle known, rank per
-    socle element: none scans pairs of elements."""
+    tests, and the form search rank per form it rejects, fewer here than
+    rank per right-socle element: none scans pairs of elements."""
     candidates = radical_candidates(fresh(name))
     ring = fresh(name)  # validation multiplies basis elements
     mul_calls[0] = 0
@@ -998,6 +1019,29 @@ def test_derived_rings_of_an_interleaved_matrix_ring_pass_the_checks(other):
     ring = ring_matrix(ring_product(CORPUS["Z2"], CORPUS[other]), 2)
     assert len(derived_rings(ring)) == 5  # the opposite and two blocks on each side
     assert_derived_rings_pass_the_checks(ring)
+
+
+def test_functional_search_reads_no_units_radical_or_socle(monkeypatch):
+    """The search is a route of its own: on fresh copies of the corpus
+    rings, the family rings and shuffled products (the block route), and on
+    their opposites, it runs with units, nilpotents, the radical and the
+    socles refused, and agrees with the socle certificate taken before."""
+    rings = [FiniteRing(r.shape, r.mul_table, r.one) for r in CORPUS.values()]
+    rings += [build_ring(spec, DEFAULT_CAP) for _, spec in FAMILY_SPECS]
+    products = [shuffled_pair("M2(F2)", "Z2xZ4"), shuffled_pair("Z2C2", "Z2[u,v]/(u,v)^2")]
+    assert all(len(finring._blocks(r)) > 1 for r in products)
+    rings += products
+    rings += [r.opposite() for r in rings]
+    verdicts = [is_frobenius_socle(FiniteRing(r.shape, r.mul_table, r.one)).is_frobenius
+                for r in rings]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the search read a structure of the socle route")
+
+    for name in ("units", "nilpotents", "jacobson_radical", "socle"):
+        monkeypatch.setattr(FiniteRing, name, refused)
+    assert [find_frobenius_functional(r) is not None for r in rings] == verdicts
+    assert len(rings) == 96 and set(verdicts) == {True, False}
 
 
 def test_deciding_a_shuffled_product_checks_no_block_ring(monkeypatch):
