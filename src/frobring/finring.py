@@ -29,7 +29,9 @@ pairs of elements:
   is in it iff the left ideal R x is nil; only nilpotent candidates are
   tested, R x is spanned lazily from e_1 x, ..., e_k x until a member is
   not nilpotent, and candidates inside the additive span of the members
-  found so far are skipped; that span's generators are kept;
+  found so far are skipped; that span's generators are kept; when n is
+  not squarefree the walk runs on R/sR, s the squarefree part of n, and
+  J is its preimage (FiniteRing.jacobson_radical);
 * socles are the annihilators of those radical generators, which by
   bilinearity is the annihilator of the whole radical (ring_orthogonal);
 * every orthogonal is one routine on packed lines
@@ -56,9 +58,9 @@ every field from a reduced table: the constructor's, from outside, which
 it then validates; the opposite's, the table and packed table transposed,
 built once on demand (FiniteRing.opposite); and that of every ring the one
 builder (_derived_ring) places from copies of checked tables: products,
-matrix rings, group algebras, Z_n, block rings (_blocks) and the tables of
-skew quotients.  No derived ring is checked, as the checks hold by
-derivation.
+matrix rings, group algebras, Z_n, block rings (_blocks), the tables of
+skew quotients and R/sR, a quotient by an ideal.  No derived ring is
+checked, as the checks hold by derivation.
 Right-handed notions are the left-handed ones of the opposite ring, which
 has the same blocks.  Rings cache all this, a ring and its opposite in
 one shared record where the side does not matter; treat them as
@@ -83,6 +85,7 @@ from .znmod import (
     _check_table_cap,
     _int_vectors,
     _ints,
+    _modulo,
     _packed_orthogonal,
     additive_closure,
     additive_generators,
@@ -90,6 +93,7 @@ from .znmod import (
     extend_span,
     packed_arithmetic,
     packed_fields,
+    squarefree_part,
 )
 
 
@@ -298,8 +302,21 @@ class FiniteRing:
         not nilpotent: rank products and at most |R x| additions.  Only
         nilpotents are candidates, in sorted order, and one already in the
         span of the members found is not tested again.  Those members are
-        kept as the radical's additive generators (radical_generators)."""
-        known = self._side_free
+        kept as the radical's additive generators (radical_generators).
+
+        That walk runs on R only when n = char R is squarefree.  Otherwise,
+        for s the squarefree part of n, sR is a two-sided ideal with
+        (sR)^k = s^k R = 0 once s^k is a multiple of n, so sR is nil and
+        lies in J, and J / sR = J(R / sR) (Lam, GTM 131, section 4).  The
+        walk runs on the smaller R / sR (znmod._modulo), and J is the
+        preimage: the lifts of J(R / sR)'s generators and the nonzero
+        s e_i generate it."""
+        known, n = self._side_free, self.characteristic
+        if "radical" not in known and (s := squarefree_part(n)) < n:
+            shape, table, one = _modulo(self.shape, self.mul_table, self.one, s)
+            lifts = (*_derived_ring(shape, [(0, 0, 0, table)], one).radical_generators(),
+                     *filter(any, (self.scale(s, e) for e in self.basis_elements)))
+            known["radical"] = Ideal("two-sided", additive_closure(lifts, self.add, self.zero)), lifts
         if "radical" not in known:
             nil = self.nilpotents()
             gens: list[Element] = []
@@ -457,8 +474,8 @@ def _derived_ring(shape: ModuleShape, copies, one: Element,
     tables, filled with no presentation check: each copy (i, j, l, T) puts
     T[a][b] at entry (i + a, j + b), on coordinates l, l + 1, ....  The
     one builder of a ring derived from checked rings (products, matrix
-    rings, group algebras, Z_n, block rings, skew-quotient tables), each a
-    ring by its derivation; the entries and one come reduced."""
+    rings, group algebras, Z_n, block rings, skew-quotient tables, R/sR),
+    each a ring by its derivation; the entries and one come reduced."""
     k = shape.rank
     table = [[shape.zero] * k for _ in range(k)]
     for i, j, l, T in copies:

@@ -43,10 +43,11 @@ built, unchecked.  Pairing kernels in the ring are read off the
 pairing's Z_n-valued gram (_gram_kernel).  An ambient form is A-linear
 on the left in its first slot and on the right in its second, so its
 kernels are orthogonals of the m unit vectors of A^m, the rows of
-identity_form's gram.  The functional search decides each form once,
-off its gram, or skips it on a first-slot kernel witness of a form it
-rejected before; it reads no units, radical or socle, and on a table of
-two or more blocks it searches each block instead (finring._blocks).
+identity_form's gram.  The functional search holds the undecided forms
+as a bitset of the form space, decides the lowest off its gram, and
+clears with a rejected form every form whose first-slot kernel holds the
+same witness; it reads no units, radical or socle, and on a table of two
+or more blocks it searches each block instead (finring._blocks).
 """
 
 from __future__ import annotations
@@ -61,11 +62,13 @@ from .znmod import (
     ZnLinearForm,
     _ints,
     _flat_vectors,
+    _form_at,
     _packed_orthogonal,
+    _vanishing_forms,
     _word_layout,
-    enumerate_forms,
     linear_kernel,
     packed_fields,
+    _check_cap,
     _check_power_cap,
     _check_table_cap,
 )
@@ -218,13 +221,16 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     A form is Frobenius iff its first-slot kernel {a : eps(a * b) = 0 for
     all b} is zero (see _degeneracy for the second slot), and x lies in
     that kernel iff eps(x * e_j) = 0 for every j, as b |-> eps(x * b) is
-    additive.  Each form goes once to the verifying constructor, which
-    decides it off its gram: the first it accepts is returned.  A form it
+    additive.  The undecided forms are one int, a bitset of the form space
+    with bit t for the t-th form (znmod._form_at), the zero form's bit
+    clear unless R = 0: its first-slot kernel is R.  The lowest undecided
+    form goes once to the verifying constructor, which decides it off its
+    gram, and leaves the set: the first it accepts is returned.  A form it
     rejects leaves its witness x, the smallest nonzero member of its
-    first-slot kernel, as the images x * e_1, ..., x * e_k, rank products
-    per rejection; a later form that sends every image of some witness to
-    0 has that witness in its kernel, and is skipped undecided.  No units,
-    radical or socle are read.  None when no form is Frobenius.
+    first-slot kernel, and every form that sends each of x * e_1, ...,
+    x * e_k to 0 has x in its kernel too: that class is cleared at once
+    (znmod._vanishing_forms), so no Python step is spent per form.  No
+    units, radical or socle are read.  None when no form is Frobenius.
 
     A table of two or more blocks (finring._blocks) is searched block by
     block, after the cap check on its form space.  Its forms are the forms
@@ -236,7 +242,7 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
     order compares the coordinates in index order, however the blocks
     interleave, the first has each block's first form on its coordinates.
     """
-    forms = enumerate_forms(ring.shape)
+    _check_cap(ring.cardinality, "form space")
     n = ring.characteristic
     if blocks := _blocks(ring):
         weights = []
@@ -246,14 +252,16 @@ def find_frobenius_functional(ring: FiniteRing) -> FrobeniusFunctional | None:
                 return None
             weights.append([w * (n // block.characteristic) for w in found.weights])
         return FrobeniusFunctional(ring, ZnLinearForm(ring.shape, _on_blocks(ring, weights)))
-    witnesses: list[list[Element]] = []  # x * e_1, ..., x * e_k for each witness x met
-    for form in forms:
-        if any(all(form(v) == 0 for v in images) for images in witnesses):
-            continue  # the witness is in this form's first-slot kernel too
+    undecided = (1 << ring.cardinality) - (2 if ring.cardinality > 1 else 1)
+    while undecided:
+        lowest = undecided & -undecided
+        undecided ^= lowest
+        form = _form_at(ring.shape, lowest.bit_length() - 1)
         try:
             return FrobeniusFunctional(ring, form)
         except DegenerateFormError as error:
-            witnesses.append([ring.mul(error.witness, e) for e in ring.basis_elements])
+            images = [ring.mul(error.witness, e) for e in ring.basis_elements]
+            undecided &= ~_vanishing_forms(ring.shape, images)
     return None
 
 

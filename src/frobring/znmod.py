@@ -39,7 +39,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 Element = tuple[int, ...]
@@ -284,6 +284,87 @@ def enumerate_forms(shape: ModuleShape) -> Iterator[ZnLinearForm]:
     n = shape.n
     weights = product(*(range(0, n, n // d) for d in shape.orders))
     return map(partial(ZnLinearForm._built, shape), weights)
+
+
+def _form_at(shape: ModuleShape, t: int) -> ZnLinearForm:
+    """The t-th form of enumerate_forms: t written in the mixed radix of
+    the orders, the last coordinate least significant, gives c_i, and the
+    weight is c_i n / d_i."""
+    weights = []
+    for d in reversed(shape.orders):
+        t, c = divmod(t, d)
+        weights.append(c * (shape.n // d))
+    return ZnLinearForm._built(shape, tuple(reversed(weights)))
+
+
+def squarefree_part(n: int) -> int:
+    """The product of the distinct primes dividing n, by trial division."""
+    s, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            s *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return s * n if n > 1 else s
+
+
+def _modulo(shape: ModuleShape, table, one: Element, s: int) -> tuple:
+    """(shape, table, one) of R/sR, for the presentation (shape, table,
+    one) of R and s the squarefree part of n: coordinate i, each table
+    entry's and the identity's, reduced mod gcd(d_i, s).  1 has order s
+    in R/sR: were m 1 in sR for some m < s dividing s, then for a prime p
+    of s not dividing m, on the p-part of R, of characteristic p^a, m is a
+    unit, so 1 = p y there and 1 = p^a y^a = 0.  The quotient by an ideal
+    is a ring, so this needs no check."""
+    quotient = ModuleShape(s, tuple(gcd(d, s) for d in shape.orders))
+    return quotient, tuple(tuple(map(quotient.reduce, row)) for row in table), quotient.reduce(one)
+
+
+def _vanishing_forms(shape: ModuleShape, images: Iterable[Element]) -> int:
+    """The forms that send every image to 0, as a bitset of the form
+    space: bit t stands for _form_at(shape, t).  They are the orthogonal
+    of the span H of the images under the pairing
+    (c, y) |-> sum_i c_i (n / d_i) y_i mod n, so they number |R| / |H|.
+
+    Two ways, the cheaper picked by |H|, in steps of about 0.1 us (timed
+    on a 2-core x86_64 host):
+    * listing the orthogonal by linear_kernel and setting its bits costs
+      about 10 steps per member and per meet-in-the-middle half entry,
+      10 (|R| / |H| + 2 sqrt |R|);
+    * for each image y, the bitsets of the suffix indices whose pairing
+      with y is r, for each residue r, grow one coordinate at a time, and
+      the residue-0 bitsets are AND-ed: about ord(y) sum_i d_i steps, and
+      at the top d_1 ord(y) shifts of |R|-bit ints, |R| / 12800 steps each.
+    H is closed only until listing turns out the cheaper, which it never
+    is while the bitsets cost less than its meet in the middle."""
+    n, orders, size = shape.n, shape.orders, shape.cardinality
+    images = [y for y in set(images) if any(y)]
+    bits_cost = (sum(map(shape.element_order, images))
+                 * (sum(orders) + prod(orders[:1]) * size // 12800))
+    halves = 20 * isqrt(size)
+    span = {shape.zero}
+    if bits_cost <= halves or all(10 * size // len(span) + halves >= bits_cost
+                                  for y in images for _ in extend_span(span, y, shape.add)):
+        bits = (1 << size) - 1
+        for y in images:  # residues[r]: suffix indices whose pairing with y is r
+            residues, low = {0: 1}, 1
+            for d, yi in zip(reversed(orders), reversed(y)):
+                step, grown = (n // d) * yi, {}
+                for c in range(d):
+                    for r, b in residues.items():
+                        key = (r + c * step) % n
+                        grown[key] = grown.get(key, 0) | b << c * low
+                residues, low = grown, low * d
+            bits &= residues.get(0, 0)
+        return bits
+    radix = [prod(orders[i + 1:]) for i in range(len(orders))]
+    lines = [[(n // d) * y[i] for y in images] for i, d in enumerate(orders)]
+    buffer = bytearray(size // 8 + 1)
+    for c in linear_kernel(orders, lines, (n,) * len(images)):
+        t = sum(map(operator.mul, c, radix))
+        buffer[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def extend_span(span: set, x, add) -> Iterator:

@@ -356,9 +356,9 @@ def test_budget_frobenius_verdict_on_z2_with_twelve_square_zero_variables(tmp_pa
 
 def test_budget_frobenius_verdict_on_z2_cyclic_of_length_15(tmp_path, capsys):
     """Z2[x]/(x^15 - 1), 32768 elements, semisimple on a basis that does
-    not split into blocks: the search decides two forms, one gram kernel
-    each, as the zero form's witness x^14 is not in the kernel of the
-    second, (0, ..., 0, 1), which is Frobenius."""
+    not split into blocks: the search decides one form, by one gram
+    kernel, as it passes over the zero form and the next, (0, ..., 0, 1),
+    is Frobenius."""
     spec = tmp_path / "cyclic15.json"
     spec.write_text(json.dumps({"kind": "skew_quotient", "base": {"kind": "zn", "n": 2},
                                 "modulus": [1] + [0] * 14 + [1]}))
@@ -369,6 +369,40 @@ def test_budget_frobenius_verdict_on_z2_cyclic_of_length_15(tmp_path, capsys):
     assert report["functional_weights"] == [0] * 14 + [1]
     assert report["frobenius"] is True and report["routes_agree"] is True
     assert elapsed < 2, f"verdict took {elapsed:.2f} s"
+
+
+def test_budget_frobenius_verdict_on_m2_z16(tmp_path, capsys):
+    """M2(Z16), 65536 elements: its radical 2 M2(Z16), 4096 elements, is
+    the preimage of the radical {0} of M2(Z16) / 2 M2(Z16) = M2(F2), so no
+    route walks the powers of its elements (1.0-1.2 s when the radical
+    walked R itself)."""
+    spec = tmp_path / "m2_z16.json"
+    spec.write_text(json.dumps({"kind": "matrix", "base": {"kind": "zn", "n": 16}, "size": 2}))
+    t0 = time.perf_counter()
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert report["radical_size"] == 4096 and report["routes_agree"] is True
+    assert elapsed < 0.4, f"verdict took {elapsed:.2f} s"
+
+
+def test_budget_frobenius_verdict_on_z4_with_six_square_zero_variables(tmp_path, capsys):
+    """Z4[u_1..u_6]/(u)^2, 16384 elements, not Frobenius: the search
+    clears each rejected form's class of forms at once, and the radical
+    comes from the quotient by 2, Z2[u_1..u_6]/(u)^2 (0.26 s when the
+    search walked the forms and the radical walked R)."""
+    r = 7
+    mul = [[[int(t == j) for t in range(r)] for j in range(r)]]
+    mul += [[[int(t == i) for t in range(r)]] + [[0] * r] * (r - 1) for i in range(1, r)]
+    spec = tmp_path / "square_zero.json"
+    spec.write_text(json.dumps({"kind": "table", "n": 4, "orders": [4] * r, "mul": mul,
+                                "one": [1] + [0] * (r - 1)}))
+    t0 = time.perf_counter()
+    assert main(["ring", "frobenius", str(spec), "--json"]) == 1
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert report["frobenius"] is False and report["routes_agree"] is True
+    assert elapsed < 0.1, f"verdict took {elapsed:.3f} s"
 
 
 def test_budget_validate_of_one_hundred_zero_ring_factors(tmp_path, capsys):

@@ -14,8 +14,10 @@ FiniteRing.basis_elements is the one basis list.
 Only the functions in ELEMENT_SCANS_KEPT call .elements() or
 enumerate_module: kernels and bijections are decided by linear_kernel
 and _packed_orthogonal, both on znmod._packed_kernel, and element scans live on as oracles in the tests.  Likewise only the
-functions in FORM_SCANS_KEPT call enumerate_forms: the form search walks
-the forms, and every other question about forms is read off a gram.
+functions in FORM_SCANS_KEPT call enumerate_forms, and there are none:
+the form search decodes each form it decides off its index in the form
+space (znmod._form_at), every other question about forms is read off a
+gram, and the walk of every form lives on as the tests' oracle.
 
 No function has a parameter with a boolean default: objects are verified
 on construction, with no check= switch, and one setting per concept
@@ -189,7 +191,7 @@ def test_only_the_kept_functions_scan_elements():
     assert found == ELEMENT_SCANS_KEPT
 
 
-FORM_SCANS_KEPT = ["frobenius.find_frobenius_functional"]
+FORM_SCANS_KEPT = []
 
 
 def form_scans(source: str, module: str) -> list[str]:

@@ -1,9 +1,10 @@
 """Structural routes of finring and frobenius against brute-force oracles.
 
 The power walk for units and nilpotents, the radical as the nilpotent x
-with R x nil, socles through the radical's generators, socle generators
-by the size of span{s e_j}, and the functional search by kept kernel
-witnesses all replace scans over pairs of elements.  Annihilators,
+with R x nil (on R/sR when char R is not squarefree, s its squarefree
+part), socles through the radical's generators, socle generators by the
+size of span{s e_j}, and the functional search on a bitset of the form
+space all replace scans over pairs of elements.  Annihilators,
 functional orthogonals and the skew and group-algebra duality reports
 solve one linear map over an additive generating set, and pairing kernels, the
 generator-orbit equivalences of a functional and the bijectivity of
@@ -11,7 +12,10 @@ automorphisms are one linear map kernel each.  Each scan
 is kept here as the oracle, and both must give the same sets, witnesses,
 first form and error message.  The packed product is checked
 against the tuple loop over the table (conftest.table_product), which the
-radical and functional oracles use in its place.
+radical and functional oracles use in its place.  The routes the bitset
+search and the radical from R/sR replaced, the walk of every form with
+kept kernel witnesses and the radical walk on R itself, are oracles too
+(witness_walk, radical_walk).
 """
 
 import random
@@ -59,11 +63,15 @@ from frobring.finring import FiniteRing, cyclic_left_ideals, is_left_ideal, left
 from frobring.skewpoly import AutomorphismError, RingAutomorphism, SkewQuotient
 from frobring.frobenius import is_nondegenerate, pairing_kernel
 from frobring import finring, frobenius, skewpoly
-from frobring.znmod import (DEFAULT_CAP, EnumerationCapError, ZnLinearForm, additive_generators,
-                            annihilated, enumeration_cap, linear_kernel)
+from frobring.znmod import (DEFAULT_CAP, EnumerationCapError, ZnLinearForm, additive_closure,
+                            additive_generators, annihilated, enumeration_cap, extend_span,
+                            linear_kernel, squarefree_part)
 
 from conftest import table_product, unit_vector, upper_triangular
 from ring_families import FAMILY_SPECS, cyclic, dihedral, quaternion_group
+from ring_families import group_algebra as family_group_algebra, matrix as family_matrix
+from ring_families import square_zero as family_square_zero, upper_triangular as family_triangular
+from ring_families import zn as family_zn
 from ring_families import direct as direct_product
 from test_lattice import SKEW_QUOTIENTS
 
@@ -366,6 +374,68 @@ def test_functional_search_skips_no_frobenius_form(name, spec):
         assert (found.weights if found else None) == first_accepted_form(r)
 
 
+def witness_walk(ring):
+    """Weights of the first Frobenius form by the walk of every form in
+    enumerate_forms order, or None: a form is skipped when some kept
+    witness x has eps(x e_j) = 0 for every j, and otherwise decided once
+    by the constructor, whose rejection keeps its witness's images
+    x e_1, ..., x e_k: the oracle of the search on a bitset of forms."""
+    witnesses = []
+    for form in enumerate_forms(ring.shape):
+        if any(all(form(v) == 0 for v in images) for images in witnesses):
+            continue
+        try:
+            return FrobeniusFunctional(ring, form).weights
+        except DegenerateFormError as error:
+            witnesses.append([ring.mul(error.witness, e) for e in ring.basis_elements])
+    return None
+
+
+# Z1, a table with a coordinate of order 1, a product with a Z1 factor,
+# and rings of 216 to 65536 elements whose search rejects forms
+ZERO_RINGS_AND_LARGER = {
+    "Z1": lambda: ring_zn(1),
+    "orders [1, 4]": lambda: ring_from_table(4, [1, 4], [[[0, 0], [0, 0]], [[0, 0], [0, 1]]],
+                                             [0, 1]),
+    "Z1 x Z4 x Z2": lambda: ring_product(ring_zn(1), ring_zn(4), ring_zn(2)),
+    "T2(Z6)": lambda: upper_triangular(6, 2),
+    "Z2[u1..u12]/(u)^2": lambda: square_zero(2, 12),
+    "T4(Z2)": lambda: upper_triangular(2, 4),
+    "M2(Z16)": lambda: ring_matrix(ring_zn(16), 2),
+}
+SEARCH_CASES = ([pytest.param(lambda spec=spec: build_ring(spec, DEFAULT_CAP), id=f"family-{name}")
+                 for name, spec in FAMILY_SPECS]
+                + [pytest.param(build, id=name) for name, build in ZERO_RINGS_AND_LARGER.items()])
+
+
+@pytest.mark.parametrize("built", SEARCH_CASES)
+def test_bitset_search_returns_the_form_of_the_witness_walk(built):
+    ring = built()
+    for r in (ring, ring.opposite()):
+        found = find_frobenius_functional(r)
+        assert (found.weights if found else None) == witness_walk(r)
+
+
+def test_the_zero_form_is_decided_on_the_zero_ring_only(monkeypatch):
+    """The zero form's first-slot kernel is all of R, so the search passes
+    over it unless R = 0, where it is the one form and Frobenius."""
+    decided = []
+    original = FrobeniusFunctional.__init__
+
+    def deciding(self, r, form):
+        decided.append((r.cardinality, not any(form.weights)))
+        original(self, r, form)
+
+    monkeypatch.setattr(FrobeniusFunctional, "__init__", deciding)
+    rings = [*(build() for build in ZERO_RINGS_AND_LARGER.values()), *map(fresh, NAMES),
+             ring_from_table(1, [1, 1], [[[0, 0]] * 2] * 2, [0, 0])]
+    for ring in rings:
+        find_frobenius_functional(ring)
+    zero_forms = [size for size, zero in decided if zero]
+    assert zero_forms == [1] * 3  # Z1 twice and the rank-2 zero ring
+    assert len(decided) > len(rings)
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_degenerate_form_error_matches_all_pairs(name):
     ring = fresh(name)
@@ -428,6 +498,53 @@ def test_radical_and_socles_on_every_rotation_of_the_basis(name):
         assert ring.jacobson_radical().elements == radical, r
         for side in ("right", "left"):
             assert ring.socle(side).elements == socle_oracle(ring, radical, side), (r, side)
+
+
+def radical_walk(ring):
+    """(radical, generators) by the walk of R x over the nilpotents, in
+    sorted order, skipping those in the span of the members found: x is
+    in J iff R x is nil.  Run on R itself, it is the oracle of the radical
+    taken as the preimage of J(R/sR), s the squarefree part of char R."""
+    nil, gens, rad = ring.nilpotents(), [], {ring.zero}
+    for x in sorted(nil):
+        rx = {ring.zero}
+        if x not in rad and all(y in nil for e in ring.basis_elements
+                                for y in extend_span(rx, ring.mul(e, x), ring.add)):
+            gens.append(x)
+            rad = set(additive_closure(gens, ring.add, ring.zero))
+    return frozenset(rad), gens
+
+
+RADICAL_CASES = [pytest.param(spec, id=name) for name, spec in FAMILY_SPECS
+                 if squarefree_part(n := build_ring(spec, DEFAULT_CAP).characteristic) < n]
+RADICAL_CASES += [pytest.param(spec, id=name) for name, spec in [
+    ("M2(Z8)", family_matrix(family_zn(8))),
+    ("T2(Z16)", family_triangular(16, 2)),
+    ("Z8[C2xC2]", family_group_algebra(8, direct_product(cyclic(2), cyclic(2)))),
+    ("Z4[u1..u6]/(u)^2", family_square_zero(4, 6)),
+]]
+
+
+@pytest.mark.parametrize("spec", RADICAL_CASES)
+def test_radical_from_the_quotient_matches_the_walk(spec):
+    """The radical, its generators' span, both socles and every field of
+    the socle certificate, on rings whose characteristic is not squarefree
+    and on their opposites, each built fresh, against the walk on R."""
+    assert len(RADICAL_CASES) == 9
+    for ring in (build_ring(spec, DEFAULT_CAP), build_ring(spec, DEFAULT_CAP).opposite()):
+        radical, gens = radical_walk(ring)
+        assert ring.jacobson_radical().elements == radical
+        assert span(ring.radical_generators(), ring.shape) == radical
+        right = frozenset(x for x in ring.elements() if all(not any(ring.mul(x, g)) for g in gens))
+        left = frozenset(x for x in ring.elements() if all(not any(ring.mul(g, x)) for g in gens))
+        assert (ring.socle("right").elements, ring.socle("left").elements) == (right, left)
+        size = ring.cardinality // len(radical)
+        right_witness = right_generator_oracle(ring, right) if len(right) == size else None
+        left_witness = (right_generator_oracle(ring.opposite(), left) if len(left) == size
+                        else None)
+        assert astuple(is_frobenius_socle(ring)) == (
+            right_witness is not None and left_witness is not None, len(radical), len(right),
+            len(left), right_witness, left_witness)
 
 
 def full_fields(n):
@@ -925,10 +1042,15 @@ def test_matrix_ring_over_a_product_splits_into_interleaved_blocks(other, n):
 @pytest.mark.parametrize("name", ["M2(Z4)", "Z2[D4]"])
 def test_one_block_rings_build_no_ring_to_decide(name, monkeypatch):
     """A table of one block takes the direct route and derives no ring
-    from a table; a table of two derives each block ring once, for both
-    decisions.  Derivations are counted at the fill step, which every ring
-    goes through; an opposite, filled from its packed table, is not one."""
+    from a table but R/sR, s the squarefree part of a characteristic that
+    is not squarefree, for the radical: M2(Z4) derives M2(F2) once for both
+    sides, which share the radical, and Z2[D4] derives nothing.  A table of
+    two derives each block ring once, for both decisions, and the radical
+    of its M2(Z4) block derives M2(F2) once more.  Derivations are counted
+    at the fill step, which every ring goes through; an opposite, filled
+    from its packed table, is not one."""
     ring = fresh(name)
+    quotients = {"M2(Z4)": 1, "Z2[D4]": 0}[name]
     built = []
     original = FiniteRing._fill
 
@@ -941,13 +1063,14 @@ def test_one_block_rings_build_no_ring_to_decide(name, monkeypatch):
     for r in (ring, ring.opposite()):
         find_frobenius_functional(r)
         is_frobenius_socle(r)
-    assert built == [] and len(ring._side_free["blocks"]) == 1
+    assert len(built) == quotients and len(ring._side_free["blocks"]) == 1
+    assert built == [RINGS["M2(F2)"]] * quotients
     product_ring = ring_product(ring, RINGS["Z3"])
     built.clear()
     find_frobenius_functional(product_ring)
     assert len(built) == 2  # the blocks, once each
     is_frobenius_socle(product_ring)
-    assert len(built) == 2
+    assert len(built) == 2 + quotients
 
 
 def derived_rings(ring):

@@ -24,10 +24,14 @@ from frobring.znmod import (
     packed_arithmetic,
     packed_fields,
     span,
+    squarefree_part,
     _check_power_cap,
     _flat_vectors,
+    _form_at,
     _packed_orthogonal,
+    _vanishing_forms,
 )
+from frobring import znmod
 
 
 def additive_weight_tuples(shape):
@@ -174,6 +178,57 @@ def test_enumeration_is_lexicographic():
     assert len(els) == 8
     weights = [f.weights for f in enumerate_forms(shape)]
     assert weights[:5] == [(0, 0), (0, 1), (0, 2), (0, 3), (2, 0)]
+
+
+@pytest.mark.parametrize("n, orders", [(1, ()), (1, (1, 1)), (4, (2, 4)), (6, (3, 1, 6)),
+                                       (12, (4, 6, 12)), (8, (8, 2, 4))])
+def test_form_at_decodes_the_enumeration_order(n, orders):
+    shape = ModuleShape(n, orders)
+    assert [_form_at(shape, t) for t in range(shape.cardinality)] == list(enumerate_forms(shape))
+
+
+def vanishing_scan(shape, images):
+    return sum(1 << t for t, form in enumerate(enumerate_forms(shape))
+               if all(form(y) == 0 for y in images))
+
+
+@st.composite
+def shapes_and_images(draw):
+    n = draw(st.sampled_from([2, 4, 6, 8, 9, 12, 16]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    orders = tuple(draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3)))
+    shape = ModuleShape(n, orders)
+    element = st.tuples(*(st.integers(0, d - 1) for d in orders))
+    return shape, draw(st.lists(element, max_size=3))
+
+
+@given(shapes_and_images())
+def test_vanishing_forms_match_the_scan(case):
+    shape, images = case
+    assert _vanishing_forms(shape, images) == vanishing_scan(shape, images)
+
+
+@pytest.mark.parametrize("orders, images, listed", [
+    ((16, 16, 16), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], True),  # H is the whole module
+    ((16, 16, 16), [(8, 0, 0)], False),
+    ((2,) * 8, [(0,) * 7 + (1,), (1,) * 8], False),
+    ((4, 2, 4), [(2, 1, 0), (0, 0, 0)], False),
+])
+def test_vanishing_forms_take_either_way_by_the_span(orders, images, listed, monkeypatch):
+    """Listing the orthogonal wins once the span is large and the residue
+    bitsets are many; both ways give the scan's bitset."""
+    calls = []
+    original = znmod.linear_kernel
+    monkeypatch.setattr(znmod, "linear_kernel", lambda *args: calls.append(1) or original(*args))
+    shape = ModuleShape(max(orders), orders)
+    assert _vanishing_forms(shape, images) == vanishing_scan(shape, images)
+    assert bool(calls) == listed
+
+
+def test_squarefree_part_is_the_product_of_the_primes():
+    for n in range(1, 400):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        assert squarefree_part(n) == prod(primes), n
 
 
 @pytest.mark.parametrize("orders", [(2, 4), (3, 9), (8,), (5, 5), (1, 2), (4, 1, 3)])
