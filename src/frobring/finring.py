@@ -313,6 +313,7 @@ class FiniteRing:
         s e_i generate it."""
         known, n = self._side_free, self.characteristic
         if "radical" not in known and (s := squarefree_part(n)) < n:
+            _check_cap(self.cardinality, "module")  # J is listed as a set of R
             shape, table, one = _modulo(self.shape, self.mul_table, self.one, s)
             lifts = (*_derived_ring(shape, [(0, 0, 0, table)], one).radical_generators(),
                      *filter(any, (self.scale(s, e) for e in self.basis_elements)))

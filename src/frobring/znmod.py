@@ -39,7 +39,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 Element = tuple[int, ...]
@@ -323,48 +323,26 @@ def _modulo(shape: ModuleShape, table, one: Element, s: int) -> tuple:
 
 def _vanishing_forms(shape: ModuleShape, images: Iterable[Element]) -> int:
     """The forms that send every image to 0, as a bitset of the form
-    space: bit t stands for _form_at(shape, t).  They are the orthogonal
-    of the span H of the images under the pairing
-    (c, y) |-> sum_i c_i (n / d_i) y_i mod n, so they number |R| / |H|.
-
-    Two ways, the cheaper picked by |H|, in steps of about 0.1 us (timed
-    on a 2-core x86_64 host):
-    * listing the orthogonal by linear_kernel and setting its bits costs
-      about 10 steps per member and per meet-in-the-middle half entry,
-      10 (|R| / |H| + 2 sqrt |R|);
-    * for each image y, the bitsets of the suffix indices whose pairing
-      with y is r, for each residue r, grow one coordinate at a time, and
-      the residue-0 bitsets are AND-ed: about ord(y) sum_i d_i steps, and
-      at the top d_1 ord(y) shifts of |R|-bit ints, |R| / 12800 steps each.
-    H is closed only until listing turns out the cheaper, which it never
-    is while the bitsets cost less than its meet in the middle."""
-    n, orders, size = shape.n, shape.orders, shape.cardinality
-    images = [y for y in set(images) if any(y)]
-    bits_cost = (sum(map(shape.element_order, images))
-                 * (sum(orders) + prod(orders[:1]) * size // 12800))
-    halves = 20 * isqrt(size)
-    span = {shape.zero}
-    if bits_cost <= halves or all(10 * size // len(span) + halves >= bits_cost
-                                  for y in images for _ in extend_span(span, y, shape.add)):
-        bits = (1 << size) - 1
-        for y in images:  # residues[r]: suffix indices whose pairing with y is r
-            residues, low = {0: 1}, 1
-            for d, yi in zip(reversed(orders), reversed(y)):
-                step, grown = (n // d) * yi, {}
-                for c in range(d):
-                    for r, b in residues.items():
-                        key = (r + c * step) % n
-                        grown[key] = grown.get(key, 0) | b << c * low
-                residues, low = grown, low * d
-            bits &= residues.get(0, 0)
-        return bits
-    radix = [prod(orders[i + 1:]) for i in range(len(orders))]
-    lines = [[(n // d) * y[i] for y in images] for i, d in enumerate(orders)]
-    buffer = bytearray(size // 8 + 1)
-    for c in linear_kernel(orders, lines, (n,) * len(images)):
-        t = sum(map(operator.mul, c, radix))
-        buffer[t >> 3] |= 1 << (t & 7)
-    return int.from_bytes(buffer, "little")
+    space: bit t stands for _form_at(shape, t).  For each image y, the
+    bitsets of the suffix indices whose pairing
+    (c, y) |-> sum_i c_i (n / d_i) y_i mod n is r, for each residue r,
+    grow one coordinate at a time, the last first; the residue-0 bitsets
+    of the images are AND-ed."""
+    n, orders = shape.n, shape.orders
+    bits = (1 << shape.cardinality) - 1
+    for y in set(images):
+        if not any(y):
+            continue
+        residues, low = {0: 1}, 1  # residues[r]: suffix indices whose pairing with y is r
+        for d, yi in zip(reversed(orders), reversed(y)):
+            step, grown = (n // d) * yi, {}
+            for c in range(d):
+                for r, b in residues.items():
+                    key = (r + c * step) % n
+                    grown[key] = grown.get(key, 0) | b << c * low
+            residues, low = grown, low * d
+        bits &= residues.get(0, 0)
+    return bits
 
 
 def extend_span(span: set, x, add) -> Iterator:

@@ -547,6 +547,21 @@ def test_radical_from_the_quotient_matches_the_walk(spec):
             len(left), right_witness, left_witness)
 
 
+def test_radical_from_the_quotient_meets_the_cap():
+    """J is listed as a set of R, so a ring over the cap is refused before
+    R/sR is walked, as the walk on R refuses it: Z_{2^21}, and M2(Z_256)
+    (2^32 elements, built under a larger cap), through the radical, its
+    generators and both socles."""
+    for build in (lambda: ring_zn(1 << 21), lambda: ring_matrix(ring_zn(256), 2)):
+        for route in ("jacobson_radical", "radical_generators", "right", "left"):
+            with enumeration_cap(1 << 32):
+                ring = build()
+            call = (getattr(ring, route) if route.startswith(("jacobson", "radical"))
+                    else lambda: ring.socle(route))
+            with pytest.raises(EnumerationCapError, match=f"module has {ring.cardinality} entries"):
+                call()
+
+
 def full_fields(n):
     """Z_n on the basis -1, and Z_n x Z_n on (0, -1), (1, -1): each
     product of the largest elements sums to near k^2 (n - 1)^3 in one field."""

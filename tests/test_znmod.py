@@ -31,7 +31,6 @@ from frobring.znmod import (
     _packed_orthogonal,
     _vanishing_forms,
 )
-from frobring import znmod
 
 
 def additive_weight_tuples(shape):
@@ -206,23 +205,6 @@ def shapes_and_images(draw):
 def test_vanishing_forms_match_the_scan(case):
     shape, images = case
     assert _vanishing_forms(shape, images) == vanishing_scan(shape, images)
-
-
-@pytest.mark.parametrize("orders, images, listed", [
-    ((16, 16, 16), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], True),  # H is the whole module
-    ((16, 16, 16), [(8, 0, 0)], False),
-    ((2,) * 8, [(0,) * 7 + (1,), (1,) * 8], False),
-    ((4, 2, 4), [(2, 1, 0), (0, 0, 0)], False),
-])
-def test_vanishing_forms_take_either_way_by_the_span(orders, images, listed, monkeypatch):
-    """Listing the orthogonal wins once the span is large and the residue
-    bitsets are many; both ways give the scan's bitset."""
-    calls = []
-    original = znmod.linear_kernel
-    monkeypatch.setattr(znmod, "linear_kernel", lambda *args: calls.append(1) or original(*args))
-    shape = ModuleShape(max(orders), orders)
-    assert _vanishing_forms(shape, images) == vanishing_scan(shape, images)
-    assert bool(calls) == listed
 
 
 def test_squarefree_part_is_the_product_of_the_primes():
